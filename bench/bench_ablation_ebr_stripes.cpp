@@ -68,9 +68,9 @@ int main() {
   std::printf(
       "workload       : raw BasicEbr read sections, 1 locale, empty body\n");
   std::printf(
-      "this run       : ops/task=%llu hw_threads=%zu mode=%s\n\n",
+      "this run       : ops/task=%llu hw_threads=%u mode=%s\n\n",
       static_cast<unsigned long long>(p.ops_per_task),
-      rcua::plat::hardware_threads(),
+      static_cast<unsigned>(rcua::plat::hardware_threads()),
       p.wallclock ? "wallclock" : "virtual-time");
 
   std::vector<std::string> header{"tasks", "legacy"};

@@ -8,7 +8,8 @@
 //             (gets / puts / executes) and the service routing counters
 //             (routed / routed_remote) are a pure function of the
 //             workload because routing is block-cyclic arithmetic plus
-//             an RCU read of the mapping table.
+//             a load of the target shard's home (routed_remote counts
+//             ops whose shard's blocks are off the calling locale).
 //   migrate — every shard live-migrates to the next locale; the comm
 //             executes (block allocs + pipelined copies on the §10
 //             async path) and the migration counters (migrations /
@@ -51,10 +52,10 @@ int main() {
       "(4 locales)",
       "(not a paper figure) fixed read/write mix vs shard count, then a "
       "full rotation of live shard migrations",
-      "routing adds one RCU map read per element op (flat in shard "
-      "count); migration traffic is O(blocks moved) on the async comm "
-      "path; both counter sets are deterministic and CI-gated "
-      "(DESIGN.md §14)");
+      "routing is block-cyclic arithmetic with no read section of its "
+      "own (flat in shard count); migration traffic is O(blocks moved) "
+      "on the async comm path; both counter sets are deterministic and "
+      "CI-gated (DESIGN.md §14)");
 
   constexpr std::uint32_t kLocales = 4;
   bool checksum_ok = true;

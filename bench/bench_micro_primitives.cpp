@@ -11,6 +11,7 @@
 #include "platform/spinlock.hpp"
 #include "platform/topology.hpp"
 #include "rcua.hpp"
+#include "service/sharded_collection.hpp"
 
 namespace {
 
@@ -127,6 +128,62 @@ void BM_RcuArrayIndexEbr(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RcuArrayIndexEbr);
+
+// The per-layer ladder of one element op, 1 thread, 1 locale, 64 Ki
+// elements: value read/write on the array, then the sharded read that
+// adds block-cyclic routing, then QSBR's per-op participation check.
+constexpr std::size_t kLadderElems = std::size_t{1} << 16;
+
+template <typename Policy>
+void BM_RcuArrayRead(benchmark::State& state) {
+  rcua::rt::Cluster cluster({.num_locales = 1, .workers_per_locale = 1});
+  rcua::RCUArray<std::uint64_t, Policy> arr(cluster, kLadderElems);
+  std::uint64_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(arr.read((i++ * 7919) & (kLadderElems - 1)));
+  }
+  rcua::reclaim::Qsbr::global().flush_unsafe();
+}
+BENCHMARK_TEMPLATE(BM_RcuArrayRead, rcua::QsbrPolicy);
+BENCHMARK_TEMPLATE(BM_RcuArrayRead, rcua::EbrPolicy);
+
+template <typename Policy>
+void BM_RcuArrayWrite(benchmark::State& state) {
+  rcua::rt::Cluster cluster({.num_locales = 1, .workers_per_locale = 1});
+  rcua::RCUArray<std::uint64_t, Policy> arr(cluster, kLadderElems);
+  std::uint64_t i = 0;
+  for (auto _ : state) {
+    arr.write((i * 7919) & (kLadderElems - 1), i);
+    benchmark::ClobberMemory();
+    ++i;
+  }
+  rcua::reclaim::Qsbr::global().flush_unsafe();
+}
+BENCHMARK_TEMPLATE(BM_RcuArrayWrite, rcua::QsbrPolicy);
+BENCHMARK_TEMPLATE(BM_RcuArrayWrite, rcua::EbrPolicy);
+
+template <typename Policy>
+void BM_ShardedCollectionRead(benchmark::State& state) {
+  rcua::rt::Cluster cluster({.num_locales = 1, .workers_per_locale = 1});
+  rcua::svc::ShardedCollection<std::uint64_t, Policy> coll(cluster,
+                                                           kLadderElems);
+  std::uint64_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(coll.read((i++ * 7919) & (kLadderElems - 1)));
+  }
+  rcua::reclaim::Qsbr::global().flush_unsafe();
+}
+BENCHMARK_TEMPLATE(BM_ShardedCollectionRead, rcua::QsbrPolicy);
+BENCHMARK_TEMPLATE(BM_ShardedCollectionRead, rcua::EbrPolicy);
+
+void BM_QsbrEnsureParticipant(benchmark::State& state) {
+  rcua::reclaim::Qsbr& qsbr = rcua::reclaim::Qsbr::global();
+  for (auto _ : state) {
+    qsbr.ensure_participant();
+    benchmark::ClobberMemory();  // the TLS check must not leave the loop
+  }
+}
+BENCHMARK(BM_QsbrEnsureParticipant);
 
 void BM_UnsafeArrayIndex(benchmark::State& state) {
   rcua::rt::Cluster cluster({.num_locales = 1, .workers_per_locale = 1});

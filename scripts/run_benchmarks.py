@@ -218,6 +218,11 @@ def main():
             if args.smoke:
                 micro_args.append("--benchmark_min_time=0.01s")
             code, out, err = run_binary(micro_path, env, micro_args)
+            if code != 0 and args.smoke:
+                # google-benchmark < 1.8 rejects the unit suffix and takes
+                # the minimum time as a plain number of seconds.
+                micro_args[-1] = "--benchmark_min_time=0.01"
+                code, out, err = run_binary(micro_path, env, micro_args)
             try:
                 micro = json.loads(out)
             except json.JSONDecodeError:

@@ -166,8 +166,8 @@ class RCUArray {
         write_lock_(cluster, /*owner_locale=*/0),
         pid_(cluster.privatization().create()) {
     if (block_size_ == 0) throw std::invalid_argument("block_size == 0");
-    if (home_locale_ != Options::kNoHomeLocale &&
-        home_locale_ >= cluster.num_locales()) {
+    if (options.home_locale != Options::kNoHomeLocale &&
+        options.home_locale >= cluster.num_locales()) {
       throw std::invalid_argument("home_locale >= num_locales");
     }
     cluster_.coforall_locales([&](std::uint32_t l) {
@@ -213,9 +213,14 @@ class RCUArray {
   // -- Indexing (Algorithm 3, Index) -----------------------------------
 
   /// Returns a reference to element `i`, valid across concurrent resizes.
-  /// Both reads and updates go through this reference.
-  T& index(std::size_t i) { return index_rw(i, /*is_write=*/false); }
-  T& operator[](std::size_t i) { return index_rw(i, /*is_write=*/false); }
+  /// Both reads and updates go through this reference, which escapes the
+  /// read-side section deliberately (§III-C): it points into a recycled
+  /// block, not the reclaimed spine.
+  T& index(std::size_t i) {
+    return with_slot(i, /*is_write=*/false,
+                     [](T& slot, Block<T>*) -> T& { return slot; });
+  }
+  T& operator[](std::size_t i) { return index(i); }
 
   /// Bounds-checked access.
   T& at(std::size_t i) {
@@ -223,7 +228,7 @@ class RCUArray {
       throw std::out_of_range("RCUArray::at: index " + std::to_string(i) +
                               " >= capacity " + std::to_string(capacity()));
     }
-    return index_rw(i, false);
+    return index(i);
   }
 
   /// Convenience value read / write (the paper's "update" is the write).
@@ -293,7 +298,7 @@ class RCUArray {
     new_blocks.reserve(nblocks);
     write_lock_.lock();  // line 10
     const std::uint32_t here = cluster_.here();
-    std::uint32_t loc = priv().next_locale_id;  // line 11
+    std::uint32_t loc = priv_at(here).next_locale_id;  // line 11
     // Allocate and distribute new blocks (lines 12-16), pipelined: each
     // remote `on Locales[locId]` allocation is issued asynchronously so
     // its launch latency overlaps with the other allocations (and same-
@@ -304,9 +309,10 @@ class RCUArray {
       rt::AsyncComm async(cluster_.comm(), here);
       std::vector<rt::future<Block<T>*>> pending;
       pending.reserve(nblocks);
-      const bool pinned = home_locale_ != Options::kNoHomeLocale;
+      const std::uint32_t home = home_locale();
+      const bool pinned = home != Options::kNoHomeLocale;
       for (std::size_t k = 0; k < nblocks; ++k) {
-        const std::uint32_t target = pinned ? home_locale_ : loc;
+        const std::uint32_t target = pinned ? home : loc;
         pending.push_back(
             async.execute(target, /*weight=*/0, [this, target]() {
               Block<T>* b =
@@ -540,7 +546,7 @@ class RCUArray {
       if (old_blocks[i]->owner() != dst) moved.push_back(i);
     }
     if (moved.empty()) {
-      home_locale_ = dst;
+      home_locale_.store(dst, std::memory_order_relaxed);
       write_lock_.unlock();
       return true;
     }
@@ -701,7 +707,7 @@ class RCUArray {
       }
     });
     if (!freed_early) free_moved();
-    home_locale_ = dst;
+    home_locale_.store(dst, std::memory_order_relaxed);
     rehomes_.fetch_add(1, std::memory_order_relaxed);
     write_lock_.unlock();
     return true;
@@ -709,8 +715,9 @@ class RCUArray {
 
   /// This array's pinned home locale (Options::home_locale, updated by
   /// rehome); Options::kNoHomeLocale when blocks distribute round-robin.
+  /// A relaxed load: element routing reads it concurrently with rehome.
   [[nodiscard]] std::uint32_t home_locale() const noexcept {
-    return home_locale_;
+    return home_locale_.load(std::memory_order_relaxed);
   }
   /// Completed rehome() migrations.
   [[nodiscard]] std::uint64_t rehomes() const noexcept {
@@ -1269,8 +1276,8 @@ class RCUArray {
                   const BulkOptions& opts, SpanFn&& span_fn) {
     if (count == 0) return;
     const auto& m = sim::CostModel::get();
-    PerLocale& p = priv();
     const std::uint32_t here = cluster_.here();
+    PerLocale& p = priv_at(here);
     rt::Aggregator agg(cluster_,
                        rt::Aggregator::Options{.capacity = opts.buffer_capacity,
                                                .async = opts.async,
@@ -1405,78 +1412,30 @@ class RCUArray {
     }
   }
 
-  /// Runs `fn(slot, block)` against element `i` INSIDE the read-side
-  /// section — the migration-safe twin of index_rw. Charges, sched
-  /// points and comm accounting are identical to index_rw (the bench
-  /// gate counts on it); the only difference is where the caller's
-  /// access lands relative to the section exit. read()/write() use this
-  /// so value ops stay correct concurrent with rehome(), whose replaced
-  /// blocks are reclaimed (not recycled) after the drain — the §III-C
-  /// escaping-reference relaxation that index() relies on does not
-  /// survive a migration.
+  /// Algorithm 3's Index with `fn(slot, block)` as the λ, run against
+  /// element `i` INSIDE the read-side section: the one element hot path.
+  /// read()/write() complete their access in `fn`, so value ops stay
+  /// correct concurrent with rehome(), whose replaced blocks are
+  /// reclaimed (not recycled) after the drain. index() passes an
+  /// identity `fn`, so its reference escapes the section — the §III-C
+  /// relaxation that does not survive a migration.
   template <typename F>
   decltype(auto) with_slot(std::size_t i, bool is_write, F&& fn) {
     const auto& m = sim::CostModel::get();
     sim::charge(m.rcua_index_ns);
-    PerLocale& p = priv();
-    const std::size_t bidx = i / block_size_;
-    const std::size_t off = i % block_size_;
     const std::uint32_t here = cluster_.here();
+    PerLocale& p = priv_at(here);
+    const std::size_t bidx = i / block_size_;  // line 1
+    const std::size_t off = i % block_size_;   // line 2
 
-    auto helper = [&](Snapshot<T>* s) -> decltype(auto) {
+    auto helper = [&](Snapshot<T>* s) -> decltype(auto) {  // proc Helper
       RCUA_SCHED_POINT("rcua.index.deref_spine");
       assert(bidx < s->num_blocks() && "index beyond current capacity");
       Block<T>* b = s->block(bidx);
       cluster_.comm().record_access(here, b->owner(), is_write);
       sim::touch_block(b->id(), b->owner() != here, is_write,
                        m.rcua_spine_miss_ns);
-      return fn((*b)[off], b);
-    };
-
-    if constexpr (Policy::is_qsbr) {
-      qsbr_->ensure_participant();
-      Snapshot<T>* s = p.global_snapshot.load(std::memory_order_acquire);
-      sim::charge(m.atomic_load_ns);
-      if (rt::FaultPlan* plan = cluster_.fault_plan()) {
-        plan->stall_here(here);  // chaos: stall while holding the snapshot
-      }
-      return helper(s);
-    } else if constexpr (Policy::is_interval) {
-      typename Policy::Reclaimer::ReadGuard guard(p.ebr);
-      sim::charge(m.atomic_load_ns);
-      Snapshot<T>* s = guard.protect(p.global_snapshot);
-      if (rt::FaultPlan* plan = cluster_.fault_plan()) {
-        plan->stall_here(here);  // chaos: stall while holding a reservation
-      }
-      return helper(s);
-    } else {
-      return p.ebr.read([&]() -> decltype(auto) {
-        sim::charge(m.atomic_load_ns);
-        if (rt::FaultPlan* plan = cluster_.fault_plan()) {
-          plan->stall_here(here);  // chaos: stall mid-read-section
-        }
-        return helper(p.global_snapshot.load(std::memory_order_acquire));
-      });
-    }
-  }
-
-  T& index_rw(std::size_t i, bool is_write, Block<T>** out_block = nullptr) {
-    const auto& m = sim::CostModel::get();
-    sim::charge(m.rcua_index_ns);
-    PerLocale& p = priv();
-    const std::size_t bidx = i / block_size_;   // line 1
-    const std::size_t off = i % block_size_;    // line 2
-    const std::uint32_t here = cluster_.here();
-
-    auto helper = [&](Snapshot<T>* s) -> T& {  // nested proc Helper
-      RCUA_SCHED_POINT("rcua.index.deref_spine");
-      assert(bidx < s->num_blocks() && "index beyond current capacity");
-      Block<T>* b = s->block(bidx);
-      if (out_block != nullptr) *out_block = b;
-      cluster_.comm().record_access(here, b->owner(), is_write);
-      sim::touch_block(b->id(), b->owner() != here, is_write,
-                       m.rcua_spine_miss_ns);
-      return (*b)[off];  // line 3
+      return fn((*b)[off], b);  // line 3
     };
 
     if constexpr (Policy::is_qsbr) {
@@ -1493,9 +1452,7 @@ class RCUArray {
       return helper(s);
     } else if constexpr (Policy::is_interval) {
       // Era read section: the reservation published by protect() covers
-      // the spine until the guard dies. The returned reference escapes
-      // the section deliberately, same as EBR below (§III-C): it points
-      // into a recycled block, not the reclaimed spine.
+      // the spine until the guard dies.
       typename Policy::Reclaimer::ReadGuard guard(p.ebr);
       sim::charge(m.atomic_load_ns);
       Snapshot<T>* s = guard.protect(p.global_snapshot);
@@ -1504,10 +1461,8 @@ class RCUArray {
       }
       return helper(s);
     } else {
-      // line 8: RCU_Read with Helper as the λ. The returned reference
-      // escapes the critical section deliberately (§III-C): it points
-      // into a recycled block, not the reclaimed spine.
-      return p.ebr.read([&]() -> T& {
+      // line 8: RCU_Read with Helper as the λ.
+      return p.ebr.read([&]() -> decltype(auto) {
         sim::charge(m.atomic_load_ns);
         if (rt::FaultPlan* plan = cluster_.fault_plan()) {
           plan->stall_here(here);  // chaos: stall mid-read-section
@@ -1584,10 +1539,10 @@ class RCUArray {
   T read_cached(std::size_t i) {
     const auto& m = sim::CostModel::get();
     sim::charge(m.rcua_index_ns);
-    PerLocale& p = priv();
+    const std::uint32_t here = cluster_.here();
+    PerLocale& p = priv_at(here);
     const std::size_t bidx = i / block_size_;
     const std::size_t off = i % block_size_;
-    const std::uint32_t here = cluster_.here();
 
     auto body = [&](Snapshot<T>* s) -> T {
       sim::charge(m.atomic_load_ns);
@@ -1668,7 +1623,7 @@ class RCUArray {
   reclaim::StallMonitor* monitor_;
   std::uint32_t max_publish_attempts_;
   std::size_t cache_capacity_;
-  std::uint32_t home_locale_;
+  std::atomic<std::uint32_t> home_locale_;
   rt::GlobalLock write_lock_;
   int pid_;
   std::atomic<std::uint64_t> resizes_{0};

@@ -164,19 +164,9 @@ void Registry::reset() {
   for (auto& [name, h] : histograms_) h->reset();
 }
 
-namespace {
-std::atomic<bool> g_detailed_metrics{[] {
+std::atomic<bool> detail::g_detailed_metrics{[] {
   return util::env_bool("RCUA_METRICS", false);
 }()};
-}  // namespace
-
-bool detailed_metrics_enabled() noexcept {
-  return g_detailed_metrics.load(std::memory_order_relaxed);
-}
-
-void set_detailed_metrics(bool on) noexcept {
-  g_detailed_metrics.store(on, std::memory_order_relaxed);
-}
 
 StatLine& StatLine::kv(const char* key, std::uint64_t v) {
   char buf[64];

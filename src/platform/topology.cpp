@@ -1,9 +1,6 @@
 #include "platform/topology.hpp"
 
-#include <functional>
 #include <thread>
-
-#include "platform/rng.hpp"
 
 namespace rcua::plat {
 
@@ -14,16 +11,6 @@ std::uint32_t hardware_threads() noexcept {
 
 bool oversubscribed(std::uint32_t desired) noexcept {
   return desired > hardware_threads();
-}
-
-std::size_t stripe_index(std::size_t num_stripes) noexcept {
-  // std::this_thread::get_id() is pthread_self() underneath — a register
-  // read, not TLS machinery — and is stable for the thread's lifetime.
-  // Its raw value is pointer-like (aligned), so mix before masking.
-  const std::size_t raw =
-      std::hash<std::thread::id>{}(std::this_thread::get_id());
-  return static_cast<std::size_t>(mix64(static_cast<std::uint64_t>(raw))) &
-         (num_stripes - 1);
 }
 
 }  // namespace rcua::plat

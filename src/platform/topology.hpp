@@ -2,6 +2,10 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
+#include <thread>
+
+#include "platform/rng.hpp"
 
 namespace rcua::plat {
 
@@ -19,6 +23,14 @@ bool oversubscribed(std::uint32_t desired) noexcept;
 /// slot and no syscall) into [0, num_stripes). A thread therefore always
 /// lands on the same stripe, which is what keeps the stripe's cache line
 /// resident in that core's cache. `num_stripes` must be a power of two.
-std::size_t stripe_index(std::size_t num_stripes) noexcept;
+inline std::size_t stripe_index(std::size_t num_stripes) noexcept {
+  // std::this_thread::get_id() is pthread_self() underneath — a register
+  // read, not TLS machinery — and is stable for the thread's lifetime.
+  // Its raw value is pointer-like (aligned), so mix before masking.
+  const std::size_t raw =
+      std::hash<std::thread::id>{}(std::this_thread::get_id());
+  return static_cast<std::size_t>(mix64(static_cast<std::uint64_t>(raw))) &
+         (num_stripes - 1);
+}
 
 }  // namespace rcua::plat

@@ -482,6 +482,7 @@ class BasicEbr {
   }
 
   void charge_reader_rmw(std::size_t slot) noexcept {
+    if (!sim::enabled()) return;
     if constexpr (Layout::kStriped) {
       // A stripe's line stays in its (usual) owner's cache: a reader
       // re-announcing on its own stripe pays an uncontended RMW; only a

@@ -21,17 +21,12 @@ Qsbr& Qsbr::global() {
   return *domain;
 }
 
-rt::DomainSlot& Qsbr::participate() {
-  rt::ThreadRecord& rec = registry_.local_record();
-  rt::DomainSlot& slot = rec.slots[slot_];
-  if (!slot.active.load(std::memory_order_relaxed)) {
-    // First participation: become visible to min-epoch scans with a
-    // current observation so we never drag the minimum below the state
-    // that existed before we arrived.
-    slot.observed_epoch.store(current_epoch(), std::memory_order_relaxed);
-    slot.active.store(true, std::memory_order_release);
-  }
-  return slot;
+void Qsbr::activate(rt::DomainSlot& slot) {
+  // First participation: become visible to min-epoch scans with a
+  // current observation so we never drag the minimum below the state
+  // that existed before we arrived.
+  slot.observed_epoch.store(current_epoch(), std::memory_order_relaxed);
+  slot.active.store(true, std::memory_order_release);
 }
 
 void Qsbr::defer(DeferNode* node) {

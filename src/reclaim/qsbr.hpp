@@ -134,8 +134,8 @@ class Qsbr final : public rt::EpochDomain {
   /// participate from the start ("All threads act as participants"); a
   /// thread must be a participant BEFORE dereferencing protected data,
   /// otherwise reclaimers cannot see it. RCUArray's QSBR read path calls
-  /// this; after the first call it is one thread-local lookup and a
-  /// relaxed load.
+  /// this; after the first call it is a TLS load, a compare and a relaxed
+  /// load (DEBRA's thread-local per-op check).
   void ensure_participant() { participate(); }
 
   /// Parking support: the calling thread is idle; do final housekeeping
@@ -185,7 +185,13 @@ class Qsbr final : public rt::EpochDomain {
   [[nodiscard]] rt::ThreadRegistry& registry() noexcept { return registry_; }
 
  private:
-  rt::DomainSlot& participate();
+  /// This thread's slot, activated on first use.
+  rt::DomainSlot& participate() {
+    rt::DomainSlot& slot = registry_.local_record().slots[slot_];
+    if (!slot.active.load(std::memory_order_relaxed)) activate(slot);
+    return slot;
+  }
+  void activate(rt::DomainSlot& slot);
 
   rt::ThreadRegistry& registry_;
   std::size_t slot_;

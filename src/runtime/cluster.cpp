@@ -50,11 +50,6 @@ void Cluster::set_fault_plan(FaultPlan* plan) noexcept {
   comm_.set_fault_plan(plan);
 }
 
-std::uint32_t Cluster::here() const noexcept {
-  const TaskContext& ctx = this_task();
-  return ctx.cluster == this ? ctx.locale_id : 0;
-}
-
 void Cluster::on(std::uint32_t locale, const std::function<void()>& fn) {
   const TaskContext& ctx = this_task();
   if (ctx.cluster == this && ctx.locale_id == locale) {

@@ -9,6 +9,7 @@
 #include "runtime/comm.hpp"
 #include "runtime/privatization.hpp"
 #include "runtime/task_pool.hpp"
+#include "runtime/this_task.hpp"
 
 namespace rcua::rt {
 
@@ -86,7 +87,10 @@ class Cluster {
 
   /// The locale the calling task runs on — locale 0 for threads outside
   /// this cluster (the "launcher" runs on node 0, as in Chapel).
-  [[nodiscard]] std::uint32_t here() const noexcept;
+  [[nodiscard]] std::uint32_t here() const noexcept {
+    const TaskContext& ctx = this_task();
+    return ctx.cluster == this ? ctx.locale_id : 0;
+  }
 
   /// Runs `fn` on `locale` and waits. Runs inline when the caller is
   /// already there (Chapel's `on` is a no-op for the current locale);

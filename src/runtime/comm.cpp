@@ -33,18 +33,6 @@ CommLayer::CommLayer(std::uint32_t num_locales)
       cache_fills_(registry_.counter("rcua.cache.fills")),
       cache_evictions_(registry_.counter("rcua.cache.evictions")) {}
 
-void CommLayer::record_access(std::uint32_t src, std::uint32_t dst,
-                              bool is_write) noexcept {
-  if (src == dst) return;
-  if (is_write) {
-    puts_.add_at(src);
-    obs::trace_instant("comm.put", "comm", dst);
-  } else {
-    gets_.add_at(src);
-    obs::trace_instant("comm.get", "comm", dst);
-  }
-}
-
 void CommLayer::record_execute(std::uint32_t src, std::uint32_t dst) noexcept {
   if (src == dst) return;
   executes_.add_at(src);

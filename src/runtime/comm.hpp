@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "sim/cost_model.hpp"
 #include "sim/task_clock.hpp"
 
@@ -72,7 +73,16 @@ class CommLayer {
   /// Records an element access from locale `src` to a block owned by
   /// `dst`; local accesses are not counted (they are not communication).
   void record_access(std::uint32_t src, std::uint32_t dst,
-                     bool is_write) noexcept;
+                     bool is_write) noexcept {
+    if (src == dst) return;
+    if (is_write) {
+      puts_.add_at(src);
+      obs::trace_instant("comm.put", "comm", dst);
+    } else {
+      gets_.add_at(src);
+      obs::trace_instant("comm.get", "comm", dst);
+    }
+  }
 
   /// Records and charges a remote task execution (`on` statement body).
   /// Same-locale executions are free and uncounted.

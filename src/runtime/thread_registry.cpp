@@ -90,17 +90,20 @@ ThreadRegistry& ThreadRegistry::global() {
   return *registry;
 }
 
-ThreadRecord& ThreadRegistry::local_record() {
-  if (ThreadRecord* cached = tl_cache.find(id_)) return *cached;
-  auto* r = new ThreadRecord;
-  ThreadRecord* old_head = head_.load(std::memory_order_relaxed);
-  do {
-    r->next = old_head;
-  } while (!head_.compare_exchange_weak(old_head, r,
-                                        std::memory_order_release,
-                                        std::memory_order_relaxed));
-  count_.fetch_add(1, std::memory_order_relaxed);
-  tl_cache.entries.push_back({id_, r});
+ThreadRecord& ThreadRegistry::local_record_slow() {
+  ThreadRecord* r = tl_cache.find(id_);
+  if (r == nullptr) {
+    r = new ThreadRecord;
+    ThreadRecord* old_head = head_.load(std::memory_order_relaxed);
+    do {
+      r->next = old_head;
+    } while (!head_.compare_exchange_weak(old_head, r,
+                                          std::memory_order_release,
+                                          std::memory_order_relaxed));
+    count_.fetch_add(1, std::memory_order_relaxed);
+    tl_cache.entries.push_back({id_, r});
+  }
+  detail::tl_last_record = {id_, r};
   return *r;
 }
 

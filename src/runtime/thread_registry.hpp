@@ -50,6 +50,18 @@ struct ThreadRecord {
   ThreadRecord* next = nullptr;
 };
 
+namespace detail {
+/// One-entry cache in front of a thread's per-registry record vector:
+/// the last (registry id, record) pair local_record() resolved on this
+/// thread. Registry ids start at 1 and are never reused, so a registry
+/// destroyed and recreated at the same address cannot hit a stale entry.
+struct LastRecord {
+  std::uint64_t registry_id = 0;
+  ThreadRecord* record = nullptr;
+};
+inline thread_local LastRecord tl_last_record;
+}  // namespace detail
+
 /// The runtime's TLSList: a registry of thread records plus the domain
 /// slot allocator. Instantiable so tests can run isolated domains; the
 /// process-wide instance is `ThreadRegistry::global()`.
@@ -65,8 +77,12 @@ class ThreadRegistry {
 
   /// The calling thread's record in this registry, registering on first
   /// use. When the thread exits, the record is parked automatically
-  /// (unless the registry died first).
-  ThreadRecord& local_record();
+  /// (unless the registry died first). The repeat-caller fast path is a
+  /// TLS load and a compare.
+  ThreadRecord& local_record() {
+    const detail::LastRecord& last = detail::tl_last_record;
+    return last.registry_id == id_ ? *last.record : local_record_slow();
+  }
 
   /// Head of the TLSList for iteration.
   [[nodiscard]] ThreadRecord* head() const noexcept {
@@ -119,6 +135,8 @@ class ThreadRegistry {
 
  private:
   friend struct RegistryCacheTls;
+
+  ThreadRecord& local_record_slow();
 
   std::atomic<ThreadRecord*> head_{nullptr};
   std::atomic<std::uint64_t> count_{0};

@@ -16,20 +16,18 @@ namespace rcua::svc {
 /// shard index -> home locale. The mapping is published through exactly
 /// the snapshot-swap machinery the paper proves for the block table
 /// (DESIGN.md §14): each locale holds a privatized
-/// `std::atomic<ShardMap*>`, a routing read is an RCU read of that
-/// pointer, and a remap is a resize-style publication — clone, swap,
-/// reclaim the old table through the configured Reclaimer policy once
-/// its readers drain.
+/// `std::atomic<ShardMap*>`, a placement read (home_of, map_version,
+/// PressureMonitor) is an RCU read of that pointer, and a remap is a
+/// resize-style publication — clone, swap, reclaim the old table through
+/// the configured Reclaimer policy once its readers drain. Element ops
+/// do not read it: they route by block-cyclic arithmetic.
 ///
 /// The Lemma 6 recycling argument carries over in a *stronger* form:
 /// the entries here are locale ids (plain values), not pointers into
 /// shared storage, so a reader holding a retired map cannot even
-/// observe a dangling entry — the worst a stale table yields is a
-/// detour through a shard's previous home, which RCUArray's privatized
-/// access path resolves correctly from any locale. Reclamation
-/// therefore only has to keep the retired table's *memory* alive until
-/// its readers drain, which is precisely what the snapshot machinery
-/// already does for spines.
+/// observe a dangling entry. Reclamation therefore only has to keep the
+/// retired table's *memory* alive until its readers drain, which is
+/// precisely what the snapshot machinery already does for spines.
 class ShardMap {
  public:
   explicit ShardMap(std::vector<std::uint32_t> home) : home_(std::move(home)) {

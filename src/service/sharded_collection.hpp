@@ -34,9 +34,13 @@ namespace rcua::svc {
 /// wholesale move: `migrate(shard, dst)` copies the shard's blocks to
 /// `dst` through the §10 async comm path (RCUArray::rehome), publishes a
 /// new ShardMap, and retires the old table through the configured
-/// Reclaimer policy once its readers drain. Routing a read is an RCU
-/// read of the mapping — stale routes are safe because map entries are
-/// locale ids (values), not pointers (see ShardMap).
+/// Reclaimer policy once its readers drain. Routing an element op is
+/// block-cyclic arithmetic (its routed_remote count reads the target
+/// shard's own home), so a sharded element op pays exactly one read
+/// section: the shard's.
+/// The ShardMap stays the RCU-published placement table behind home_of,
+/// map_version, remap and the PressureMonitor; its entries are locale
+/// ids (values), not pointers, so stale reads are safe (see ShardMap).
 ///
 /// Ordering rule (§14): migrate -> invalidate -> drain. rehome() owns
 /// copy-before-publish and the BlockCache invalidation interlock; the
@@ -125,7 +129,7 @@ class ShardedCollection {
   ShardedCollection(const ShardedCollection&) = delete;
   ShardedCollection& operator=(const ShardedCollection&) = delete;
 
-  // -- Element access (routing read = RCU map read + shard op) ----------
+  // -- Element access (block-cyclic route + one shard op) ---------------
 
   T& index(std::size_t i) {
     const Route r = route(i);
@@ -269,8 +273,8 @@ class ShardedCollection {
   }
   /// The underlying shard (tests, PressureMonitor).
   [[nodiscard]] Backend& shard(std::size_t s) { return *shards_[s]; }
-  /// Routing read of shard `s`'s home in the calling locale's current
-  /// mapping (an RCU read of the privatized table).
+  /// Shard `s`'s home in the calling locale's current mapping (an RCU
+  /// read of the privatized table).
   [[nodiscard]] std::uint32_t home_of(std::size_t s) {
     return read_map([&](const ShardMap& m) { return m.home(s); });
   }
@@ -293,6 +297,8 @@ class ShardedCollection {
   [[nodiscard]] std::uint64_t routed() const noexcept {
     return routed_.value();
   }
+  /// Element ops whose target shard's blocks (RCUArray::home_locale)
+  /// were off the calling locale when routed.
   [[nodiscard]] std::uint64_t routed_remote() const noexcept {
     return routed_remote_.value();
   }
@@ -328,9 +334,9 @@ class ShardedCollection {
   }
 
   /// The RCU read of the mapping table: pins the calling locale's table
-  /// under the policy's read-side protocol (the exact index_rw idiom),
-  /// runs `fn` against it, and releases. `fn` must not escape pointers
-  /// into the table — locale ids are values, copy them out.
+  /// under the policy's read-side protocol, runs `fn` against it, and
+  /// releases. `fn` must not escape pointers into the table — locale ids
+  /// are values, copy them out.
   template <typename F>
   auto read_map(F&& fn) {
     PerLocale& p = priv();
@@ -351,8 +357,11 @@ class ShardedCollection {
   }
 
   /// Block-cyclic routing + the routing metrics: one routed count per
-  /// element op, routed_remote when the mapping says the shard's home is
-  /// not the calling locale.
+  /// element op, routed_remote when the target shard's blocks live off
+  /// the calling locale. The home comes from the shard itself, not the
+  /// ShardMap, so routing opens no read section: the op goes to
+  /// shards_[shard] whatever the map says, and after a pure remap the
+  /// counter follows the blocks rather than the table.
   Route route(std::size_t i) {
     const std::size_t g = i / block_size_;
     const std::size_t shard = g % shard_count_;
@@ -360,9 +369,7 @@ class ShardedCollection {
         (g / shard_count_) * block_size_ + (i % block_size_);
     const std::uint32_t here = cluster_.here();
     routed_.add_at(here);
-    const std::uint32_t home =
-        read_map([&](const ShardMap& m) { return m.home(shard); });
-    if (home != here) routed_remote_.add_at(here);
+    if (shards_[shard]->home_locale() != here) routed_remote_.add_at(here);
     return Route{shard, local};
   }
 

@@ -36,17 +36,6 @@ void CostModel::load_env() {
   qsbr_defer_ns = env_f64("RCUA_COST_QSBR_DEFER_NS", qsbr_defer_ns);
 }
 
-CostModel& CostModel::mutable_instance() {
-  static CostModel model = [] {
-    CostModel m;
-    m.load_env();
-    return m;
-  }();
-  return model;
-}
-
-const CostModel& CostModel::get() { return mutable_instance(); }
-
 CostModelOverride::CostModelOverride() : saved_(CostModel::mutable_instance()) {}
 
 CostModelOverride::~CostModelOverride() {

@@ -96,9 +96,17 @@ struct CostModel {
   void load_env();
 
   /// The process-wide instance (mutable for tests and calibration).
-  static CostModel& mutable_instance();
+  /// Header-inline so a charge site's lookup is one guard-byte load.
+  static CostModel& mutable_instance() {
+    static CostModel model = [] {
+      CostModel m;
+      m.load_env();
+      return m;
+    }();
+    return model;
+  }
   /// Read-only accessor used by charge sites.
-  static const CostModel& get();
+  static const CostModel& get() { return mutable_instance(); }
 };
 
 /// RAII guard that saves and restores the global cost model; used by tests

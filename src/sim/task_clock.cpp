@@ -2,53 +2,22 @@
 
 #include "sim/cost_model.hpp"
 
-namespace rcua::sim {
+namespace rcua::sim::detail {
 
-namespace {
-thread_local TaskClock* tl_clock = nullptr;
-}  // namespace
-
-bool enabled() noexcept { return tl_clock != nullptr; }
-
-TaskClock* current() noexcept { return tl_clock; }
-
-void charge(double ns) noexcept {
-  if (TaskClock* c = tl_clock) {
-    c->vtime_ns += static_cast<std::uint64_t>(ns);
-    ++c->charge_events;
-  }
-}
-
-std::uint64_t now_v() noexcept { return tl_clock ? tl_clock->vtime_ns : 0; }
-
-void advance_to(std::uint64_t t) noexcept {
-  if (TaskClock* c = tl_clock) {
-    if (t > c->vtime_ns) c->vtime_ns = t;
-  }
-}
-
-void touch_block(std::uint64_t block_id, bool remote, bool is_write,
-                 double extra_on_miss_ns) noexcept {
-  TaskClock* c = tl_clock;
-  if (c == nullptr) return;
+void touch_block_slow(TaskClock& c, std::uint64_t block_id, bool remote,
+                      bool is_write, double extra_on_miss_ns) noexcept {
   const CostModel& m = CostModel::get();
   double ns;
-  if (c->last_block_id == block_id) {
+  if (c.last_block_id == block_id) {
     ns = remote ? m.remote_stream_ns : m.local_cached_ns;
   } else {
     ns = (remote ? (is_write ? m.remote_put_ns : m.remote_get_ns)
                  : m.dram_miss_ns) +
          extra_on_miss_ns;
   }
-  c->last_block_id = block_id;
-  c->vtime_ns += static_cast<std::uint64_t>(ns);
-  ++c->charge_events;
+  c.last_block_id = block_id;
+  c.vtime_ns += static_cast<std::uint64_t>(ns);
+  ++c.charge_events;
 }
 
-ClockScope::ClockScope(TaskClock& clock) noexcept : prev_(tl_clock) {
-  tl_clock = &clock;
-}
-
-ClockScope::~ClockScope() { tl_clock = prev_; }
-
-}  // namespace rcua::sim
+}  // namespace rcua::sim::detail

@@ -29,21 +29,41 @@ struct TaskClock {
   }
 };
 
+namespace detail {
+/// The calling thread's attached clock (nullptr = none). Header-inline so
+/// every charge site's "no clock" test is one TLS load and a branch.
+inline thread_local TaskClock* tl_clock = nullptr;
+/// touch_block's costed path; only called with a clock attached.
+void touch_block_slow(TaskClock& c, std::uint64_t block_id, bool remote,
+                      bool is_write, double extra_on_miss_ns) noexcept;
+}  // namespace detail
+
 /// True when a virtual clock is attached to the calling thread.
-bool enabled() noexcept;
+inline bool enabled() noexcept { return detail::tl_clock != nullptr; }
 
 /// The attached clock, or nullptr.
-TaskClock* current() noexcept;
+inline TaskClock* current() noexcept { return detail::tl_clock; }
 
 /// Adds `ns` virtual nanoseconds to the attached clock; no-op when none.
-void charge(double ns) noexcept;
+inline void charge(double ns) noexcept {
+  if (TaskClock* c = detail::tl_clock) {
+    c->vtime_ns += static_cast<std::uint64_t>(ns);
+    ++c->charge_events;
+  }
+}
 
 /// Current virtual time of the attached clock (0 when none).
-std::uint64_t now_v() noexcept;
+inline std::uint64_t now_v() noexcept {
+  return detail::tl_clock != nullptr ? detail::tl_clock->vtime_ns : 0;
+}
 
 /// Advances the attached clock to at least `t` (used by resources when a
 /// queued acquisition completes later than the task's own time).
-void advance_to(std::uint64_t t) noexcept;
+inline void advance_to(std::uint64_t t) noexcept {
+  if (TaskClock* c = detail::tl_clock) {
+    if (t > c->vtime_ns) c->vtime_ns = t;
+  }
+}
 
 /// Models one element access to a data block.
 ///
@@ -56,16 +76,23 @@ void advance_to(std::uint64_t t) noexcept;
 /// without the data structure ever being told the access pattern.
 /// `extra_on_miss_ns` is added only on a block switch (e.g. RCUArray's
 /// snapshot-spine chain misses, which a hot loop over one block amortizes
-/// away).
-void touch_block(std::uint64_t block_id, bool remote, bool is_write,
-                 double extra_on_miss_ns = 0.0) noexcept;
+/// away). Without a clock this is one TLS load: the cost model is read
+/// only on the clocked path.
+inline void touch_block(std::uint64_t block_id, bool remote, bool is_write,
+                        double extra_on_miss_ns = 0.0) noexcept {
+  if (TaskClock* c = detail::tl_clock) {
+    detail::touch_block_slow(*c, block_id, remote, is_write, extra_on_miss_ns);
+  }
+}
 
 /// RAII attachment of a clock to the calling thread. Nests (restores the
 /// previous clock on destruction).
 class ClockScope {
  public:
-  explicit ClockScope(TaskClock& clock) noexcept;
-  ~ClockScope();
+  explicit ClockScope(TaskClock& clock) noexcept : prev_(detail::tl_clock) {
+    detail::tl_clock = &clock;
+  }
+  ~ClockScope() { detail::tl_clock = prev_; }
   ClockScope(const ClockScope&) = delete;
   ClockScope& operator=(const ClockScope&) = delete;
 

@@ -89,8 +89,8 @@ void run_agreement_sweep() {
   }
 
   // Out-of-range is rejected up front (nothing copied, nothing flushed).
-  EXPECT_THROW(arr.bulk_read(cap - 1, 2), std::out_of_range);
-  EXPECT_THROW(arr.bulk_read(cap, 1), std::out_of_range);
+  EXPECT_THROW((void)arr.bulk_read(cap - 1, 2), std::out_of_range);
+  EXPECT_THROW((void)arr.bulk_read(cap, 1), std::out_of_range);
   std::uint64_t one = 0;
   EXPECT_THROW(arr.bulk_write(cap, std::span<const std::uint64_t>(&one, 1)),
                std::out_of_range);

@@ -184,11 +184,36 @@ TYPED_TEST(ShardClients, DistHashMapAgreementUnderConcurrentRemap) {
   for (std::uint64_t k = 0; k < kWarm; ++k) map.insert(k, k + 7);
 
   // Two lookup threads and one inserter (disjoint keys) race a stream
-  // of remap publications — the RCU read of the mapping table is on the
-  // routing path of every slot access, so this is the
-  // remap-concurrent-with-lookup scenario of DESIGN.md §14.
+  // of remap publications. Slot accesses route by arithmetic and the
+  // shard's own home, not through the mapping table, so two more threads
+  // read the table itself (home_of / map_version, one per locale's copy)
+  // across the same stream: the remap-concurrent-with-lookup scenario of
+  // DESIGN.md §14, which keeps a live reader on every table the remaps
+  // reclaim.
+  auto& coll = map.backing();
   std::atomic<bool> stop{false};
   std::atomic<std::uint64_t> mismatches{0};
+  std::atomic<std::uint64_t> bad_homes{0};
+  std::atomic<std::uint64_t> version_regressions{0};
+  std::atomic<int> map_readers_started{0};
+  std::vector<std::thread> map_readers;
+  for (std::uint32_t l = 0; l < cluster.num_locales(); ++l) {
+    map_readers.emplace_back([&, l] {
+      rt::LocaleScope on(cluster, l);
+      std::uint64_t last = 0;
+      bool first = true;
+      while (!stop.load(std::memory_order_acquire)) {
+        const std::uint64_t v = coll.map_version();
+        if (v < last) version_regressions.fetch_add(1);
+        last = v;
+        for (std::size_t s = 0; s < coll.shard_count(); ++s) {
+          if (coll.home_of(s) >= cluster.num_locales()) bad_homes.fetch_add(1);
+        }
+        if (first) map_readers_started.fetch_add(1);
+        first = false;
+      }
+    });
+  }
   std::vector<std::thread> readers;
   for (int t = 0; t < 2; ++t) {
     readers.emplace_back([&] {
@@ -207,7 +232,9 @@ TYPED_TEST(ShardClients, DistHashMapAgreementUnderConcurrentRemap) {
       map.insert(k, k + 7);
     }
   });
-  auto& coll = map.backing();
+  while (map_readers_started.load() < static_cast<int>(map_readers.size())) {
+    std::this_thread::yield();
+  }
   for (int round = 0; round < 32; ++round) {
     for (std::size_t s = 0; s < coll.shard_count(); ++s) {
       coll.remap(s, static_cast<std::uint32_t>((s + round) %
@@ -217,8 +244,12 @@ TYPED_TEST(ShardClients, DistHashMapAgreementUnderConcurrentRemap) {
   inserter.join();
   stop.store(true, std::memory_order_release);
   for (auto& r : readers) r.join();
+  for (auto& r : map_readers) r.join();
 
   EXPECT_EQ(mismatches.load(), 0u);
+  EXPECT_EQ(bad_homes.load(), 0u);
+  EXPECT_EQ(version_regressions.load(), 0u);
+  EXPECT_EQ(coll.map_version(), 32u * coll.shard_count());
   EXPECT_EQ(map.size(), kWarm + 200);
   for (std::uint64_t k = 0; k < kWarm + 200; ++k) {
     const auto v = map.find(k);

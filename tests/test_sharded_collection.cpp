@@ -152,6 +152,77 @@ TYPED_TEST(ShardedTyped, RoutingCountsElementOps) {
   drain_qsbr();
 }
 
+// routed_remote counts element ops whose target shard's blocks live off
+// the calling locale (the shard's own home, not the ShardMap). With the
+// cache off every such op is exactly one GET or PUT, so a single-element
+// read/write mix from every locale must give routed_remote == gets +
+// puts, before and after a migration. A pure remap moves no blocks, so
+// the counter keeps following the blocks, not the table.
+TYPED_TEST(ShardedTyped, RoutedRemoteFollowsTheBlocks) {
+  constexpr std::uint32_t kLocales = 4;
+  constexpr std::size_t kBlock = 32;
+  rt::Cluster cluster({.num_locales = kLocales, .workers_per_locale = 1});
+  using Coll = typename TestFixture::Coll;
+  Coll coll(cluster, 4 * kLocales * kBlock,
+            {.block_size = kBlock, .shard_count = kLocales,
+             .cache_capacity_bytes = 0});
+  auto mix_from_every_locale = [&] {
+    for (std::uint32_t l = 0; l < kLocales; ++l) {
+      rt::LocaleScope on(cluster, l);
+      for (std::size_t i = l; i < coll.capacity(); i += 3) {
+        if (i % 4 == 0) {
+          coll.write(i, i + 1);
+        } else {
+          EXPECT_EQ(coll.read(i), i + 1);
+        }
+      }
+    }
+  };
+  struct Delta {
+    std::uint64_t routed_remote;
+    std::uint64_t comm;
+  };
+  auto measure = [&](auto&& body) {
+    const std::uint64_t r0 = coll.routed_remote();
+    const std::uint64_t c0 =
+        cluster.comm().total_gets() + cluster.comm().total_puts();
+    body();
+    return Delta{coll.routed_remote() - r0,
+                 cluster.comm().total_gets() + cluster.comm().total_puts() -
+                     c0};
+  };
+  for (std::size_t i = 0; i < coll.capacity(); ++i) coll.write(i, i + 1);
+
+  const Delta before = measure(mix_from_every_locale);
+  EXPECT_GT(before.routed_remote, 0u);
+  EXPECT_EQ(before.routed_remote, before.comm);
+
+  ASSERT_TRUE(coll.migrate(0, 1));
+  ASSERT_EQ(coll.shard(0).home_locale(), 1u);
+  const Delta migrated = measure(mix_from_every_locale);
+  EXPECT_EQ(migrated.routed_remote, migrated.comm);
+
+  // Pure remap: the table says shard 2 lives on locale 3, its blocks stay
+  // on locale 2, and the counter follows the blocks.
+  coll.remap(2, 3);
+  ASSERT_EQ(coll.home_of(2), 3u);
+  ASSERT_EQ(coll.shard(2).home_locale(), 2u);
+  const Delta remapped = measure(mix_from_every_locale);
+  EXPECT_EQ(remapped.routed_remote, remapped.comm);
+  // Shard 2 holds global blocks 2, 6, 10, 14.
+  auto shard2_reads_from = [&](std::uint32_t l) {
+    return measure([&] {
+      rt::LocaleScope on(cluster, l);
+      for (std::size_t g = 2; g < coll.num_blocks(); g += kLocales) {
+        EXPECT_EQ(coll.read(g * kBlock), g * kBlock + 1);
+      }
+    });
+  };
+  EXPECT_EQ(shard2_reads_from(3).routed_remote, 4u);
+  EXPECT_EQ(shard2_reads_from(2).routed_remote, 0u);
+  drain_qsbr();
+}
+
 TYPED_TEST(ShardedTyped, RemapPublishesNewMappingTable) {
   const std::uint64_t maps_before = svc::ShardMap::live_count();
   {

@@ -4,8 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstddef>
+#include <new>
 #include <thread>
 
+#include "reclaim/qsbr.hpp"
 #include "reclaim/retire_list.hpp"
 #include "runtime/thread_registry.hpp"
 
@@ -107,6 +110,85 @@ TEST(ThreadRegistry, DistinctThreadsGetDistinctRecords) {
   std::thread([&] { other_rec = &reg.local_record(); }).join();
   EXPECT_NE(main_rec, other_rec);
   EXPECT_EQ(reg.record_count(), 2u);
+}
+
+// local_record()'s one-entry thread-local cache: a thread alternating
+// between two registries misses it on every switch and must still land
+// on its own record in each, never on the other registry's.
+TEST(ThreadRegistry, RecordCacheAlternatesBetweenRegistries) {
+  rt::ThreadRegistry a;
+  rt::ThreadRegistry b;
+  rt::ThreadRecord* ra = &a.local_record();
+  rt::ThreadRecord* rb = &b.local_record();
+  EXPECT_NE(ra, rb);
+  for (int k = 0; k < 8; ++k) {
+    EXPECT_EQ(&a.local_record(), ra);
+    EXPECT_EQ(&b.local_record(), rb);
+  }
+  rt::ThreadRecord* other_a = nullptr;
+  std::thread([&] {
+    other_a = &a.local_record();
+    EXPECT_NE(&b.local_record(), rb);
+    EXPECT_EQ(&a.local_record(), other_a);
+  }).join();
+  EXPECT_NE(other_a, ra);
+  EXPECT_EQ(&b.local_record(), rb);
+  EXPECT_EQ(&a.local_record(), ra);
+  EXPECT_EQ(a.record_count(), 2u);
+  EXPECT_EQ(b.record_count(), 2u);
+}
+
+// The cache is keyed by the registry's never-reused id, not its address:
+// a thread whose cached record belonged to a destroyed registry must get
+// a fresh record in a new registry built at the same address, so it
+// still gates QSBR reclamation there.
+TEST(ThreadRegistry, RecordCacheIgnoresARegistryRebuiltAtTheSameAddress) {
+  alignas(rt::ThreadRegistry) std::byte storage[sizeof(rt::ThreadRegistry)];
+  rt::ThreadRegistry* reg = new (storage) rt::ThreadRegistry;
+  std::atomic<int> step{0};
+  std::atomic<reclaim::Qsbr*> domain{nullptr};
+  std::atomic<rt::ThreadRecord*> lagger_rec{nullptr};
+  auto wait_for = [&](int s) {
+    while (step.load() != s) std::this_thread::yield();
+  };
+  std::thread lagger([&] {
+    (void)reg->local_record();  // caches a record of the first registry
+    step.store(1);
+    wait_for(2);
+    domain.load()->ensure_participant();  // observes the current state
+    lagger_rec.store(&reg->local_record());
+    step.store(3);
+    wait_for(4);
+    domain.load()->checkpoint();  // finally catches up
+    step.store(5);
+  });
+  wait_for(1);
+  reg->~ThreadRegistry();
+  rt::ThreadRegistry* fresh = new (storage) rt::ThreadRegistry;
+  ASSERT_EQ(static_cast<void*>(fresh), static_cast<void*>(reg));
+  {
+    reclaim::Qsbr qsbr(*fresh);
+    domain.store(&qsbr);
+    step.store(2);
+    wait_for(3);
+    EXPECT_EQ(fresh->record_count(), 1u);
+    EXPECT_EQ(fresh->head(), lagger_rec.load());
+
+    destroyed = 0;
+    qsbr.defer_delete(new Counted);
+    rt::ThreadRecord* mine = &fresh->local_record();
+    EXPECT_NE(mine, lagger_rec.load());
+    EXPECT_EQ(fresh->record_count(), 2u);
+    qsbr.checkpoint();
+    EXPECT_EQ(destroyed, 0) << "reclaimed while a participant lagged";
+    step.store(4);
+    wait_for(5);
+    qsbr.checkpoint();
+    EXPECT_EQ(destroyed, 1);
+    EXPECT_EQ(&fresh->local_record(), mine);
+  }
+  lagger.join();
+  fresh->~ThreadRegistry();
 }
 
 TEST(ThreadRegistry, ExitingThreadIsParked) {
