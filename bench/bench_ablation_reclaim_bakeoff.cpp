@@ -256,10 +256,7 @@ bool run_counters(const char* tag) {
   } else {
     view.emplace(arr);
   }
-  const auto era_base = [&] {
-    if constexpr (!Array::uses_qsbr) return arr.ebr_stats_at(0);
-    return typename Policy::Reclaimer::Stats{};
-  }();
+  const auto era_base = arr.ebr_stats_at(0);
 
   for (std::uint64_t n = 0; n < kTrain; ++n) arr.resize_add(64);
 

@@ -14,7 +14,6 @@
 //   RCUA_BLOCK_SIZE       RCUArray BlockSize (paper uses 1024)
 //   RCUA_SEED             workload RNG seed
 //   RCUA_WALLCLOCK        1 = measure wall time instead of virtual time
-//   RCUA_COST_*           cost-model overrides (see sim/cost_model.hpp)
 
 #include <algorithm>
 #include <cmath>

@@ -20,10 +20,7 @@
 #include "platform/align.hpp"
 #include "platform/atomics.hpp"
 #include "platform/backoff.hpp"
-#include "reclaim/ebr.hpp"
-#include "reclaim/eras.hpp"
-#include "reclaim/qsbr.hpp"
-#include "reclaim/stall_monitor.hpp"
+#include "reclaim/policy.hpp"
 #include "runtime/aggregator.hpp"
 #include "runtime/block_cache.hpp"
 #include "runtime/cluster.hpp"
@@ -36,50 +33,12 @@
 
 namespace rcua {
 
-/// Compile-time reclamation policy — the paper's `isQSBR` param, plus
-/// the concrete EBR reclaimer type so the reader-bank layout (striped vs
-/// the paper's legacy 2-counter pair) can be A/B'd at the array level.
-struct EbrPolicy {
-  static constexpr bool is_qsbr = false;
-  static constexpr bool is_interval = false;
-  static constexpr const char* name = "EBR";
-  using Reclaimer = reclaim::Ebr;
-};
-/// EBR with the paper's original collective EpochReaders[2] layout
-/// (all-seq_cst, one pair per locale) — the ablation baseline.
-struct LegacyEbrPolicy {
-  static constexpr bool is_qsbr = false;
-  static constexpr bool is_interval = false;
-  static constexpr const char* name = "EBR-legacy";
-  using Reclaimer = reclaim::LegacyEbr;
-};
-struct QsbrPolicy {
-  static constexpr bool is_qsbr = true;
-  static constexpr bool is_interval = false;
-  static constexpr const char* name = "QSBR";
-  // Unused under QSBR; declared so PerLocale has a uniform shape.
-  using Reclaimer = reclaim::Ebr;
-};
-/// Interval-based reclamation: readers publish [entry era, current era]
-/// reservations, spines carry [birth, retire] era tags, and retirement
-/// scans the live reservations instead of waiting for them — unreclaimed
-/// memory stays bounded under a stalled reader by construction
-/// (DESIGN.md §13; the reclamation tier Brown's EBR critique calls for).
-struct IbrPolicy {
-  static constexpr bool is_qsbr = false;
-  static constexpr bool is_interval = true;
-  static constexpr const char* name = "IBR";
-  using Reclaimer = reclaim::Ibr;
-};
-/// Hazard eras: single-era reservations republished on every protect —
-/// the hazard-pointer-like point of the era spectrum, same bounded-
-/// memory guarantee and retire/scan machinery as IBR.
-struct HazardErasPolicy {
-  static constexpr bool is_qsbr = false;
-  static constexpr bool is_interval = true;
-  static constexpr const char* name = "HE";
-  using Reclaimer = reclaim::HazardEras;
-};
+/// Out-of-line, so the element path carries only the compare and a call.
+[[noreturn, gnu::cold, gnu::noinline]] inline void throw_index_out_of_range(
+    std::size_t i, std::size_t capacity) {
+  throw std::out_of_range("RCUArray: index " + std::to_string(i) +
+                          " >= capacity " + std::to_string(capacity));
+}
 
 /// RCUArray: a parallel-safe distributed resizable array (the paper's
 /// primary contribution). Reads and updates proceed concurrently with a
@@ -107,6 +66,8 @@ struct HazardErasPolicy {
 ///  * destruction: requires external quiescence (no in-flight ops).
 template <typename T, typename Policy = QsbrPolicy>
 class RCUArray {
+  struct PerLocale;
+
  public:
   struct Options {
     std::size_t block_size = 1024;
@@ -151,8 +112,6 @@ class RCUArray {
            Options options = {})
       : cluster_(cluster),
         block_size_(options.block_size),
-        qsbr_(options.qsbr != nullptr ? options.qsbr
-                                      : &reclaim::Qsbr::global()),
         stall_policy_(options.stall_policy),
         monitor_(options.stall_monitor != nullptr
                      ? options.stall_monitor
@@ -170,8 +129,10 @@ class RCUArray {
         options.home_locale >= cluster.num_locales()) {
       throw std::invalid_argument("home_locale >= num_locales");
     }
+    reclaim::Qsbr& qsbr =
+        options.qsbr != nullptr ? *options.qsbr : reclaim::Qsbr::global();
     cluster_.coforall_locales([&](std::uint32_t l) {
-      auto* p = new PerLocale;
+      auto* p = new PerLocale(qsbr);
       p->global_snapshot.store(new Snapshot<T>(), std::memory_order_relaxed);
       p->cache = std::make_unique<rt::BlockCache>(cluster_.comm(), l,
                                                   cache_capacity_);
@@ -187,16 +148,8 @@ class RCUArray {
         priv_at(0).global_snapshot.load(std::memory_order_acquire)->blocks();
     for (std::uint32_t l = 0; l < cluster_.num_locales(); ++l) {
       PerLocale* p = &priv_at(l);
-      if constexpr (Policy::is_interval) {
-        // External quiescence: every era-pending spine is freeable now.
-        p->ebr.flush_unsafe();
-      }
       // External quiescence means every deferred spine is freeable now.
-      const auto flushed = p->overflow.free_all();
-      if (flushed.objects != 0) {
-        cluster_.locale(l).note_free(flushed.bytes);
-        monitor_->note_flushed(flushed.bytes, flushed.objects);
-      }
+      p->reclaimer.flush_unsafe(retire_site(l));
       delete p->global_snapshot.load(std::memory_order_acquire);
       delete p;
     }
@@ -217,19 +170,13 @@ class RCUArray {
   /// read-side section deliberately (§III-C): it points into a recycled
   /// block, not the reclaimed spine.
   T& index(std::size_t i) {
-    return with_slot(i, /*is_write=*/false,
-                     [](T& slot, Block<T>*) -> T& { return slot; });
+    return with_slot<Access::kIndex>(
+        i, [](T& slot, Block<T>*) -> T& { return slot; });
   }
   T& operator[](std::size_t i) { return index(i); }
 
-  /// Bounds-checked access.
-  T& at(std::size_t i) {
-    if (i >= capacity()) {
-      throw std::out_of_range("RCUArray::at: index " + std::to_string(i) +
-                              " >= capacity " + std::to_string(capacity()));
-    }
-    return index(i);
-  }
+  /// Bounds-checked access; every element op is (std::out_of_range).
+  T& at(std::size_t i) { return index(i); }
 
   /// Convenience value read / write (the paper's "update" is the write).
   /// For machine-word elements these are relaxed atomics, so concurrent
@@ -241,25 +188,19 @@ class RCUArray {
   /// read() consults the calling locale's rt::BlockCache inside the
   /// read-side section: a hit is charged a node-local copy instead of
   /// remote traffic, a miss fills the whole block through AsyncComm and
-  /// caches it under the pinned snapshot version. The cached path is
-  /// bounds-checked (throws std::out_of_range) because cache tests race
-  /// reads against resize_remove; the uncached path keeps the paper's
-  /// assert-only contract.
+  /// caches it under the pinned snapshot version.
   T read(std::size_t i) {
-    if (!cache_enabled()) {
-      // The load happens INSIDE the read-side section (unlike index(),
-      // whose returned reference deliberately escapes it): value ops
-      // must stay safe against rehome(), which — unlike resize — really
-      // does reclaim the replaced blocks once readers drain.
-      return with_slot(i, /*is_write=*/false, [](T& slot, Block<T>*) -> T {
-        if constexpr (plat::relaxed_capable_v<T>) {
-          return plat::relaxed_load(slot);
-        } else {
-          return slot;
-        }
-      });
-    }
-    return read_cached(i);
+    // The load happens INSIDE the read-side section (unlike index(),
+    // whose returned reference deliberately escapes it): value ops must
+    // stay safe against rehome(), which — unlike resize — really does
+    // reclaim the replaced blocks once readers drain.
+    return with_slot<Access::kRead>(i, [](T& slot, Block<T>*) -> T {
+      if constexpr (plat::relaxed_capable_v<T>) {
+        return plat::relaxed_load(slot);
+      } else {
+        return slot;
+      }
+    });
   }
   void write(std::size_t i, T value) {
     // Store + generation bump both land INSIDE the section for the same
@@ -268,7 +209,7 @@ class RCUArray {
     // block out from under the store. §III-C's escaping-reference
     // relaxation only covers recycled blocks (resize), not reclaimed
     // ones (rehome).
-    with_slot(i, /*is_write=*/true, [&](T& slot, Block<T>* b) {
+    with_slot<Access::kWrite>(i, [&](T& slot, Block<T>* b) {
       if constexpr (plat::relaxed_capable_v<T>) {
         plat::relaxed_store(slot, std::move(value));
       } else {
@@ -345,36 +286,19 @@ class RCUArray {
           return;  // injected lost broadcast: this locale missed the swap
         }
         PerLocale& p = priv_at(l);
-        flush_overflow_at(l);  // opportunistic retry of deferred spines
+        const reclaim::RetireSite site = retire_site(l);
+        p.reclaimer.flush(site);  // opportunistic retry of deferred spines
         Snapshot<T>* old =
             p.global_snapshot.load(std::memory_order_relaxed);
         Snapshot<T>* fresh = Snapshot<T>::clone_append(*old, new_blocks);
         RCUA_SCHED_POINT("rcua.resize.publish");
-        if constexpr (Policy::is_qsbr) {
-          // Handle RCU directly with QSBR (lines 21-25).
-          p.global_snapshot.store(fresh, std::memory_order_release);
-          RCUA_SCHED_POINT("rcua.resize.published");
-          obs::trace_instant("rcua.resize.publish", "rcua", l);
-          qsbr_->defer_delete(old);
-        } else if constexpr (Policy::is_interval) {
-          // Era protocol: sample the fresh spine's birth era BEFORE the
-          // publish, so any reader that can load `fresh` holds a
-          // reservation at >= its birth (the Lemma 6 generalization,
-          // DESIGN.md §13). The retire stamps `old` with the interval
-          // [its own birth, now] and scans — no grace-period wait.
-          const std::uint64_t fresh_birth = p.ebr.current_era();
-          p.global_snapshot.store(fresh, std::memory_order_release);
-          RCUA_SCHED_POINT("rcua.resize.published");
-          obs::trace_instant("rcua.resize.publish", "rcua", l);
-          retire_spine_interval(
-              p, l, old, std::exchange(p.spine_birth_era, fresh_birth));
-        } else {
-          // RCU_Write (Algorithm 1 lines 1-8); the clone/λ already ran.
-          p.global_snapshot.store(fresh, std::memory_order_release);
-          RCUA_SCHED_POINT("rcua.resize.published");
-          obs::trace_instant("rcua.resize.publish", "rcua", l);
-          retire_spine_ebr(p, l, old);
-        }
+        // RCU_Write (Algorithm 1 lines 1-8; QSBR lines 21-25): the
+        // clone/λ already ran, so publish and retire the old spine.
+        p.global_snapshot.store(fresh, std::memory_order_release);
+        RCUA_SCHED_POINT("rcua.resize.published");
+        obs::trace_instant("rcua.resize.publish", "rcua", l);
+        p.reclaimer.retire_spine(old, spine_bytes(*old), site,
+                                 /*drain_follows=*/false);
         p.next_locale_id = final_loc;  // line 28
         done[l].store(true, std::memory_order_release);
       });
@@ -395,14 +319,12 @@ class RCUArray {
   /// the array by `num_elements`, rounded DOWN to whole blocks, from the
   /// tail. Parallel-safe against index/read/write *to the surviving
   /// region*; references into the removed region are invalidated once
-  /// reclamation completes. The removed blocks are reclaimed through the
-  /// same machinery as spines: synchronously after the EBR drain, or via
-  /// QSBR deferral.
+  /// reclamation completes. The removed blocks are freed once every
+  /// locale's blocking drain completes, or deferred under QSBR.
   void resize_remove(std::size_t num_elements) {
     const std::size_t remove_blocks = num_elements / block_size_;
     if (remove_blocks == 0) return;
     obs::TraceSpan resize_span("rcua.resize_remove", "rcua", remove_blocks);
-    const auto& m = sim::CostModel::get();
     write_lock_.lock();
     Snapshot<T>* current =
         priv_at(0).global_snapshot.load(std::memory_order_acquire);
@@ -415,7 +337,8 @@ class RCUArray {
                                    current->blocks().end());
     cluster_.coforall_locales([&](std::uint32_t l) {
       PerLocale& p = priv_at(l);
-      flush_overflow_at(l);  // opportunistic retry of deferred spines
+      const reclaim::RetireSite site = retire_site(l);
+      p.reclaimer.flush(site);  // opportunistic retry of deferred spines
       Snapshot<T>* old = p.global_snapshot.load(std::memory_order_relaxed);
       Snapshot<T>* fresh = Snapshot<T>::clone_truncate(*old, keep);
       RCUA_SCHED_POINT("rcua.resize.publish");
@@ -427,61 +350,27 @@ class RCUArray {
         // copies of the dropped blocks BEFORE the reclamation below can
         // free them — the drain-before-release rule extended to cache
         // entries. Any fill still in flight for a dropped block drains
-        // inside its reader's pinned section, which the (blocking) EBR
-        // drain / QSBR checkpoint below waits out; after that the stale
+        // inside its reader's pinned section, which the blocking drain /
+        // QSBR checkpoint below waits out; after that the stale
         // version tag turns every surviving entry into a lazy miss, but
         // the ledger must not carry "live" bytes for freed blocks.
         p.cache->invalidate_tail(array_id(), keep);
       }
-      if constexpr (Policy::is_qsbr) {
-        qsbr_->defer_delete(old);
-      } else if constexpr (Policy::is_interval) {
-        // The old spine rides the era retire list like any other; the
-        // dropped BLOCKS are shared by every locale's spine, so they
-        // cannot — mint a fence era and wait out every read section
-        // that entered before it, the same deliberately blocking drain
-        // the EBR branch pays (DESIGN.md §8/§13). A stalled reader
-        // therefore delays resize_remove (an extension path), never
-        // resize_add.
-        retire_spine_interval(
-            p, l, old,
-            std::exchange(p.spine_birth_era, p.ebr.current_era()));
-        const std::uint64_t fence = p.ebr.advance_era();
-        RCUA_SCHED_POINT("rcua.resize.epoch_bumped");
-        p.ebr.wait_for_readers(fence);
-        RCUA_SCHED_POINT("rcua.resize.retire_spine");
-        // All pre-fence sections are gone; the scan frees whatever they
-        // were holding (including the spine retired just above).
-        p.ebr.scan();
-      } else {
-        // Unlike resize_add, this drain stays BLOCKING even under a
-        // non-blocking stall policy: the dropped blocks freed below are
-        // shared by every locale's spine, so their reclamation needs
-        // every locale's readers drained — the per-locale parity tag the
-        // overflow list relies on cannot cover them (DESIGN.md §8). A
-        // stalled reader therefore delays resize_remove (an extension
-        // path), never resize_add.
-        const auto epoch = p.ebr.advance_epoch();
-        RCUA_SCHED_POINT("rcua.resize.epoch_bumped");
-        p.ebr.wait_for_readers(epoch);
-        RCUA_SCHED_POINT("rcua.resize.retire_spine");
-        delete old;
-      }
+      // Unlike resize_add, this drain stays BLOCKING even under a
+      // non-blocking stall policy: the dropped blocks freed below are
+      // shared by every locale's spine, so their reclamation needs every
+      // locale's readers drained — neither the per-locale parity tag of
+      // the EBR overflow list nor the era list can cover them (DESIGN.md
+      // §8/§13). A stalled reader therefore delays resize_remove (an
+      // extension path), never resize_add.
+      Snapshot<T>* held = p.reclaimer.retire_spine(
+          old, spine_bytes(*old), site, /*drain_follows=*/true);
+      p.reclaimer.drain(held, "rcua.resize.epoch_bumped",
+                        "rcua.resize.retire_spine");
     });
-    // Every locale has swapped; no snapshot reaches the dropped blocks.
-    for (Block<T>* b : dropped) {
-      RCUA_SCHED_POINT("rcua.resize.recycle_block");
-      cluster_.locale(b->owner()).note_free(b->capacity() * sizeof(T));
-      sim::charge(m.alloc_block_ns / 2);
-      if constexpr (Policy::is_qsbr) {
-        // Outstanding references (paper-style relaxed reads) may still
-        // target these blocks until their holders checkpoint.
-        qsbr_->defer_delete(b);
-      } else {
-        // EBR already drained all readers on every locale above.
-        delete b;
-      }
-    }
+    // Every locale has swapped and drained; no snapshot reaches the
+    // dropped blocks.
+    free_blocks(dropped, "rcua.resize.recycle_block");
     resizes_.fetch_add(1, std::memory_order_relaxed);
     write_lock_.unlock();
   }
@@ -533,17 +422,20 @@ class RCUArray {
       throw std::invalid_argument("rehome: dst locale out of range");
     }
     obs::TraceSpan span("rcua.rehome", "rcua", dst);
-    const auto& m = sim::CostModel::get();
     write_lock_.lock();
     const std::uint32_t here = cluster_.here();
     Snapshot<T>* cur =
         priv_at(0).global_snapshot.load(std::memory_order_acquire);
     const std::vector<Block<T>*> old_blocks = cur->blocks();
-    // Indices whose block lives somewhere other than `dst`; blocks
+    // Indices (and blocks) living somewhere other than `dst`; blocks
     // already homed there are kept in place (nothing to copy or free).
     std::vector<std::size_t> moved;
+    std::vector<Block<T>*> replaced;
     for (std::size_t i = 0; i < old_blocks.size(); ++i) {
-      if (old_blocks[i]->owner() != dst) moved.push_back(i);
+      if (old_blocks[i]->owner() != dst) {
+        moved.push_back(i);
+        replaced.push_back(old_blocks[i]);
+      }
     }
     if (moved.empty()) {
       home_locale_.store(dst, std::memory_order_relaxed);
@@ -622,28 +514,19 @@ class RCUArray {
     }
 
     // -- 2. PUBLISH + invalidate -----------------------------------------
+    // What each locale's drain below still has to free.
     std::vector<Snapshot<T>*> retired(cluster_.num_locales(), nullptr);
     cluster_.coforall_locales([&](std::uint32_t l) {
       PerLocale& p = priv_at(l);
-      flush_overflow_at(l);
+      const reclaim::RetireSite site = retire_site(l);
+      p.reclaimer.flush(site);
       Snapshot<T>* old = p.global_snapshot.load(std::memory_order_relaxed);
       Snapshot<T>* nw = Snapshot<T>::clone_replace(*old, fresh);
       RCUA_SCHED_POINT("rcua.rehome.publish");
-      if constexpr (Policy::is_interval) {
-        const std::uint64_t fresh_birth = p.ebr.current_era();
-        p.global_snapshot.store(nw, std::memory_order_release);
-        RCUA_SCHED_POINT("rcua.rehome.published");
-        retire_spine_interval(
-            p, l, old, std::exchange(p.spine_birth_era, fresh_birth));
-      } else {
-        p.global_snapshot.store(nw, std::memory_order_release);
-        RCUA_SCHED_POINT("rcua.rehome.published");
-        if constexpr (Policy::is_qsbr) {
-          qsbr_->defer_delete(old);
-        } else {
-          retired[l] = old;  // reclaimed after this locale's drain below
-        }
-      }
+      p.global_snapshot.store(nw, std::memory_order_release);
+      RCUA_SCHED_POINT("rcua.rehome.published");
+      retired[l] = p.reclaimer.retire_spine(old, spine_bytes(*old), site,
+                                            /*drain_follows=*/true);
       obs::trace_instant("rcua.rehome.publish", "rcua", l);
       if (p.cache->enabled()) {
         // Eviction interlock (§11, extended to migration): every cached
@@ -662,51 +545,21 @@ class RCUArray {
     }
 
     // -- 3. DRAIN + reclaim ----------------------------------------------
-    auto free_moved = [&]() {
-      for (std::size_t i : moved) {
-        Block<T>* b = old_blocks[i];
-        RCUA_SCHED_POINT("rcua.rehome.free_block");
-        cluster_.locale(b->owner()).note_free(b->capacity() * sizeof(T));
-        sim::charge(m.alloc_block_ns / 2);
-        if constexpr (Policy::is_qsbr) {
-          qsbr_->defer_delete(b);
-        } else {
-          delete b;
-        }
-      }
-    };
-    bool freed_early = false;
-    if (RCUA_SCHED_MUT(migrate_reclaim_before_mapping_drain)) {
+    const bool freed_early =
+        RCUA_SCHED_MUT(migrate_reclaim_before_mapping_drain);
+    if (freed_early) {
       // MUTATION (sched harness only): reclaim the replaced source
       // blocks before the old mapping's readers drained — a section
       // that pinned the old spine still holds pointers into them.
-      free_moved();
-      freed_early = true;
+      free_blocks(replaced, "rcua.rehome.free_block");
     }
     cluster_.coforall_locales([&](std::uint32_t l) {
-      PerLocale& p = priv_at(l);
-      if constexpr (Policy::is_qsbr) {
-        // Deferral gates reclamation; nothing to drain here.
-        (void)p;
-      } else if constexpr (Policy::is_interval) {
-        // Replaced blocks are shared by every locale's old spine: mint a
-        // fence era and wait it out, exactly like resize_remove.
-        const std::uint64_t fence = p.ebr.advance_era();
-        RCUA_SCHED_POINT("rcua.rehome.epoch_bumped");
-        p.ebr.wait_for_readers(fence);
-        RCUA_SCHED_POINT("rcua.rehome.drained");
-        p.ebr.scan();
-      } else {
-        // Deliberately BLOCKING even under a non-blocking stall policy,
-        // for the same reason as resize_remove (DESIGN.md §8).
-        const auto epoch = p.ebr.advance_epoch();
-        RCUA_SCHED_POINT("rcua.rehome.epoch_bumped");
-        p.ebr.wait_for_readers(epoch);
-        RCUA_SCHED_POINT("rcua.rehome.drained");
-        delete retired[l];
-      }
+      // Replaced blocks are shared by every locale's old spine, so this
+      // drain is deliberately BLOCKING, exactly like resize_remove's.
+      priv_at(l).reclaimer.drain(retired[l], "rcua.rehome.epoch_bumped",
+                                 "rcua.rehome.drained");
     });
-    if (!freed_early) free_moved();
+    if (!freed_early) free_blocks(replaced, "rcua.rehome.free_block");
     home_locale_.store(dst, std::memory_order_relaxed);
     rehomes_.fetch_add(1, std::memory_order_relaxed);
     write_lock_.unlock();
@@ -738,30 +591,7 @@ class RCUArray {
   /// the view dies at the holder's next checkpoint.
   class View {
    public:
-    explicit View(RCUArray& arr)
-        : arr_(arr), snapshot_(nullptr), guard_(nullptr) {
-      PerLocale& p = arr.priv();
-      if constexpr (Policy::is_qsbr) {
-        arr.qsbr_->ensure_participant();
-        snapshot_ = p.global_snapshot.load(std::memory_order_acquire);
-      } else if constexpr (Policy::is_interval) {
-        guard_ = std::make_unique<typename Policy::Reclaimer::ReadGuard>(
-            p.ebr);
-        // The protect loop IS the snapshot load: the era reservation it
-        // publishes is what keeps this spine pending for the view's
-        // lifetime.
-        snapshot_ = guard_->protect(p.global_snapshot);
-      } else {
-        guard_ = std::make_unique<typename Policy::Reclaimer::ReadGuard>(
-            p.ebr);
-        snapshot_ = p.global_snapshot.load(std::memory_order_acquire);
-      }
-      // Hoist the pinned snapshot version onto the guard once: every
-      // consumer (cache tags, charging) reads this value instead of
-      // re-deriving it from the snapshot per access.
-      version_ = snapshot_->version();
-      sim::charge(sim::CostModel::get().atomic_load_ns);
-    }
+    explicit View(RCUArray& arr) : View(arr, arr.priv()) {}
 
     [[nodiscard]] std::size_t capacity() const noexcept {
       return snapshot_->capacity();
@@ -783,10 +613,20 @@ class RCUArray {
     }
 
    private:
+    View(RCUArray& arr, PerLocale& p)
+        : arr_(arr),
+          section_(p.reclaimer),
+          snapshot_(section_.pin(p.global_snapshot)),
+          // Hoisted once: every consumer (cache tags, charging) reads
+          // this value instead of re-deriving it per access.
+          version_(snapshot_->version()) {
+      sim::charge(sim::CostModel::get().atomic_load_ns);
+    }
+
     RCUArray& arr_;
+    reclaim::ReadSection<Policy> section_;
     Snapshot<T>* snapshot_;
-    std::uint64_t version_ = 0;
-    std::unique_ptr<typename Policy::Reclaimer::ReadGuard> guard_;
+    std::uint64_t version_;
   };
 
   /// Pins the calling locale's current snapshot (see View).
@@ -902,21 +742,6 @@ class RCUArray {
     });
   }
 
-  /// Like for_each_block_local but runs on the CALLING task for a single
-  /// locale's blocks — for use inside an enclosing coforall body that is
-  /// already placed on `locale`.
-  template <typename F>
-  void for_each_local_block_inline(std::uint32_t locale, F&& fn) {
-    PerLocale& p = priv_at(locale);
-    Snapshot<T>* s = p.global_snapshot.load(std::memory_order_acquire);
-    for (std::size_t b = 0; b < s->num_blocks(); ++b) {
-      Block<T>* blk = s->block(b);
-      if (blk->owner() != locale) continue;
-      sim::touch_block(blk->id(), false, false);
-      fn(b, *blk);
-    }
-  }
-
   /// Parallel fill, executed with full locality.
   void fill(const T& value) {
     const auto& m = sim::CostModel::get();
@@ -1000,15 +825,14 @@ class RCUArray {
     return resizes_.load(std::memory_order_relaxed);
   }
   [[nodiscard]] rt::Cluster& cluster() noexcept { return cluster_; }
-  [[nodiscard]] int pid() const noexcept { return pid_; }
   [[nodiscard]] rt::GlobalLock& write_lock() noexcept { return write_lock_; }
 
-  /// Read-side stats of the calling locale's EBR instance (EBR policy).
-  /// `reads`/`read_retries` require a -DRCUA_STATS=ON build (zero
-  /// otherwise); `epoch_advances` is always live.
-  [[nodiscard]] typename Policy::Reclaimer::Stats ebr_stats_at(
-      std::uint32_t locale) const {
-    return priv_at(locale).ebr.stats();
+  /// Stats of locale `locale`'s reclaimer: epoch or era counters, all
+  /// zero under QSBR (no per-locale reader state). `reads`/`read_retries`
+  /// require a -DRCUA_STATS=ON build (zero otherwise); `epoch_advances`
+  /// is always live.
+  [[nodiscard]] auto ebr_stats_at(std::uint32_t locale) const {
+    return priv_at(locale).reclaimer.stats();
   }
 
   // -- Stall tolerance observability ------------------------------------
@@ -1022,25 +846,13 @@ class RCUArray {
   [[nodiscard]] std::uint64_t stalled_spines() const noexcept {
     return stalled_spines_.load(std::memory_order_relaxed);
   }
-  /// Bytes currently parked on overflow lists across all locales.
+  /// Bytes currently parked on EBR overflow lists across all locales.
   [[nodiscard]] std::size_t overflow_pending_bytes() const {
-    std::size_t total = 0;
-    for (std::uint32_t l = 0; l < cluster_.num_locales(); ++l) {
-      total += priv_at(l).overflow.pending_bytes();
-    }
-    return total;
+    return sum_locales([](const auto& r) { return r.overflow().bytes; });
   }
-  /// Spines currently parked on overflow lists across all locales.
+  /// Spines currently parked on EBR overflow lists across all locales.
   [[nodiscard]] std::size_t overflow_pending_objects() const {
-    std::size_t total = 0;
-    for (std::uint32_t l = 0; l < cluster_.num_locales(); ++l) {
-      total += priv_at(l).overflow.pending_objects();
-    }
-    return total;
-  }
-  /// The watchdog this array reports to.
-  [[nodiscard]] reclaim::StallMonitor& stall_monitor() noexcept {
-    return *monitor_;
+    return sum_locales([](const auto& r) { return r.overflow().objects; });
   }
 
   /// Retired-but-unreclaimed spine bytes across all locales, whatever
@@ -1048,27 +860,11 @@ class RCUArray {
   /// lists of the interval policies. QSBR deferral is process-global and
   /// not counted here.
   [[nodiscard]] std::size_t reclaim_pending_bytes() const {
-    std::size_t total = 0;
-    for (std::uint32_t l = 0; l < cluster_.num_locales(); ++l) {
-      if constexpr (Policy::is_interval) {
-        total += priv_at(l).ebr.pending_bytes();
-      } else {
-        total += priv_at(l).overflow.pending_bytes();
-      }
-    }
-    return total;
+    return sum_locales([](const auto& r) { return r.pending().bytes; });
   }
   /// Spine count behind reclaim_pending_bytes().
   [[nodiscard]] std::size_t reclaim_pending_objects() const {
-    std::size_t total = 0;
-    for (std::uint32_t l = 0; l < cluster_.num_locales(); ++l) {
-      if constexpr (Policy::is_interval) {
-        total += priv_at(l).ebr.pending_objects();
-      } else {
-        total += priv_at(l).overflow.pending_objects();
-      }
-    }
-    return total;
+    return sum_locales([](const auto& r) { return r.pending().objects; });
   }
 
   /// Manually retries reclamation of every locale's deferred spines
@@ -1077,18 +873,11 @@ class RCUArray {
     write_lock_.lock();
     std::atomic<std::size_t> before{0};
     std::atomic<std::size_t> after{0};
-    auto pending_at = [&](PerLocale& p) {
-      if constexpr (Policy::is_interval) {
-        return p.ebr.pending_objects();
-      } else {
-        return p.overflow.pending_objects();
-      }
-    };
     cluster_.coforall_locales([&](std::uint32_t l) {
-      PerLocale& p = priv_at(l);
-      before.fetch_add(pending_at(p), std::memory_order_relaxed);
-      flush_overflow_at(l);
-      after.fetch_add(pending_at(p), std::memory_order_relaxed);
+      auto& r = priv_at(l).reclaimer;
+      before.fetch_add(r.pending().objects, std::memory_order_relaxed);
+      r.flush(retire_site(l));
+      after.fetch_add(r.pending().objects, std::memory_order_relaxed);
     });
     write_lock_.unlock();
     return before.load(std::memory_order_relaxed) -
@@ -1098,151 +887,51 @@ class RCUArray {
  private:
   /// The privatized per-locale copy (Listing 1's RCUArrayMetaData).
   struct alignas(plat::kCacheLine) PerLocale {
+    explicit PerLocale(reclaim::Qsbr& qsbr) : reclaimer(qsbr) {}
     std::atomic<Snapshot<T>*> global_snapshot{nullptr};
-    // Under QSBR the reclaimer is never exercised; pin it to one stripe
-    // so the (per-locale) instance does not allocate a full bank.
-    typename Policy::Reclaimer ebr{0, Policy::is_qsbr ? std::size_t{1}
-                                                      : std::size_t{0}};
+    /// This locale's reclaimer: what the spine's read sections and
+    /// retirements run against (reclaim/policy.hpp).
+    Policy reclaimer;
     std::uint32_t next_locale_id = 0;
-    /// Era policies: the era current when this locale's LIVE spine was
-    /// allocated — becomes its lifetime's lower tag when the next resize
-    /// retires it. Written only under the write lock; the initial
-    /// snapshot is born at era 0, matching the zero init.
-    std::uint64_t spine_birth_era = 0;
-    /// Spines whose grace-period drain timed out, parked until both
-    /// reader columns have been observed empty since the push. Per-
-    /// locale is sufficient: a spine on locale l is only ever
-    /// dereferenced under locale l's EBR instance (the snapshot pointer
-    /// is privatized).
-    reclaim::OverflowRetireList overflow;
     /// Per-locale remote-block cache (DESIGN.md §11); constructed with
     /// the array, disabled when capacity is 0.
     std::unique_ptr<rt::BlockCache> cache;
   };
+
+  /// What an element op does with its slot: hand out the reference (never
+  /// served from the block cache), copy the value out, or store into it.
+  enum class Access { kIndex, kRead, kWrite };
 
   [[nodiscard]] static std::size_t spine_bytes(
       const Snapshot<T>& s) noexcept {
     return sizeof(Snapshot<T>) + s.num_blocks() * sizeof(Block<T>*);
   }
 
-  /// EBR spine retirement with stall tolerance (RCU_Write lines 5-8,
-  /// deadline-bounded). Returns true when the drain completed and `old`
-  /// was freed; false when the deadline expired and `old` was deferred
-  /// onto locale `l`'s overflow list (bytes accounted on the locale and
-  /// against the watchdog budget).
-  bool retire_spine_ebr(PerLocale& p, std::uint32_t l, Snapshot<T>* old) {
-    const auto epoch = p.ebr.advance_epoch();
-    RCUA_SCHED_POINT("rcua.resize.epoch_bumped");
-    const reclaim::DrainResult drain =
-        p.ebr.try_wait_for_readers(epoch, stall_policy_);
-    // The drained fast path is only sound while the overflow list is
-    // empty: a pending entry means an earlier grace period on this
-    // domain never completed, so a reader announced on the *other*
-    // parity may have loaded `old` before this resize unpublished it
-    // (DESIGN.md §8). With entries pending, `old` joins the overflow
-    // list and waits for both columns like everything else.
-    if (drain.drained && p.overflow.pending_objects() == 0) {
-      RCUA_SCHED_POINT("rcua.resize.retire_spine");
-      obs::trace_instant("rcua.resize.reclaim", "rcua", l);
-      delete old;
-      return true;
-    }
-    reclaim::StallDiagnostic diag;
-    diag.kind = reclaim::StallDiagnostic::Kind::kEbrReader;
-    diag.domain = &p.ebr;
-    diag.locale = l;
-    diag.epoch = static_cast<std::uint64_t>(epoch);
-    diag.stripe = drain.stuck_stripe;
-    diag.stuck_readers = drain.stuck_readers;
-    diag.waited_ns = drain.waited_ns;
-    // Only an expired deadline is a stall; a drained-but-deferred spine
-    // (premise broken by an earlier stall) is bookkeeping, not news.
-    if (!drain.drained) monitor_->record_stall(diag);
-    const std::size_t bytes = spine_bytes(*old);
-    if (monitor_->would_exceed(bytes)) {
-      monitor_->escalate(diag);  // aborts under kFatal
-      if (monitor_->escalation() ==
-          reclaim::StallMonitor::Escalation::kBlock) {
-        // Hard memory bound: refuse the overflow and pay the blocking
-        // drain instead — memory stays bounded, resize latency degrades.
-        // Draining the overflow list first restores the fast-path
-        // premise, after which this spine's own column gates it.
-        plat::Backoff backoff(/*yield_threshold=*/4);
-        for (;;) {
-          flush_overflow_at(l);
-          if (p.overflow.pending_objects() == 0 &&
-              p.ebr.readers_at(static_cast<std::size_t>(epoch % 2)) == 0) {
-            break;
-          }
-          backoff.pause();
-        }
-        RCUA_SCHED_POINT("rcua.resize.retire_spine");
-        obs::trace_instant("rcua.resize.reclaim", "rcua", l);
-        delete old;
-        return true;
-      }
-      // kWarn: budget waived by configuration; fall through and defer.
-    }
-    stalled_spines_.fetch_add(1, std::memory_order_relaxed);
-    monitor_->note_overflow(bytes);
-    cluster_.locale(l).note_alloc(bytes);
-    p.overflow.push([](void* s) { delete static_cast<Snapshot<T>*>(s); },
-                    old, bytes, static_cast<std::uint64_t>(epoch));
-    RCUA_SCHED_POINT("rcua.resize.overflow_spine");
-    return false;
+  [[nodiscard]] reclaim::RetireSite retire_site(std::uint32_t l) {
+    return {cluster_.locale(l), *monitor_, stall_policy_, stalled_spines_};
   }
 
-  /// Era spine retirement (IBR / hazard eras): stamps the spine's
-  /// [birth, retire] interval, ticks the era clock and scans — never
-  /// waits on readers and never defers to the overflow list. A stalled
-  /// reservation is a fixed interval, so it keeps at most the spines
-  /// whose lifetime overlaps it pending (≤ 2 per locale, independent of
-  /// how many resizes run past it; DESIGN.md §13) — the bound holds by
-  /// construction, with no budget to escalate. The StallMonitor still
-  /// hears about the stalled reader, as a purely diagnostic
-  /// kEraReservation once the laggard trails by kEraStallLagThreshold.
-  static constexpr std::uint64_t kEraStallLagThreshold = 3;
-
-  void retire_spine_interval(PerLocale& p, std::uint32_t l,
-                             Snapshot<T>* old, std::uint64_t birth_era) {
-    const std::size_t bytes = spine_bytes(*old);
-    const reclaim::RetireResult res = p.ebr.retire(
-        [](void* s) { delete static_cast<Snapshot<T>*>(s); }, old, bytes,
-        birth_era);
-    obs::trace_instant("rcua.resize.reclaim", "rcua", l);
-    if (res.pending_objects > 0 &&
-        res.reservation_lag >= kEraStallLagThreshold) {
-      obs::health::epoch_lag().update_max(res.reservation_lag);
-      reclaim::StallDiagnostic diag;
-      diag.kind = reclaim::StallDiagnostic::Kind::kEraReservation;
-      diag.domain = &p.ebr;
-      diag.locale = l;
-      diag.epoch = res.era;
-      diag.stripe = res.laggard_slot;
-      diag.era_lag = res.reservation_lag;
-      diag.overflow_bytes = res.pending_bytes;
-      monitor_->record_stall(diag);
+  template <typename F>
+  [[nodiscard]] std::size_t sum_locales(F&& per_locale) const {
+    std::size_t total = 0;
+    for (std::uint32_t l = 0; l < cluster_.num_locales(); ++l) {
+      total += per_locale(priv_at(l).reclaimer);
     }
+    return total;
   }
 
-  /// Frees locale `l`'s deferred spines that have seen both reader
-  /// columns empty since deferral (the "retry reclamation
-  /// opportunistically" half of the watchdog design; called from every
-  /// resize path and reclaim_overflow()). Era policies have no overflow
-  /// list — their pending spines live on the reclaimer's own (bounded)
-  /// retire list, and a scan is the retry.
-  void flush_overflow_at(std::uint32_t l) {
-    PerLocale& p = priv_at(l);
-    if constexpr (Policy::is_interval) {
-      if (p.ebr.pending_objects() != 0) p.ebr.scan();
-    } else {
-      if (p.overflow.pending_objects() == 0) return;
-      const auto flushed = p.overflow.flush_ready(
-          [&](std::size_t parity) { return p.ebr.readers_at(parity) == 0; });
-      if (flushed.objects != 0) {
-        cluster_.locale(l).note_free(flushed.bytes);
-        monitor_->note_flushed(flushed.bytes, flushed.objects);
-      }
+  /// Frees blocks no snapshot reaches any more, once every locale has
+  /// drained (resize_remove, rehome). QSBR defers them instead: paper-
+  /// style escaping references may still target them until their holders
+  /// checkpoint.
+  void free_blocks(const std::vector<Block<T>*>& blocks,
+                   [[maybe_unused]] const char* site) {
+    const double ns = sim::CostModel::get().alloc_block_ns / 2;
+    for (Block<T>* b : blocks) {
+      RCUA_SCHED_POINT(site);
+      cluster_.locale(b->owner()).note_free(b->capacity() * sizeof(T));
+      sim::charge(ns);
+      priv().reclaimer.free(b);
     }
   }
 
@@ -1261,10 +950,10 @@ class RCUArray {
   /// calling locale's snapshot ONCE, partitions [first, first+count)
   /// into per-block spans, and pushes one span-op per block region into
   /// a destination aggregator keyed by the owning locale. The whole
-  /// partition-and-drain runs under a single read-side critical section
-  /// (EBR ReadGuard / QSBR participant), and the aggregator is drained
-  /// BEFORE that section closes — the span-ops capture raw block
-  /// pointers, and the pinned snapshot is exactly what keeps a
+  /// partition-and-drain runs under a single read section, and the
+  /// aggregator is drained BEFORE that section closes — the span-ops
+  /// capture raw block pointers, and the pinned snapshot is exactly what
+  /// keeps a
   /// concurrent resize_remove's grace period from freeing the blocks
   /// under them (DESIGN.md §9). The `bulk_flush_after_release` mutation
   /// moves the drain past the section close; the sched harness proves
@@ -1283,7 +972,9 @@ class RCUArray {
                                                .async = opts.async,
                                                .window = opts.window});
 
-    auto body = [&](Snapshot<T>* s) {
+    {
+      reclaim::ReadSection<Policy> section(p.reclaimer);
+      Snapshot<T>* s = section.pin(p.global_snapshot);
       sim::charge(m.atomic_load_ns);
       RCUA_SCHED_POINT("rcua.bulk.pinned");
       const std::size_t end = first + count;
@@ -1384,17 +1075,6 @@ class RCUArray {
         sim::charge(m.cache_copy_ns_per_elem * static_cast<double>(f.len));
         span_fn(f.base, reinterpret_cast<T*>(f.buf.get()) + f.off, f.len);
       }
-    };
-
-    if constexpr (Policy::is_qsbr) {
-      qsbr_->ensure_participant();
-      body(p.global_snapshot.load(std::memory_order_acquire));
-    } else if constexpr (Policy::is_interval) {
-      typename Policy::Reclaimer::ReadGuard guard(p.ebr);
-      body(guard.protect(p.global_snapshot));
-    } else {
-      typename Policy::Reclaimer::ReadGuard guard(p.ebr);
-      body(p.global_snapshot.load(std::memory_order_acquire));
     }
     RCUA_SCHED_POINT("rcua.bulk.released");
     if (RCUA_SCHED_MUT(bulk_flush_after_release)) {
@@ -1413,63 +1093,48 @@ class RCUArray {
   }
 
   /// Algorithm 3's Index with `fn(slot, block)` as the λ, run against
-  /// element `i` INSIDE the read-side section: the one element hot path.
+  /// element `i` INSIDE the read section: the one element path.
   /// read()/write() complete their access in `fn`, so value ops stay
   /// correct concurrent with rehome(), whose replaced blocks are
   /// reclaimed (not recycled) after the drain. index() passes an
   /// identity `fn`, so its reference escapes the section — the §III-C
-  /// relaxation that does not survive a migration.
-  template <typename F>
-  decltype(auto) with_slot(std::size_t i, bool is_write, F&& fn) {
+  /// relaxation that does not survive a migration. A value read of a
+  /// remote block goes through the block cache when it is enabled; local
+  /// blocks take exactly the uncached charging (caching one's own blocks
+  /// would only add a copy).
+  template <Access kAccess, typename F>
+  decltype(auto) with_slot(std::size_t i, F&& fn) {
+    constexpr bool is_write = kAccess == Access::kWrite;
     const auto& m = sim::CostModel::get();
     sim::charge(m.rcua_index_ns);
     const std::uint32_t here = cluster_.here();
     PerLocale& p = priv_at(here);
     const std::size_t bidx = i / block_size_;  // line 1
     const std::size_t off = i % block_size_;   // line 2
-
-    auto helper = [&](Snapshot<T>* s) -> decltype(auto) {  // proc Helper
-      RCUA_SCHED_POINT("rcua.index.deref_spine");
-      assert(bidx < s->num_blocks() && "index beyond current capacity");
-      Block<T>* b = s->block(bidx);
-      cluster_.comm().record_access(here, b->owner(), is_write);
-      sim::touch_block(b->id(), b->owner() != here, is_write,
-                       m.rcua_spine_miss_ns);
-      return fn((*b)[off], b);  // line 3
-    };
-
-    if constexpr (Policy::is_qsbr) {
-      // line 6: safe to use the snapshot directly — it will not be
-      // reclaimed before this thread's next checkpoint. The thread must
-      // be visible to the safe-epoch minimum first (the paper's "all
-      // threads act as participants").
-      qsbr_->ensure_participant();
-      Snapshot<T>* s = p.global_snapshot.load(std::memory_order_acquire);
-      sim::charge(m.atomic_load_ns);
-      if (rt::FaultPlan* plan = cluster_.fault_plan()) {
-        plan->stall_here(here);  // chaos: stall while holding the snapshot
-      }
-      return helper(s);
-    } else if constexpr (Policy::is_interval) {
-      // Era read section: the reservation published by protect() covers
-      // the spine until the guard dies.
-      typename Policy::Reclaimer::ReadGuard guard(p.ebr);
-      sim::charge(m.atomic_load_ns);
-      Snapshot<T>* s = guard.protect(p.global_snapshot);
-      if (rt::FaultPlan* plan = cluster_.fault_plan()) {
-        plan->stall_here(here);  // chaos: stall while holding a reservation
-      }
-      return helper(s);
-    } else {
-      // line 8: RCU_Read with Helper as the λ.
-      return p.ebr.read([&]() -> decltype(auto) {
-        sim::charge(m.atomic_load_ns);
-        if (rt::FaultPlan* plan = cluster_.fault_plan()) {
-          plan->stall_here(here);  // chaos: stall mid-read-section
-        }
-        return helper(p.global_snapshot.load(std::memory_order_acquire));
-      });
+    // Lines 6/8: RCU_Read with Helper as the λ (under QSBR the thread
+    // need only be a participant — the paper's "all threads act as
+    // participants").
+    reclaim::ReadSection<Policy> section(p.reclaimer);
+    Snapshot<T>* s = section.pin(p.global_snapshot);
+    sim::charge(m.atomic_load_ns);
+    if (rt::FaultPlan* plan = cluster_.fault_plan()) {
+      plan->stall_here(here);  // chaos: stall while holding the snapshot
     }
+    RCUA_SCHED_POINT("rcua.index.deref_spine");
+    if (bidx >= s->num_blocks()) throw_index_out_of_range(i, s->capacity());
+    Block<T>* b = s->block(bidx);
+    if constexpr (kAccess == Access::kRead) {
+      if (b->owner() != here && cache_enabled()) {
+        const auto copy = cached_block(p, *b, bidx, s->version());
+        // fn only reads through the slot, so the const_cast is sound.
+        return fn(const_cast<T&>(reinterpret_cast<const T*>(copy.get())[off]),
+                  b);
+      }
+    }
+    cluster_.comm().record_access(here, b->owner(), is_write);
+    sim::touch_block(b->id(), b->owner() != here, is_write,
+                     m.rcua_spine_miss_ns);
+    return fn((*b)[off], b);  // line 3
   }
 
   // -- Block cache machinery (DESIGN.md §11) ---------------------------
@@ -1530,95 +1195,39 @@ class RCUArray {
     return f;
   }
 
-  /// read() with the cache enabled: consult the calling locale's
-  /// BlockCache inside the read-side section; a hit costs one lookup
-  /// plus one node-local element copy, a miss fills the whole block and
-  /// inserts it under the pinned snapshot version. Local blocks take
-  /// exactly the uncached charging (caching one's own blocks would only
-  /// add a copy).
-  T read_cached(std::size_t i) {
+  /// The cache branch of a value read of remote block `b`: a hit costs
+  /// one lookup plus one node-local element copy; a miss fills the whole
+  /// block and inserts it under the pinned snapshot `version`. The fill
+  /// drains HERE, inside the caller's section — the copy source is the
+  /// pinned snapshot's block (the drain-before-release rule extended to
+  /// fills).
+  std::shared_ptr<const std::byte[]> cached_block(PerLocale& p, Block<T>& b,
+                                                  std::size_t bidx,
+                                                  std::uint64_t version) {
     const auto& m = sim::CostModel::get();
-    sim::charge(m.rcua_index_ns);
-    const std::uint32_t here = cluster_.here();
-    PerLocale& p = priv_at(here);
-    const std::size_t bidx = i / block_size_;
-    const std::size_t off = i % block_size_;
-
-    auto body = [&](Snapshot<T>* s) -> T {
-      sim::charge(m.atomic_load_ns);
-      if (rt::FaultPlan* plan = cluster_.fault_plan()) {
-        plan->stall_here(here);  // chaos: stall while holding the snapshot
-      }
-      RCUA_SCHED_POINT("rcua.index.deref_spine");
-      if (bidx >= s->num_blocks()) {
-        throw std::out_of_range(
-            "RCUArray::read: index " + std::to_string(i) + " >= capacity " +
-            std::to_string(s->capacity()));
-      }
-      // The pinned version is hoisted off the snapshot ONCE — the cache
-      // tag, the sched points and the charges below all read this value.
-      const std::uint64_t pinned_version = s->version();
-      Block<T>* b = s->block(bidx);
-      if (b->owner() == here) {
-        cluster_.comm().record_access(here, here, false);
-        sim::touch_block(b->id(), false, false, m.rcua_spine_miss_ns);
-        if constexpr (plat::relaxed_capable_v<T>) {
-          return plat::relaxed_load((*b)[off]);
-        } else {
-          return (*b)[off];
-        }
-      }
-      sim::charge(m.cache_lookup_ns);
-      const std::uint64_t gen = b->generation();
-      auto cached = p.cache->lookup(array_id(), bidx, pinned_version, gen);
-      if (cached == nullptr) {
-        // Miss: fill the whole block. The future drains HERE, inside
-        // the section — the copy source is the pinned snapshot's block
-        // (the drain-before-release rule extended to fills).
-        rt::AsyncComm async(cluster_.comm(), here);
-        BlockFill f = issue_fill(async, p, *b, bidx);
-        const std::uint64_t fill_gen = f.done.get();
-        p.cache->insert(array_id(), bidx, pinned_version, fill_gen, f.buf,
-                        block_size_ * sizeof(T));
-        cached = f.buf;
-      }
-      sim::charge(m.cache_copy_ns_per_elem);
-      return reinterpret_cast<const T*>(cached.get())[off];
-    };
-
-    if constexpr (Policy::is_qsbr) {
-      qsbr_->ensure_participant();
-      return body(p.global_snapshot.load(std::memory_order_acquire));
-    } else if constexpr (Policy::is_interval) {
-      typename Policy::Reclaimer::ReadGuard guard(p.ebr);
-      return body(guard.protect(p.global_snapshot));
-    } else {
-      // Explicit guard (not ebr.read): the bounds check above may throw,
-      // and the guard's destructor retracts on unwind.
-      typename Policy::Reclaimer::ReadGuard guard(p.ebr);
-      return body(p.global_snapshot.load(std::memory_order_acquire));
+    sim::charge(m.cache_lookup_ns);
+    auto cached = p.cache->lookup(array_id(), bidx, version, b.generation());
+    if (cached == nullptr) {
+      rt::AsyncComm async(cluster_.comm(), cluster_.here());
+      BlockFill f = issue_fill(async, p, b, bidx);
+      const std::uint64_t fill_gen = f.done.get();
+      p.cache->insert(array_id(), bidx, version, fill_gen, f.buf,
+                      block_size_ * sizeof(T));
+      cached = f.buf;
     }
+    sim::charge(m.cache_copy_ns_per_elem);
+    return cached;
   }
 
   template <typename F>
   [[nodiscard]] auto with_snapshot(F&& fn) const {
     PerLocale& p = priv();
-    if constexpr (Policy::is_qsbr) {
-      qsbr_->ensure_participant();
-      return fn(*p.global_snapshot.load(std::memory_order_acquire));
-    } else if constexpr (Policy::is_interval) {
-      typename Policy::Reclaimer::ReadGuard guard(p.ebr);
-      return fn(*guard.protect(p.global_snapshot));
-    } else {
-      return p.ebr.read([&] {
-        return fn(*p.global_snapshot.load(std::memory_order_acquire));
-      });
-    }
+    reclaim::ReadSection<Policy> section(p.reclaimer);
+    return fn(*section.pin(p.global_snapshot));
   }
 
   rt::Cluster& cluster_;
   std::size_t block_size_;
-  reclaim::Qsbr* qsbr_;
   reclaim::StallPolicy stall_policy_;
   reclaim::StallMonitor* monitor_;
   std::uint32_t max_publish_attempts_;

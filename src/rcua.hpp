@@ -30,12 +30,10 @@
 #include "platform/align.hpp"
 #include "platform/atomics.hpp"
 #include "platform/backoff.hpp"
-#include "platform/barrier.hpp"
 #include "platform/rng.hpp"
 #include "platform/spinlock.hpp"
 #include "platform/timing.hpp"
 #include "platform/topology.hpp"
-#include "reclaim/auto_checkpoint.hpp"
 #include "reclaim/call_rcu.hpp"
 #include "reclaim/ebr.hpp"
 #include "reclaim/hazard.hpp"

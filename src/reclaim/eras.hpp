@@ -9,8 +9,8 @@
 // Both schemes share one mechanism, so both are instantiations of
 // `BasicEraReclaimer`:
 //
-//  * A monotone per-domain **era clock**, bumped (amortized, default
-//    every retire) on the write side. No reader ever advances it.
+//  * A monotone per-domain **era clock**, bumped by every retire on the
+//    write side. No reader ever advances it.
 //  * Every retired object carries an era **lifetime tag** [birth,
 //    retire]: `birth` is the era current when the object was allocated
 //    (stamped by the owner before publication), `retire` the era current
@@ -30,8 +30,8 @@
 //    reservation: birth(p) <= era(load) <= e, and any retire of p after
 //    the load stamps retire(p) >= e (the era did not move between the
 //    publish and the verify, and it never decreases). Hence the interval
-//    overlap check below covers every protected object even though the
-//    era bump is amortized.
+//    overlap check below covers every protected object even though a
+//    protect and a retire can share one era.
 //  * `retire()` appends to a per-domain list and scans it against the
 //    live reservations: an entry [b, r] stays **blocked** while some
 //    reservation [lo, hi] satisfies `lo <= r && b <= hi`; everything
@@ -307,9 +307,8 @@ class BasicEraReclaimer {
   }
 
   /// Retires `(deleter, obj)` with allocation-era tag `birth_era`,
-  /// stamps the retire era, ticks the (amortized) era clock and — once
-  /// `scan_threshold` entries are pending — scans against the live
-  /// reservations. NEVER waits on readers: where EBR's writer drains a
+  /// stamps the retire era, ticks the era clock and scans against the
+  /// live reservations. NEVER waits on readers: where EBR's writer drains a
   /// parity column, this returns in O(slots + pending) with everything
   /// unblocked freed and the blocked remainder carried as pending (the
   /// bounded-by-construction contract).
@@ -321,23 +320,13 @@ class BasicEraReclaimer {
                        era_.value.load(std::memory_order_seq_cst)});
     }
     retired_.value.fetch_add(1, std::memory_order_relaxed);
-    const std::size_t objects =
-        pending_objects_.value.fetch_add(1, std::memory_order_relaxed) + 1;
-    const std::size_t now_bytes =
+    pending_objects_.value.fetch_add(1, std::memory_order_relaxed);
+    note_pending_hwm(
         pending_bytes_.value.fetch_add(bytes, std::memory_order_relaxed) +
-        bytes;
-    note_pending_hwm(now_bytes);
+        bytes);
     RCUA_SCHED_POINT("era.retire");
-    if (++retires_since_advance_ >= era_freq_) {
-      retires_since_advance_ = 0;
-      advance_era();
-    }
-    if (objects >= scan_threshold_) return scan();
-    RetireResult out;
-    out.era = current_era();
-    out.pending_objects = objects;
-    out.pending_bytes = now_bytes;
-    return out;
+    advance_era();
+    return scan();
   }
 
   /// Scans the retire list against a snapshot of the live reservations,
@@ -380,8 +369,8 @@ class BasicEraReclaimer {
         bool blocked = false;
         for (const Interval& r : scratch_) {
           // Lifetime [b, r] overlaps reservation [lo, hi]. Inclusive on
-          // both ends: with the amortized clock a protect and a retire
-          // can share one era, and equality must block (header comment).
+          // both ends: a protect and a retire can share one era, and
+          // equality must block (header comment).
           if (r.lower <= e.retire_era && e.birth_era <= r.upper) {
             blocked = true;
             break;
@@ -539,18 +528,6 @@ class BasicEraReclaimer {
     const Slot& s = slots_[slot & slot_mask_];
     return {s.lower.load(std::memory_order_seq_cst),
             s.upper.load(std::memory_order_seq_cst)};
-  }
-
-  /// Era-clock bump cadence: advance every `n` retires (default 1 —
-  /// RCUArray retires whole spines, so per-retire precision is cheap and
-  /// keeps the stalled-reader bound at its tightest). Larger values
-  /// amortize the bump for fine-grained structures.
-  void set_era_freq(std::uint64_t n) noexcept {
-    era_freq_ = n == 0 ? 1 : n;
-  }
-  /// Scan cadence: scan once `n` entries are pending (default 1).
-  void set_scan_threshold(std::size_t n) noexcept {
-    scan_threshold_ = n == 0 ? 1 : n;
   }
 
   [[nodiscard]] Stats stats() const noexcept {
@@ -724,10 +701,6 @@ class BasicEraReclaimer {
   plat::CacheAligned<std::atomic<std::size_t>> pending_objects_{};
   plat::CacheAligned<std::atomic<std::size_t>> pending_bytes_{};
   plat::CacheAligned<std::atomic<std::size_t>> pending_bytes_hwm_{};
-  /// Era-bump cadence state; written only under the caller's write lock.
-  std::uint64_t era_freq_ = 1;
-  std::uint64_t retires_since_advance_ = 0;
-  std::size_t scan_threshold_ = 1;
   mutable plat::Spinlock lock_;
   std::vector<Retired> list_;     // guarded by lock_
   std::vector<Interval> scratch_;  // guarded by lock_ (scan reuse)

@@ -75,7 +75,6 @@ class ShardedCollection {
       : cluster_(cluster),
         block_size_(options.block_size),
         shard_count_(resolve_shard_count(options.shard_count, cluster)),
-        qsbr_(options.qsbr),
         pid_(cluster.privatization().create()),
         routed_(cluster.comm().registry().counter("rcua.service.routed",
                                                   cluster.num_locales())),
@@ -108,8 +107,10 @@ class ShardedCollection {
       shards_.push_back(std::make_unique<Backend>(cluster, /*capacity=*/0,
                                                   shard_opts));
     }
+    reclaim::Qsbr& qsbr =
+        options.qsbr != nullptr ? *options.qsbr : reclaim::Qsbr::global();
     cluster_.coforall_locales([&](std::uint32_t l) {
-      auto* p = new PerLocale;
+      auto* p = new PerLocale(qsbr);
       p->map.store(new ShardMap(home), std::memory_order_relaxed);
       cluster_.privatization().set(pid_, l, p);
     });
@@ -306,11 +307,10 @@ class ShardedCollection {
 
  private:
   struct alignas(plat::kCacheLine) PerLocale {
+    explicit PerLocale(reclaim::Qsbr& qsbr) : reclaimer(qsbr) {}
     std::atomic<ShardMap*> map{nullptr};
-    // The mapping table's own reclaimer instance, same policy shape as
-    // the spine's (one stripe under QSBR, where it is never exercised).
-    typename Policy::Reclaimer ebr{0, Policy::is_qsbr ? std::size_t{1}
-                                                      : std::size_t{0}};
+    /// The mapping table's own reclaimer, same policy as the spines'.
+    Policy reclaimer;
   };
 
   struct Route {
@@ -340,20 +340,8 @@ class ShardedCollection {
   template <typename F>
   auto read_map(F&& fn) {
     PerLocale& p = priv();
-    if constexpr (Policy::is_qsbr) {
-      qsbr().ensure_participant();
-      return fn(*p.map.load(std::memory_order_acquire));
-    } else if constexpr (Policy::is_interval) {
-      typename Policy::Reclaimer::ReadGuard guard(p.ebr);
-      return fn(*guard.protect(p.map));
-    } else {
-      typename Policy::Reclaimer::ReadGuard guard(p.ebr);
-      return fn(*p.map.load(std::memory_order_acquire));
-    }
-  }
-
-  [[nodiscard]] reclaim::Qsbr& qsbr() const noexcept {
-    return qsbr_ != nullptr ? *qsbr_ : reclaim::Qsbr::global();
+    reclaim::ReadSection<Policy> section(p.reclaimer);
+    return fn(*section.pin(p.map));
   }
 
   /// Block-cyclic routing + the routing metrics: one routed count per
@@ -397,12 +385,11 @@ class ShardedCollection {
   }
 
   /// The resize-style mapping publication: per locale, clone the table
-  /// with the shard re-homed, swap, and reclaim the old table through the
-  /// configured policy once that locale's routing readers drain.
-  /// Deliberately BLOCKING under the era policies too (like
-  /// resize_remove): tables are a few dozen bytes and remaps are rare,
-  /// so a bounded wait beats threading the overflow machinery through a
-  /// second object type. Caller holds remap_mu_.
+  /// with the shard re-homed, swap, and free the old table after that
+  /// locale's blocking drain (QSBR: defer it). Blocking under every
+  /// policy, like resize_remove: tables are a few dozen bytes and remaps
+  /// are rare, so a bounded wait beats threading the overflow machinery
+  /// through a second object type. Caller holds remap_mu_.
   void publish_map(std::size_t shard, std::uint32_t dst) {
     cluster_.coforall_locales([&](std::uint32_t l) {
       PerLocale& p = priv_at(l);
@@ -412,17 +399,7 @@ class ShardedCollection {
       p.map.store(fresh, std::memory_order_release);
       RCUA_SCHED_POINT("svc.remap.published");
       obs::trace_instant("svc.remap.publish", "service", l);
-      if constexpr (Policy::is_qsbr) {
-        qsbr().defer_delete(old);
-      } else if constexpr (Policy::is_interval) {
-        const std::uint64_t fence = p.ebr.advance_era();
-        p.ebr.wait_for_readers(fence);
-        delete old;
-      } else {
-        const auto epoch = p.ebr.advance_epoch();
-        p.ebr.wait_for_readers(epoch);
-        delete old;
-      }
+      p.reclaimer.drain(old);
     });
     remaps_.add();
   }
@@ -430,7 +407,6 @@ class ShardedCollection {
   rt::Cluster& cluster_;
   std::size_t block_size_;
   std::size_t shard_count_;
-  reclaim::Qsbr* qsbr_;
   int pid_;
   std::vector<std::unique_ptr<Backend>> shards_;
   std::atomic<std::size_t> total_blocks_{0};

@@ -11,10 +11,8 @@ namespace rcua::sim {
 /// acquisitions, epoch drains — and this model decides how much each one
 /// costs. Defaults are calibrated so the benchmark harness reproduces the
 /// shapes and headline ratios of the paper's Figures 2-4 (see
-/// EXPERIMENTS.md for the calibration notes).
-///
-/// Every field can be overridden at process start with an environment
-/// variable: `RCUA_COST_<UPPER_SNAKE_NAME>` (e.g. RCUA_COST_REMOTE_GET_NS).
+/// EXPERIMENTS.md for the calibration notes). Tests override fields
+/// in-process through CostModelOverride.
 struct CostModel {
   // -- Memory hierarchy -----------------------------------------------
   /// Access to a line already cached by this task (same block as the
@@ -92,17 +90,11 @@ struct CostModel {
   /// QSBR checkpoint fixed part (observing StateEpoch, list split).
   double qsbr_defer_ns = 50.0;
 
-  /// Loads RCUA_COST_* overrides from the environment.
-  void load_env();
-
   /// The process-wide instance (mutable for tests and calibration).
-  /// Header-inline so a charge site's lookup is one guard-byte load.
+  /// Header-inline and constant-initialized, so a charge site's lookup
+  /// is a plain load.
   static CostModel& mutable_instance() {
-    static CostModel model = [] {
-      CostModel m;
-      m.load_env();
-      return m;
-    }();
+    static CostModel model;
     return model;
   }
   /// Read-only accessor used by charge sites.

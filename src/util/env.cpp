@@ -56,19 +56,6 @@ std::optional<std::uint64_t> parse_u64(const std::string& raw) {
   }
 }
 
-std::optional<double> parse_f64(const std::string& raw) {
-  const std::string s = trimmed(raw);
-  if (s.empty()) return std::nullopt;
-  try {
-    std::size_t consumed = 0;
-    const double v = std::stod(s, &consumed);
-    if (consumed != s.size()) return std::nullopt;
-    return v;
-  } catch (...) {
-    return std::nullopt;
-  }
-}
-
 }  // namespace
 
 std::uint64_t env_parse_warnings() noexcept {
@@ -86,14 +73,6 @@ std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
   if (!s) return fallback;
   if (auto v = parse_u64(*s)) return *v;
   warn_bad_value(name, *s, "an unsigned integer");
-  return fallback;
-}
-
-double env_f64(const char* name, double fallback) {
-  auto s = env_str(name);
-  if (!s) return fallback;
-  if (auto v = parse_f64(*s)) return *v;
-  warn_bad_value(name, *s, "a number");
   return fallback;
 }
 

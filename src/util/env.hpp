@@ -13,9 +13,6 @@ namespace rcua::util {
 /// warn once per variable to stderr and fall back.
 std::uint64_t env_u64(const char* name, std::uint64_t fallback);
 
-/// Reads environment variable `name` as a double.
-double env_f64(const char* name, double fallback);
-
 /// Reads environment variable `name` as a bool (accepts 0/1/true/false/
 /// yes/no, case-insensitive).
 bool env_bool(const char* name, bool fallback);

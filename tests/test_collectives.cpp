@@ -1,11 +1,10 @@
-// Tests for the cluster collectives and the AutoCheckpoint pacer.
+// Tests for the cluster collectives.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <string>
 
-#include "reclaim/auto_checkpoint.hpp"
 #include "runtime/collectives.hpp"
 #include "runtime/this_task.hpp"
 
@@ -63,47 +62,4 @@ TEST(Collectives, BroadcastDeliversEverywhere) {
     if (v == 99) received.fetch_add(1);
   });
   EXPECT_EQ(received.load(), 4);
-}
-
-TEST(AutoCheckpoint, ChecksOnCadence) {
-  rt::ThreadRegistry registry;
-  rcua::reclaim::Qsbr qsbr(registry);
-  const auto before = qsbr.stats().checkpoints;
-  {
-    rcua::reclaim::AutoCheckpoint pacer(4, qsbr);
-    int fired = 0;
-    for (int i = 0; i < 12; ++i) {
-      if (pacer.tick()) ++fired;
-    }
-    EXPECT_EQ(fired, 3);
-    EXPECT_EQ(pacer.ticks(), 12u);
-  }
-  // Destructor adds one final checkpoint.
-  EXPECT_EQ(qsbr.stats().checkpoints, before + 4);
-}
-
-TEST(AutoCheckpoint, ZeroCadenceClampsToOne) {
-  rt::ThreadRegistry registry;
-  rcua::reclaim::Qsbr qsbr(registry);
-  rcua::reclaim::AutoCheckpoint pacer(0, qsbr);
-  EXPECT_EQ(pacer.cadence(), 1u);
-  EXPECT_TRUE(pacer.tick());
-}
-
-TEST(AutoCheckpoint, DrivesReclamation) {
-  static std::atomic<int> freed{0};
-  freed.store(0);
-  struct Counted {
-    ~Counted() { freed.fetch_add(1); }
-  };
-  rt::ThreadRegistry registry;
-  rcua::reclaim::Qsbr qsbr(registry);
-  {
-    rcua::reclaim::AutoCheckpoint pacer(8, qsbr);
-    for (int i = 0; i < 64; ++i) {
-      qsbr.defer_delete(new Counted);
-      pacer.tick();
-    }
-  }
-  EXPECT_EQ(freed.load(), 64);
 }

@@ -1,5 +1,5 @@
-// Unit tests for src/platform: alignment, backoff, locks, barrier, RNG,
-// timing, topology.
+// Unit tests for src/platform: alignment, backoff, locks, RNG, timing,
+// topology.
 
 #include <gtest/gtest.h>
 
@@ -11,7 +11,6 @@
 
 #include "platform/align.hpp"
 #include "platform/backoff.hpp"
-#include "platform/barrier.hpp"
 #include "platform/rng.hpp"
 #include "platform/spinlock.hpp"
 #include "platform/timing.hpp"
@@ -116,36 +115,6 @@ TEST(TicketLock, TryLockOnlySucceedsWhenFree) {
   lock.unlock();
   EXPECT_TRUE(lock.try_lock());
   lock.unlock();
-}
-
-TEST(SpinBarrier, SynchronizesPhases) {
-  constexpr std::uint32_t kThreads = 6;
-  constexpr int kPhases = 20;
-  plat::SpinBarrier barrier(kThreads);
-  std::atomic<int> phase_counter{0};
-  std::atomic<bool> failed{false};
-  std::vector<std::thread> threads;
-  for (std::uint32_t t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&] {
-      for (int p = 0; p < kPhases; ++p) {
-        phase_counter.fetch_add(1);
-        barrier.arrive_and_wait();
-        // After the barrier, everyone must have bumped for this phase.
-        if (phase_counter.load() < (p + 1) * static_cast<int>(kThreads)) {
-          failed.store(true);
-        }
-        barrier.arrive_and_wait();
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_FALSE(failed.load());
-  EXPECT_EQ(phase_counter.load(), kPhases * static_cast<int>(kThreads));
-}
-
-TEST(SpinBarrier, ReportsParticipants) {
-  plat::SpinBarrier barrier(3);
-  EXPECT_EQ(barrier.participants(), 3u);
 }
 
 TEST(Rng, SplitMixIsDeterministic) {

@@ -12,6 +12,7 @@
 using rcua::EbrPolicy;
 using rcua::HazardErasPolicy;
 using rcua::IbrPolicy;
+using rcua::LegacyEbrPolicy;
 using rcua::QsbrPolicy;
 using rcua::RCUArray;
 namespace rt = rcua::rt;
@@ -228,4 +229,133 @@ TEST(RcuArrayQsbr, ResizeDefersOldSpines) {
   arr.resize_add(64);
   // One old spine deferred per locale.
   EXPECT_EQ(qsbr.stats().defers, before + 2);
+}
+
+// ---------------------------------------------------------------------
+// Every policy, including the paper's legacy EBR layout: the element
+// bounds rule and the grace periods each structural op pays.
+// ---------------------------------------------------------------------
+
+namespace {
+
+template <typename Policy>
+struct RcuArrayAllPolicies : public ::testing::Test {
+  using Array = RCUArray<std::uint64_t, Policy>;
+};
+
+using AllPolicies = ::testing::Types<QsbrPolicy, EbrPolicy, LegacyEbrPolicy,
+                                     IbrPolicy, HazardErasPolicy>;
+TYPED_TEST_SUITE(RcuArrayAllPolicies, AllPolicies);
+
+/// Per-locale grace-period counters of one array (EBR-family Stats have
+/// no era fields; those stay zero).
+struct GraceCounts {
+  std::uint64_t advances = 0;
+  std::uint64_t retired = 0;
+  std::uint64_t freed = 0;
+  std::uint64_t scans = 0;
+  bool operator==(const GraceCounts&) const = default;
+};
+
+template <typename Array>
+GraceCounts grace_counts_at(const Array& arr, std::uint32_t l) {
+  const auto s = arr.ebr_stats_at(l);
+  GraceCounts c;
+  c.advances = s.epoch_advances;
+  if constexpr (requires { s.era_scans; }) {
+    c.retired = s.retired;
+    c.freed = s.freed;
+    c.scans = s.era_scans;
+  }
+  return c;
+}
+
+GraceCounts operator-(const GraceCounts& a, const GraceCounts& b) {
+  return {a.advances - b.advances, a.retired - b.retired, a.freed - b.freed,
+          a.scans - b.scans};
+}
+
+}  // namespace
+
+TYPED_TEST(RcuArrayAllPolicies, OutOfRangeElementOpsThrowAndLeaveNoSection) {
+  // Every element op checks its index inside the read section, cached or
+  // not, and the throw must release the section: a leaked announcement or
+  // era reservation would hold the spine retired below pending forever.
+  for (const std::size_t cache : {std::size_t{0}, std::size_t{1} << 20}) {
+    rt::Cluster cluster({.num_locales = 2, .workers_per_locale = 1});
+    rcua::reclaim::StallMonitor monitor;
+    monitor.set_sink(nullptr);
+    typename TestFixture::Array::Options opts;
+    opts.block_size = 64;
+    opts.cache_capacity_bytes = cache;
+    opts.stall_monitor = &monitor;
+    opts.stall_policy.deadline_ns = 1;
+    opts.stall_policy.spin_iters = 1;
+    opts.stall_policy.yield_iters = 1;
+    opts.stall_policy.park_ns = 1000;
+    typename TestFixture::Array arr(cluster, 128, opts);
+    const std::size_t cap = arr.capacity();
+    EXPECT_THROW((void)arr.index(cap), std::out_of_range) << cache;
+    EXPECT_THROW((void)arr.read(cap), std::out_of_range) << cache;
+    EXPECT_THROW(arr.write(cap, 1), std::out_of_range) << cache;
+    EXPECT_THROW((void)arr.at(cap), std::out_of_range) << cache;
+    arr.resize_add(64);
+    arr.reclaim_overflow();
+    EXPECT_EQ(arr.reclaim_pending_objects(), 0u) << cache;
+    EXPECT_EQ(arr.read(cap), 0u) << cache;
+  }
+  drain_qsbr();
+}
+
+TYPED_TEST(RcuArrayAllPolicies, StructuralOpsPayFixedGracePeriods) {
+  // What one resize_add, resize_remove and rehome cost each locale's
+  // reclaimer (EBR epochs; IBR/HE era advances, retires, frees, scans) or
+  // the QSBR domain (deferrals), with no reader in flight.
+  constexpr std::uint32_t kLocales = 4;
+  rt::ThreadRegistry registry;
+  rcua::reclaim::Qsbr qsbr(registry);
+  rt::Cluster cluster({.num_locales = kLocales, .workers_per_locale = 1});
+  typename TestFixture::Array::Options opts;
+  opts.block_size = 64;
+  opts.qsbr = &qsbr;
+  typename TestFixture::Array arr(cluster, 8 * 64, opts);
+
+  const bool qsbr_policy = TestFixture::Array::uses_qsbr;
+  const bool era_policy = TestFixture::Array::uses_interval;
+  const GraceCounts none{};
+  // resize_add, resize_remove, rehome — per locale.
+  const GraceCounts add = qsbr_policy  ? none
+                          : era_policy ? GraceCounts{1, 1, 1, 1}
+                                       : GraceCounts{1, 0, 0, 0};
+  const GraceCounts remove = qsbr_policy  ? none
+                             : era_policy ? GraceCounts{2, 1, 1, 2}
+                                          : GraceCounts{1, 0, 0, 0};
+  const GraceCounts& rehome = remove;
+  // QSBR: one spine per locale, plus the dropped (1) or moved (6) blocks.
+  const std::uint64_t defers[3] = {qsbr_policy ? kLocales : 0,
+                                   qsbr_policy ? kLocales + 1 : 0,
+                                   qsbr_policy ? kLocales + 6 : 0};
+
+  std::uint64_t op = 0;
+  for (const GraceCounts& expect : {add, remove, rehome}) {
+    std::vector<GraceCounts> before;
+    for (std::uint32_t l = 0; l < kLocales; ++l) {
+      before.push_back(grace_counts_at(arr, l));
+    }
+    const std::uint64_t defers_before = qsbr.stats().defers;
+    if (op == 0) {
+      arr.resize_add(64);
+    } else if (op == 1) {
+      arr.resize_remove(64);
+    } else {
+      ASSERT_TRUE(arr.rehome(1));
+    }
+    for (std::uint32_t l = 0; l < kLocales; ++l) {
+      EXPECT_EQ(grace_counts_at(arr, l) - before[l], expect)
+          << "op " << op << " locale " << l;
+    }
+    EXPECT_EQ(qsbr.stats().defers - defers_before, defers[op]) << "op " << op;
+    ++op;
+  }
+  qsbr.flush_unsafe();
 }

@@ -236,11 +236,3 @@ TEST(CostModel, OverrideRestores) {
   }
   EXPECT_DOUBLE_EQ(sim::CostModel::get().remote_get_ns, before);
 }
-
-TEST(CostModel, LoadEnvPicksUpOverride) {
-  sim::CostModelOverride save;
-  setenv("RCUA_COST_REMOTE_GET_NS", "12345", 1);
-  sim::CostModel::mutable_instance().load_env();
-  EXPECT_DOUBLE_EQ(sim::CostModel::get().remote_get_ns, 12345.0);
-  unsetenv("RCUA_COST_REMOTE_GET_NS");
-}

@@ -1,4 +1,4 @@
-// Unit tests for src/util: env parsing, statistics, tables, histograms.
+// Unit tests for src/util: env parsing, statistics, tables.
 
 #include <gtest/gtest.h>
 
@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "util/env.hpp"
-#include "util/histogram.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
 
@@ -32,12 +31,6 @@ TEST(Env, U64ParsesAndFallsBack) {
 TEST(Env, U64FallsBackOnGarbage) {
   EnvGuard g("RCUA_TEST_U64", "not-a-number");
   EXPECT_EQ(util::env_u64("RCUA_TEST_U64", 9), 9u);
-}
-
-TEST(Env, F64Parses) {
-  EnvGuard g("RCUA_TEST_F64", "2.5");
-  EXPECT_DOUBLE_EQ(util::env_f64("RCUA_TEST_F64", 1.0), 2.5);
-  EXPECT_DOUBLE_EQ(util::env_f64("RCUA_TEST_F64_UNSET", 1.5), 1.5);
 }
 
 TEST(Env, BoolAcceptsCommonSpellings) {
@@ -116,11 +109,6 @@ TEST(Env, MalformedValuesWarnOncePerVariable) {
   util::env_u64("RCUA_TEST_WARN_TWICE", 1);
   EXPECT_EQ(util::env_parse_warnings(), before + 2)
       << "a distinct variable gets its own warning";
-}
-
-TEST(Env, F64RejectsTrailingGarbage) {
-  EnvGuard g("RCUA_TEST_F64_TRAIL", "2.5x");
-  EXPECT_DOUBLE_EQ(util::env_f64("RCUA_TEST_F64_TRAIL", 1.0), 1.0);
 }
 
 TEST(Env, BoolWarnsOnUnrecognizedToken) {
@@ -217,37 +205,4 @@ TEST(Table, NumFormatting) {
   EXPECT_EQ(util::Table::fixed(1.23456, 2), "1.23");
   // Large numbers go scientific.
   EXPECT_NE(util::Table::num(5.93e8).find("e"), std::string::npos);
-}
-
-TEST(Histogram, RecordsAndCounts) {
-  util::LatencyHistogram h;
-  h.record(10);
-  h.record(100);
-  h.record(1000);
-  EXPECT_EQ(h.count(), 3u);
-  EXPECT_EQ(h.max_ns(), 1000u);
-  EXPECT_NEAR(h.mean_ns(), (10 + 100 + 1000) / 3.0, 1e-9);
-}
-
-TEST(Histogram, QuantileIsMonotone) {
-  util::LatencyHistogram h;
-  for (std::uint64_t i = 1; i <= 1024; ++i) h.record(i);
-  EXPECT_LE(h.quantile_ns(0.1), h.quantile_ns(0.5));
-  EXPECT_LE(h.quantile_ns(0.5), h.quantile_ns(0.99));
-}
-
-TEST(Histogram, MergeAccumulates) {
-  util::LatencyHistogram a, b;
-  a.record(5);
-  b.record(500);
-  a.merge(b);
-  EXPECT_EQ(a.count(), 2u);
-  EXPECT_EQ(a.max_ns(), 500u);
-}
-
-TEST(Histogram, RenderShowsBuckets) {
-  util::LatencyHistogram h;
-  EXPECT_NE(h.render().find("empty"), std::string::npos);
-  h.record(64);
-  EXPECT_NE(h.render().find("#"), std::string::npos);
 }

@@ -1,20 +1,12 @@
-// Tests for the workload generators (uniform / sequential / Zipfian) and
-// the observability reports.
+// Tests for the workload generators (uniform / sequential / Zipfian).
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <map>
 #include <vector>
 
-#include "reclaim/hazard.hpp"
-#include "reclaim/qsbr.hpp"
-#include "runtime/cluster.hpp"
-#include "util/report.hpp"
 #include "util/workload.hpp"
 
 namespace util = rcua::util;
-namespace rt = rcua::rt;
 
 TEST(Workload, UniformStaysInRange) {
   util::UniformGenerator gen(100, 42);
@@ -79,42 +71,4 @@ TEST(Workload, ZipfDeterministicPerSeed) {
     if (va != c.next()) diverged = true;
   }
   EXPECT_TRUE(diverged);
-}
-
-TEST(Report, CommTableListsAllLocales) {
-  rt::Cluster cluster({.num_locales = 3, .workers_per_locale = 1});
-  cluster.comm().record_access(0, 1, false);
-  cluster.comm().record_access(2, 1, true);
-  const std::string out = util::Report::comm(cluster);
-  EXPECT_NE(out.find("total"), std::string::npos);
-  EXPECT_NE(out.find("gets"), std::string::npos);
-  // 3 locales + header + rule + total row.
-  EXPECT_GE(std::count(out.begin(), out.end(), '\n'), 5);
-}
-
-TEST(Report, MemoryTableReflectsAccounting) {
-  rt::Cluster cluster({.num_locales = 2, .workers_per_locale = 1});
-  cluster.locale(1).note_alloc(4096);
-  const std::string out = util::Report::memory(cluster);
-  EXPECT_NE(out.find("4096"), std::string::npos);
-}
-
-TEST(Report, QsbrSummaryHasCounters) {
-  rt::ThreadRegistry registry;
-  rcua::reclaim::Qsbr qsbr(registry);
-  qsbr.defer_delete(new int(0));
-  qsbr.checkpoint();
-  const std::string out = util::Report::qsbr(qsbr);
-  EXPECT_NE(out.find("defers=1"), std::string::npos);
-  EXPECT_NE(out.find("reclaimed=1"), std::string::npos);
-  EXPECT_NE(out.find("pending=0"), std::string::npos);
-}
-
-TEST(Report, HazardSummaryHasCounters) {
-  rcua::reclaim::HazardDomain dom;
-  dom.set_retire_threshold(100);
-  dom.retire(new int(1));
-  const std::string out = util::Report::hazard(dom);
-  EXPECT_NE(out.find("retired=1"), std::string::npos);
-  dom.flush_unsafe();
 }
