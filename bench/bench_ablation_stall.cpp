@@ -107,7 +107,7 @@ CellResult run_cell(std::uint64_t deadline_ns, std::uint64_t stall_ns,
   // With every reader gone the parity columns are empty: one flush must
   // return the overflow list (and the monitor's byte count) to zero.
   arr.reclaim_overflow();
-  out.leftover_bytes = arr.overflow_pending_bytes();
+  out.leftover_bytes = arr.reclaim_pending_bytes();
   return out;
 }
 

@@ -605,6 +605,9 @@ class RCUArray {
     const T& operator[](std::size_t i) const {
       const std::size_t bidx = i / arr_.block_size_;
       const std::size_t off = i % arr_.block_size_;
+      if (bidx >= snapshot_->num_blocks()) {
+        throw_index_out_of_range(i, snapshot_->capacity());
+      }
       Block<T>* b = snapshot_->block(bidx);
       const std::uint32_t here = arr_.cluster_.here();
       arr_.cluster_.comm().record_access(here, b->owner(), false);
@@ -796,8 +799,10 @@ class RCUArray {
   /// Locale owning the block that holds element `i`.
   [[nodiscard]] std::uint32_t block_owner(std::size_t i) const {
     const std::size_t bidx = i / block_size_;
-    return with_snapshot(
-        [&](const Snapshot<T>& s) { return s.block(bidx)->owner(); });
+    return with_snapshot([&](const Snapshot<T>& s) {
+      if (bidx >= s.num_blocks()) throw_index_out_of_range(i, s.capacity());
+      return s.block(bidx)->owner();
+    });
   }
 
   [[nodiscard]] std::size_t block_size() const noexcept { return block_size_; }
@@ -846,15 +851,6 @@ class RCUArray {
   [[nodiscard]] std::uint64_t stalled_spines() const noexcept {
     return stalled_spines_.load(std::memory_order_relaxed);
   }
-  /// Bytes currently parked on EBR overflow lists across all locales.
-  [[nodiscard]] std::size_t overflow_pending_bytes() const {
-    return sum_locales([](const auto& r) { return r.overflow().bytes; });
-  }
-  /// Spines currently parked on EBR overflow lists across all locales.
-  [[nodiscard]] std::size_t overflow_pending_objects() const {
-    return sum_locales([](const auto& r) { return r.overflow().objects; });
-  }
-
   /// Retired-but-unreclaimed spine bytes across all locales, whatever
   /// list they live on: EBR overflow lists, or the (bounded) era retire
   /// lists of the interval policies. QSBR deferral is process-global and

@@ -18,9 +18,9 @@
 namespace rcua::obs::health {
 
 /// Grace-period duration: how long writers waited for readers, from
-/// EBR wait_for_readers / try_wait_for_readers, Qsbr::try_synchronize
-/// and call_rcu's helper drain. Timed-out waits record the full
-/// deadline — the tail of this histogram is the stalled-reader signal.
+/// EBR wait_for_readers / try_wait_for_readers and the era reclaimers'
+/// wait_for_readers. Timed-out waits record the full deadline — the
+/// tail of this histogram is the stalled-reader signal.
 inline Histogram& grace_ns() {
   static Histogram& h = Registry::global().histogram("rcua.rcu.grace_ns");
   return h;

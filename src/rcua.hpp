@@ -23,7 +23,6 @@
 #include "containers/dist_hash_map.hpp"
 #include "containers/dist_id_table.hpp"
 #include "containers/dist_vector.hpp"
-#include "containers/rcu_list.hpp"
 #include "core/dsi.hpp"
 #include "core/rcu_array.hpp"
 #include "core/rcu_cell.hpp"
@@ -34,7 +33,6 @@
 #include "platform/spinlock.hpp"
 #include "platform/timing.hpp"
 #include "platform/topology.hpp"
-#include "reclaim/call_rcu.hpp"
 #include "reclaim/ebr.hpp"
 #include "reclaim/hazard.hpp"
 #include "reclaim/qsbr.hpp"

@@ -144,9 +144,8 @@ class BasicEbr {
   /// phase 1 after the increment, before verification (line 13). Tests
   /// install a hook that advances the epoch at exactly these points to
   /// exercise the retry path (line 17) deterministically; production code
-  /// leaves it null (one predicted-not-taken branch per site). Both
-  /// `read()` and `ReadGuard` enter through the same `announce()` helper,
-  /// so the hook fires identically on either path.
+  /// leaves it null (one predicted-not-taken branch per site). `read()`
+  /// is a `ReadGuard` scope, so the hook fires identically on either.
   using ReadHook = void (*)(BasicEbr&, int phase);
   ReadHook test_read_hook = nullptr;
 
@@ -160,31 +159,17 @@ class BasicEbr {
   /// its result. `fn` may return a reference; per the paper's relaxation
   /// (§III-C) the reference may outlive the critical section *provided*
   /// the protected structure recycles the referenced memory across
-  /// snapshots (RCUArray's blocks do; the snapshot spine does not).
+  /// snapshots (RCUArray's blocks do; the snapshot spine does not). The
+  /// section is a ReadGuard, so it also ends if `fn` throws.
   template <typename F>
   decltype(auto) read(F&& fn) {
-    const std::size_t slot = announce();
-    obs::trace_event("rcu.read_section", "rcu", 'B');
-    const std::uint64_t dwell_start = dwell_clock_if_enabled();
-    if constexpr (std::is_void_v<decltype(fn())>) {
-      std::forward<F>(fn)();
-      RCUA_SCHED_POINT("ebr.read.leave");
-      note_section_end(dwell_start);
-      retract(slot);
-      return;
-    } else {
-      decltype(auto) result = std::forward<F>(fn)();
-      RCUA_SCHED_POINT("ebr.read.leave");
-      note_section_end(dwell_start);
-      retract(slot);
-      return result;
-    }
+    ReadGuard guard(*this);
+    return std::forward<F>(fn)();
   }
 
-  /// RAII read-side critical section for code that wants to hold the
-  /// section open across several statements. Enters through the same
-  /// announce() loop as read(), so hooks, schedule points and stats fire
-  /// identically on both paths.
+  /// RAII read-side critical section: announces on construction and
+  /// retracts on destruction, unwinding included. The one read path;
+  /// read() is a guard scope around its λ.
   class ReadGuard {
    public:
     explicit ReadGuard(BasicEbr& ebr) : ebr_(ebr), slot_(ebr.announce()) {
@@ -422,9 +407,8 @@ class BasicEbr {
     return plat::stripe_index(stripes_);
   }
 
-  /// The read-side entry loop shared by read() and ReadGuard (lines
-  /// 10-13 + the undo/retry of line 17). Returns the bank slot index the
-  /// caller must retract() from when leaving the critical section.
+  /// ReadGuard's entry loop (lines 10-13 + the undo/retry of line 17).
+  /// Returns the bank slot index the guard retracts from when it ends.
   std::size_t announce() {
     for (;;) {
       // Attempt to record our read (lines 10-12).

@@ -86,8 +86,6 @@
 #include "platform/spinlock.hpp"
 #include "platform/timing.hpp"
 #include "platform/topology.hpp"
-#include "reclaim/ebr.hpp"  // DrainResult (shared drain-wait shape)
-#include "reclaim/stall_monitor.hpp"
 #include "sim/cost_model.hpp"
 #include "sim/resource.hpp"
 #include "sim/task_clock.hpp"
@@ -425,15 +423,6 @@ class BasicEraReclaimer {
     return n;
   }
 
-  /// First slot holding a reservation below `fence` (SIZE_MAX = none).
-  [[nodiscard]] std::size_t scan_stalled_slot(std::uint64_t fence) const
-      noexcept {
-    for (std::size_t s = 0; s < nslots_; ++s) {
-      if (entry_era(s) < fence) return s;
-    }
-    return SIZE_MAX;
-  }
-
   /// Blocks until no reservation predates `fence` (mint the fence with
   /// advance_era() AFTER unpublishing). Used by RCUArray::resize_remove,
   /// whose dropped blocks are shared across locales and therefore cannot
@@ -449,28 +438,6 @@ class BasicEraReclaimer {
     }
     sim::charge(sim::CostModel::get().epoch_drain_ns);
     obs::health::grace_ns().record(scan_clock_ns() - t0);
-  }
-
-  /// Deadline-bounded fence wait, same policy machinery as EBR's
-  /// try_wait_for_readers. Era retirement itself never needs this (the
-  /// retire path is wait-free with respect to readers); it exists for
-  /// callers that want a bounded version of the resize_remove fence.
-  DrainResult try_wait_for_readers(std::uint64_t fence,
-                                   const StallPolicy& policy) noexcept {
-    DrainResult result;
-    obs::TraceSpan span("rcu.drain_wait", "rcu");
-    const std::uint64_t start = plat::now_ns();
-    result.drained = wait_with_policy("era.try_wait_for_readers", policy,
-                                      [&] { return readers_below(fence) == 0; });
-    result.waited_ns = plat::now_ns() - start;
-    obs::health::grace_ns().record(result.waited_ns);
-    if (result.drained) {
-      sim::charge(sim::CostModel::get().epoch_drain_ns);
-      return result;
-    }
-    result.stuck_readers = readers_below(fence);
-    result.stuck_stripe = scan_stalled_slot(fence);
-    return result;
   }
 
   /// Frees the whole retire list unconditionally. ONLY safe under

@@ -100,7 +100,6 @@ class QsbrDomain {
   void flush(const RetireSite&) noexcept {}
   void flush_unsafe(const RetireSite&) noexcept {}
   [[nodiscard]] Pending pending() const noexcept { return {}; }
-  [[nodiscard]] Pending overflow() const noexcept { return {}; }
   /// No reader bank: every count is zero.
   [[nodiscard]] Ebr::Stats stats() const noexcept { return {}; }
 
@@ -228,7 +227,6 @@ class EbrDomain {
   [[nodiscard]] Pending pending() const noexcept {
     return {overflow_.pending_objects(), overflow_.pending_bytes()};
   }
-  [[nodiscard]] Pending overflow() const noexcept { return pending(); }
   [[nodiscard]] typename E::Stats stats() const noexcept {
     return ebr_.stats();
   }
@@ -344,7 +342,6 @@ class EraDomain {
   [[nodiscard]] Pending pending() const noexcept {
     return {era_.pending_objects(), era_.pending_bytes()};
   }
-  [[nodiscard]] Pending overflow() const noexcept { return {}; }
   [[nodiscard]] typename E::Stats stats() const noexcept {
     return era_.stats();
   }

@@ -38,14 +38,6 @@ std::string StallDiagnostic::describe() const {
                                        : static_cast<std::ptrdiff_t>(stripe),
                     stuck_readers, epoch, waited_ns);
       break;
-    case Kind::kQsbrLaggard:
-      std::snprintf(buf, sizeof(buf),
-                    "rcua: QSBR stall: domain %p has %" PRIu64
-                    " laggard(s); thread %p observed epoch %" PRIu64
-                    " < target %" PRIu64 " after %" PRIu64 " ns",
-                    domain, laggards, thread, thread_observed, epoch,
-                    waited_ns);
-      break;
     case Kind::kOverflowBudget:
       std::snprintf(buf, sizeof(buf),
                     "rcua: overflow budget: domain %p locale %d pending "

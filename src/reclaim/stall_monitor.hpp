@@ -95,11 +95,11 @@ bool wait_with_policy(const char* site, const StallPolicy& policy,
 /// for how long, at what epoch. Emitted to the owning StallMonitor's sink
 /// (stderr by default) and kept as `last()` for programmatic inspection.
 struct StallDiagnostic {
+  /// record_stall writes the value into the trace, so values never
+  /// change (1 is retired).
   enum class Kind : int {
     /// An EBR old-parity column refused to drain before the deadline.
     kEbrReader = 0,
-    /// A QSBR participant has not observed the target StateEpoch.
-    kQsbrLaggard = 1,
     /// The overflow retire list exceeded its byte budget.
     kOverflowBudget = 2,
     /// An era reservation (IBR / hazard eras) trails the era clock far
@@ -111,21 +111,16 @@ struct StallDiagnostic {
   };
 
   Kind kind = Kind::kEbrReader;
-  /// The reclamation domain instance (Ebr / Qsbr) that stalled.
+  /// The reclamation domain instance (Ebr / era reclaimer) that stalled.
   const void* domain = nullptr;
   /// Locale the stall was observed on; UINT32_MAX when not locale-bound.
   std::uint32_t locale = UINT32_MAX;
-  /// Epoch being drained (EBR: the pre-bump epoch; QSBR: target epoch).
+  /// EBR: the pre-bump epoch being drained; eras: the era clock.
   std::uint64_t epoch = 0;
   /// EBR: first stripe with a non-zero old-parity count (SIZE_MAX = n/a).
   std::size_t stripe = SIZE_MAX;
   /// EBR: old-parity column sum at deadline expiry.
   std::uint64_t stuck_readers = 0;
-  /// QSBR: the first laggard's ThreadRecord and its observed epoch.
-  const void* thread = nullptr;
-  std::uint64_t thread_observed = 0;
-  /// QSBR: how many laggards gate the minimum.
-  std::uint64_t laggards = 0;
   /// How long the waiter spun before giving up.
   std::uint64_t waited_ns = 0;
   /// Overflow-budget escalations: bytes pending vs the configured budget.
@@ -136,7 +131,7 @@ struct StallDiagnostic {
   /// the blocked-pending bytes).
   std::uint64_t era_lag = 0;
 
-  /// One-line human-readable rendering ("which stripe/thread is stuck,
+  /// One-line human-readable rendering ("which stripe/slot is stuck,
   /// for how long, at what epoch").
   [[nodiscard]] std::string describe() const;
 };

@@ -97,7 +97,7 @@ TEST(Chaos, StalledReaderAndKilledWorkerDoNotHangResize) {
 
   // The stalled locale deferred its spine instead of freeing it.
   EXPECT_GE(arr.stalled_spines(), 1u);
-  EXPECT_GE(arr.overflow_pending_objects(), 1u);
+  EXPECT_GE(arr.reclaim_pending_objects(), 1u);
   EXPECT_GE(monitor.stalls(), 1u);
   EXPECT_LE(monitor.peak_overflow_bytes(), monitor.budget_bytes());
 
@@ -120,8 +120,8 @@ TEST(Chaos, StalledReaderAndKilledWorkerDoNotHangResize) {
   reader.join();
   // With the reader evacuated, the deferred spines reclaim on demand.
   arr.reclaim_overflow();
-  EXPECT_EQ(arr.overflow_pending_objects(), 0u);
-  EXPECT_EQ(arr.overflow_pending_bytes(), 0u);
+  EXPECT_EQ(arr.reclaim_pending_objects(), 0u);
+  EXPECT_EQ(arr.reclaim_pending_bytes(), 0u);
   EXPECT_EQ(monitor.overflow_bytes(), 0u);
 
   // No data was lost across the chaos.
@@ -285,7 +285,7 @@ TEST(Chaos, BudgetBreachFallsBackToBlockingDrain) {
 
   EXPECT_GE(monitor.escalations(), 1u);
   EXPECT_EQ(arr.stalled_spines(), 0u);
-  EXPECT_EQ(arr.overflow_pending_objects(), 0u);
+  EXPECT_EQ(arr.reclaim_pending_objects(), 0u);
   EXPECT_EQ(monitor.overflow_bytes(), 0u);
   cluster.set_fault_plan(nullptr);
 }

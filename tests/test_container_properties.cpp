@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <tuple>
 
 #include "containers/dist_bitset.hpp"
@@ -56,8 +57,11 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(std::size_t{8}, std::size_t{64},
                                          std::size_t{512})),
     [](const auto& info) {
-      return "b" + std::to_string(std::get<0>(info.param)) + "_bs" +
-             std::to_string(std::get<1>(info.param));
+      std::string name = "b";
+      name += std::to_string(std::get<0>(info.param));
+      name += "_bs";
+      name += std::to_string(std::get<1>(info.param));
+      return name;
     });
 
 // ---------------------------------------------------------------------
@@ -85,7 +89,9 @@ INSTANTIATE_TEST_SUITE_P(Sweep, VectorBlocks,
                                            std::size_t{32}, std::size_t{256},
                                            std::size_t{1024}),
                          [](const auto& info) {
-                           return "bs" + std::to_string(info.param);
+                           std::string name = "bs";
+                           name += std::to_string(info.param);
+                           return name;
                          });
 
 // ---------------------------------------------------------------------
@@ -116,7 +122,9 @@ INSTANTIATE_TEST_SUITE_P(Sweep, HazardThreshold,
                                            std::size_t{16}, std::size_t{99},
                                            std::size_t{1000}),
                          [](const auto& info) {
-                           return "t" + std::to_string(info.param);
+                           std::string name = "t";
+                           name += std::to_string(info.param);
+                           return name;
                          });
 
 // ---------------------------------------------------------------------
@@ -144,5 +152,7 @@ INSTANTIATE_TEST_SUITE_P(Sweep, BitsetBlocks,
                          ::testing::Values(std::size_t{1}, std::size_t{2},
                                            std::size_t{8}, std::size_t{64}),
                          [](const auto& info) {
-                           return "w" + std::to_string(info.param);
+                           std::string name = "w";
+                           name += std::to_string(info.param);
+                           return name;
                          });

@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -25,6 +26,20 @@ struct Canary {
 
   ~Canary() { state.store(kDead, std::memory_order_relaxed); }
 };
+
+/// 100 reads, then one whose λ throws: every announcement is retracted.
+template <typename E>
+void expect_reads_balance() {
+  E ebr;
+  for (int i = 0; i < 100; ++i) ebr.read([] { return 0; });
+  const auto throwing = []() -> int { throw std::runtime_error("fn"); };
+  EXPECT_THROW(ebr.read(throwing), std::runtime_error);
+  EXPECT_EQ(ebr.readers_at(0), 0u);
+  EXPECT_EQ(ebr.readers_at(1), 0u);
+  if constexpr (E::kStatsEnabled) {
+    EXPECT_EQ(ebr.stats().reads, 101u);
+  }
+}
 
 }  // namespace
 
@@ -48,13 +63,8 @@ TEST(Ebr, ReadReturnsReferences) {
 }
 
 TEST(Ebr, CountersBalanceAfterReads) {
-  reclaim::Ebr ebr;
-  for (int i = 0; i < 100; ++i) ebr.read([] { return 0; });
-  EXPECT_EQ(ebr.readers_at(0), 0u);
-  EXPECT_EQ(ebr.readers_at(1), 0u);
-  if constexpr (reclaim::Ebr::kStatsEnabled) {
-    EXPECT_EQ(ebr.stats().reads, 100u);
-  }
+  expect_reads_balance<reclaim::Ebr>();
+  expect_reads_balance<reclaim::LegacyEbr>();
 }
 
 TEST(Ebr, GuardRecordsOnCurrentParity) {

@@ -231,44 +231,6 @@ TEST(FaultInjection, ParkWhileAnnouncedStallsTheDrainAndIsDiagnosed) {
   SUCCEED();
 }
 
-TEST(FaultInjection, CheckpointNeverReachedTimesOutNamingTheLaggard) {
-  // The "checkpoint-never-reached" stall window, on an isolated registry
-  // so only this test's threads participate: a thread that defers (and
-  // so observed an old state) but never checkpoints again gates every
-  // try_synchronize until it does.
-  rcua::rt::ThreadRegistry registry;
-  reclaim::Qsbr qsbr(registry);
-
-  std::atomic<bool> entered{false};
-  std::atomic<bool> release{false};
-  std::thread laggard([&] {
-    qsbr.ensure_participant();
-    entered.store(true);
-    while (!release.load()) std::this_thread::yield();
-    qsbr.checkpoint();  // the checkpoint that finally unblocks the world
-  });
-  while (!entered.load()) std::this_thread::yield();
-
-  reclaim::StallPolicy policy;
-  policy.deadline_ns = 500 * 1000;  // 0.5 ms
-  policy.park_ns = 20 * 1000;
-  const auto first = qsbr.try_synchronize(policy);
-  EXPECT_FALSE(first.quiesced);
-  EXPECT_GE(first.laggards, 1u);
-  ASSERT_NE(first.laggard, nullptr);
-  EXPECT_LT(first.laggard_observed, first.target_epoch);
-
-  // scan_laggards is the watchdog's detection surface: it must agree.
-  const auto report = qsbr.scan_laggards(first.target_epoch);
-  EXPECT_GE(report.count, 1u);
-
-  release.store(true);
-  laggard.join();
-  const auto second = qsbr.try_synchronize(policy);
-  EXPECT_TRUE(second.quiesced)
-      << "the laggard checkpointed (and parked on exit); nothing gates now";
-}
-
 TEST(FaultInjection, GuardAlsoRetriesUnderInjectedRace) {
   // ReadGuard uses the same record/verify protocol; inject through the
   // read() path on a sibling thread to race the guard's construction.

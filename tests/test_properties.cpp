@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <string>
 #include <thread>
 #include <tuple>
 #include <vector>
@@ -60,8 +61,11 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(std::size_t{1}, std::size_t{16},
                                          std::size_t{64}, std::size_t{1000})),
     [](const auto& info) {
-      return "L" + std::to_string(std::get<0>(info.param)) + "_B" +
-             std::to_string(std::get<1>(info.param));
+      std::string name = "L";
+      name += std::to_string(std::get<0>(info.param));
+      name += "_B";
+      name += std::to_string(std::get<1>(info.param));
+      return name;
     });
 
 // ---------------------------------------------------------------------
@@ -160,7 +164,9 @@ TEST_P(CheckpointCadence, AllDeferredEventuallyFreedNeverEarly) {
 INSTANTIATE_TEST_SUITE_P(Sweep, CheckpointCadence,
                          ::testing::Values(0, 1, 2, 7, 16, 63),
                          [](const auto& info) {
-                           return "every" + std::to_string(info.param);
+                           std::string name = "every";
+                           name += std::to_string(info.param);
+                           return name;
                          });
 
 // ---------------------------------------------------------------------
@@ -200,7 +206,9 @@ INSTANTIATE_TEST_SUITE_P(Sweep, ResizeIncrements,
                                            std::size_t{32}, std::size_t{33},
                                            std::size_t{100}, std::size_t{512}),
                          [](const auto& info) {
-                           return "inc" + std::to_string(info.param);
+                           std::string name = "inc";
+                           name += std::to_string(info.param);
+                           return name;
                          });
 
 // ---------------------------------------------------------------------
@@ -236,5 +244,7 @@ TEST_P(EbrReaderCount, BalancedUnderNThreads) {
 
 INSTANTIATE_TEST_SUITE_P(Sweep, EbrReaderCount, ::testing::Values(1, 2, 4, 8),
                          [](const auto& info) {
-                           return "threads" + std::to_string(info.param);
+                           std::string name = "threads";
+                           name += std::to_string(info.param);
+                           return name;
                          });

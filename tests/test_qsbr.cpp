@@ -8,6 +8,7 @@
 #include <thread>
 #include <vector>
 
+#include "obs/health.hpp"
 #include "reclaim/qsbr.hpp"
 
 namespace reclaim = rcua::reclaim;
@@ -84,8 +85,11 @@ TEST(Qsbr, LaggingThreadGatesReclamation) {
   while (!participated.load()) std::this_thread::yield();
 
   qsbr.defer_delete(new Counted);  // newer epoch than the lagger observed
+  rcua::obs::health::epoch_lag().reset();
   qsbr.checkpoint();
   EXPECT_EQ(destroyed.load(), 0) << "reclaimed while a thread lagged";
+  EXPECT_GE(rcua::obs::health::epoch_lag().value(), 1u)
+      << "the laggard must show in the epoch-lag gauge";
 
   do_checkpoint.store(true);
   lagger.join();

@@ -299,6 +299,12 @@ TYPED_TEST(RcuArrayAllPolicies, OutOfRangeElementOpsThrowAndLeaveNoSection) {
     EXPECT_THROW((void)arr.read(cap), std::out_of_range) << cache;
     EXPECT_THROW(arr.write(cap, 1), std::out_of_range) << cache;
     EXPECT_THROW((void)arr.at(cap), std::out_of_range) << cache;
+    EXPECT_THROW((void)arr.block_owner(cap), std::out_of_range) << cache;
+    {
+      // The view keeps its section after the throw; it ends with the view.
+      auto view = arr.view();
+      EXPECT_THROW((void)view[cap], std::out_of_range) << cache;
+    }
     arr.resize_add(64);
     arr.reclaim_overflow();
     EXPECT_EQ(arr.reclaim_pending_objects(), 0u) << cache;

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -42,6 +43,18 @@ TEST(RcuCell, ReadPassesConstReference) {
     return s;
   });
   EXPECT_EQ(sum, 6);
+}
+
+TEST(RcuCell, ThrowingReadEndsItsSection) {
+  // A leaked announcement would make the next update's drain wait forever.
+  RcuCell<int> cell(1);
+  const auto throwing = [](const int&) -> int {
+    throw std::runtime_error("fn");
+  };
+  EXPECT_THROW(cell.read(throwing), std::runtime_error);
+  ASSERT_EQ(cell.ebr().readers_at(0) + cell.ebr().readers_at(1), 0u);
+  cell.store(2);
+  EXPECT_EQ(cell.load(), 2);
 }
 
 TEST(RcuCell, UpdatesAdvanceEpoch) {

@@ -10,9 +10,7 @@
 #include <vector>
 
 #include "reclaim/ebr.hpp"
-#include "reclaim/qsbr.hpp"
 #include "reclaim/stall_monitor.hpp"
-#include "runtime/thread_registry.hpp"
 
 namespace reclaim = rcua::reclaim;
 
@@ -131,7 +129,7 @@ TEST(StallMonitor, NullSinkSilencesButStillCounts) {
   reclaim::StallMonitor monitor(/*budget_bytes=*/0);
   monitor.set_sink(nullptr);
   reclaim::StallDiagnostic diag;
-  diag.kind = reclaim::StallDiagnostic::Kind::kQsbrLaggard;
+  diag.kind = reclaim::StallDiagnostic::Kind::kEraReservation;
   diag.epoch = 5;
   monitor.record_stall(diag);
   EXPECT_EQ(monitor.stalls(), 1u);
@@ -161,19 +159,6 @@ TEST(StallMonitor, DescribeNamesStripeEpochAndDuration) {
   EXPECT_NE(s.find("stripe 5"), std::string::npos) << s;
   EXPECT_NE(s.find("42"), std::string::npos) << s;
   EXPECT_NE(s.find("7000"), std::string::npos) << s;
-}
-
-TEST(StallMonitor, DescribeQsbrLaggardNamesThread) {
-  reclaim::StallDiagnostic diag;
-  diag.kind = reclaim::StallDiagnostic::Kind::kQsbrLaggard;
-  int dummy = 0;
-  diag.thread = &dummy;
-  diag.thread_observed = 9;
-  diag.epoch = 11;
-  diag.laggards = 1;
-  const std::string s = diag.describe();
-  EXPECT_NE(s.find("laggard"), std::string::npos) << s;
-  EXPECT_NE(s.find("11"), std::string::npos) << s;
 }
 
 TEST(StallMonitor, BudgetAccounting) {
@@ -316,33 +301,4 @@ TEST(Ebr, TryWaitForReadersDrainsWhenClear) {
   const reclaim::DrainResult r = ebr.try_wait_for_readers(old_epoch, policy);
   EXPECT_TRUE(r.drained);
   EXPECT_EQ(r.stuck_stripe, SIZE_MAX);
-}
-
-TEST(Qsbr, TrySynchronizeTimesOutOnLaggard) {
-  rcua::rt::ThreadRegistry registry;  // isolated: other tests' threads
-                                      // must not gate this domain
-  reclaim::Qsbr qsbr(registry);
-  std::atomic<bool> entered{false};
-  std::atomic<bool> release{false};
-  std::thread laggard([&] {
-    qsbr.ensure_participant();
-    entered.store(true);
-    while (!release.load()) std::this_thread::yield();
-    qsbr.checkpoint();
-  });
-  while (!entered.load()) std::this_thread::yield();
-
-  reclaim::StallPolicy policy;
-  policy.deadline_ns = 500 * 1000;  // 0.5 ms
-  policy.park_ns = 10 * 1000;
-  const auto r = qsbr.try_synchronize(policy);
-  EXPECT_FALSE(r.quiesced);
-  EXPECT_GE(r.laggards, 1u);
-  EXPECT_NE(r.laggard, nullptr);
-  EXPECT_LT(r.laggard_observed, r.target_epoch);
-
-  release.store(true);
-  laggard.join();
-  qsbr.synchronize();  // blocking: completes once the laggard checkpointed
-  SUCCEED();
 }
