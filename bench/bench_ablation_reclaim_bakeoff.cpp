@@ -109,8 +109,7 @@ CellResult run_cell(std::uint64_t stall_ns, double stall_prob,
   rt::FaultPlan plan(p.seed);  // outlives the cluster's workers
   rt::Cluster cluster({.num_locales = 1, .workers_per_locale = 2});
 
-  reclaim::StallMonitor monitor(/*budget_bytes=*/0,
-                                reclaim::StallMonitor::Escalation::kWarn);
+  reclaim::StallMonitor monitor(/*budget_bytes=*/0);
   monitor.set_sink(nullptr);  // silent: the table reports totals
 
   std::optional<rt::ThreadRegistry> registry;
@@ -119,7 +118,6 @@ CellResult run_cell(std::uint64_t stall_ns, double stall_prob,
   typename Array::Options opts;
   opts.block_size = p.block_size;
   opts.stall_policy.deadline_ns = 100 * 1000;  // defer, never block
-  opts.stall_policy.park_ns = 20 * 1000;
   opts.stall_monitor = &monitor;
   if constexpr (Array::uses_qsbr) {
     registry.emplace();
@@ -222,8 +220,7 @@ bool run_counters(const char* tag) {
   using Array = rcua::RCUArray<std::uint64_t, Policy>;
   rt::Cluster cluster({.num_locales = 1, .workers_per_locale = 1});
 
-  reclaim::StallMonitor monitor(/*budget_bytes=*/0,
-                                reclaim::StallMonitor::Escalation::kWarn);
+  reclaim::StallMonitor monitor(/*budget_bytes=*/0);
   monitor.set_sink(nullptr);
 
   std::optional<rt::ThreadRegistry> registry;
@@ -233,9 +230,6 @@ bool run_counters(const char* tag) {
   opts.block_size = 64;
   // Parked view: every EBR drain must time out deterministically.
   opts.stall_policy.deadline_ns = 1;
-  opts.stall_policy.spin_iters = 1;
-  opts.stall_policy.yield_iters = 1;
-  opts.stall_policy.park_ns = 1000;
   opts.stall_monitor = &monitor;
   if constexpr (Array::uses_qsbr) {
     registry.emplace();

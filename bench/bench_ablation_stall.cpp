@@ -52,15 +52,13 @@ CellResult run_cell(std::uint64_t deadline_ns, std::uint64_t stall_ns,
   rt::FaultPlan plan(p.seed);  // outlives the cluster's workers
   rt::Cluster cluster({.num_locales = 1, .workers_per_locale = 2});
 
-  reclaim::StallMonitor monitor(/*budget_bytes=*/0,
-                                reclaim::StallMonitor::Escalation::kWarn);
+  reclaim::StallMonitor monitor(/*budget_bytes=*/0);
   monitor.set_sink(nullptr);  // silent: the table reports totals
 
   using Array = rcua::RCUArray<std::uint64_t, rcua::EbrPolicy>;
   Array::Options opts;
   opts.block_size = p.block_size;
   opts.stall_policy.deadline_ns = deadline_ns;
-  opts.stall_policy.park_ns = 20 * 1000;
   opts.stall_monitor = &monitor;
   Array arr(cluster, p.block_size, opts);
 

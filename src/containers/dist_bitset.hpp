@@ -47,10 +47,8 @@ class DistBitset {
   /// previous value. Waits out the replication gap if this locale's
   /// replica lags the growth that created the word.
   bool clear(std::size_t i) {
-    if (words_.capacity() <= i / 64) {
-      plat::Backoff backoff(4);
-      while (words_.capacity() <= i / 64) backoff.pause();
-    }
+    plat::wait_until("dist_bitset.replicated",
+                     [&] { return words_.capacity() > i / 64; });
     const std::uint64_t mask = 1ULL << (i % 64);
     const std::uint64_t old = words_.index(i / 64).fetch_and(
         ~mask, std::memory_order_acq_rel);

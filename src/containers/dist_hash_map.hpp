@@ -229,10 +229,8 @@ class DistHashMap {
   /// our replica catches up is a bounded coherence wait — the resize
   /// finished replicating before the slot became linkable.
   Slot& slot_at(std::size_t idx) {
-    if (slots_.capacity() <= idx) {
-      plat::Backoff backoff(4);
-      while (slots_.capacity() <= idx) backoff.pause();
-    }
+    plat::wait_until("dist_hash_map.replicated",
+                     [&] { return slots_.capacity() > idx; });
     return slots_.index(idx);
   }
 

@@ -71,10 +71,7 @@ class DistIdTable {
   /// which rehome's reclamation does not cover (use read() for lookups
   /// that may race a migration).
   V& get(std::size_t id) {
-    if (arr_.capacity() <= id) {
-      plat::Backoff backoff(4);
-      while (arr_.capacity() <= id) backoff.pause();
-    }
+    wait_replicated(id);
     return arr_.index(id);
   }
 
@@ -83,10 +80,7 @@ class DistIdTable {
   /// with shard remaps AND live migrations (rehome reclaims replaced
   /// blocks; escaped references don't survive that, values do).
   V read(std::size_t id) {
-    if (arr_.capacity() <= id) {
-      plat::Backoff backoff(4);
-      while (arr_.capacity() <= id) backoff.pause();
-    }
+    wait_replicated(id);
     return arr_.read(id);
   }
 
@@ -110,6 +104,13 @@ class DistIdTable {
   [[nodiscard]] Backend<V, Policy>& backing() noexcept { return arr_; }
 
  private:
+  /// `id` was handed out after the growth that created it completed;
+  /// wait for this locale's replica to catch up.
+  void wait_replicated(std::size_t id) {
+    plat::wait_until("dist_id_table.replicated",
+                     [&] { return arr_.capacity() > id; });
+  }
+
   void ensure_capacity(std::size_t needed) {
     while (arr_.capacity() < needed) {
       std::lock_guard<std::mutex> guard(grow_mu_);

@@ -39,15 +39,12 @@ class DistVector {
  public:
   struct Options {
     std::size_t block_size = 1024;
-    /// Blocks added per growth step (doubling up to this many blocks).
-    std::size_t max_growth_blocks = 64;
     reclaim::Qsbr* qsbr = nullptr;
   };
 
   explicit DistVector(rt::Cluster& cluster, Options options = {})
       : arr_(cluster, /*initial_capacity=*/options.block_size,
-             {options.block_size, options.qsbr}),
-        max_growth_blocks_(options.max_growth_blocks) {}
+             {options.block_size, options.qsbr}) {}
 
   DistVector(const DistVector&) = delete;
   DistVector& operator=(const DistVector&) = delete;
@@ -142,12 +139,14 @@ class DistVector {
   [[nodiscard]] Backend<T, Policy>& backing() noexcept { return arr_; }
 
  private:
+  /// Blocks added per growth step (doubling up to this many blocks).
+  static constexpr std::size_t kMaxGrowthBlocks = 64;
+
   /// Index `needed-1` was published by another thread, so the resize
   /// that created it already completed; wait for this locale's replica.
   void wait_replicated(std::size_t needed) {
-    if (arr_.capacity() >= needed) return;
-    plat::Backoff backoff(4);
-    while (arr_.capacity() < needed) backoff.pause();
+    plat::wait_until("dist_vector.replicated",
+                     [&] { return arr_.capacity() >= needed; });
   }
 
   void ensure_capacity(std::size_t needed) {
@@ -155,12 +154,12 @@ class DistVector {
       std::lock_guard<std::mutex> guard(grow_mu_);
       const std::size_t cap = arr_.capacity();
       if (cap >= needed) break;
-      // Grow by min(current block count, max_growth_blocks) blocks:
+      // Grow by min(current block count, kMaxGrowthBlocks) blocks:
       // amortized doubling without unbounded resize latency.
       const std::size_t blocks = arr_.num_blocks();
       const std::size_t grow_blocks =
-          blocks < max_growth_blocks_ ? (blocks == 0 ? 1 : blocks)
-                                      : max_growth_blocks_;
+          blocks < kMaxGrowthBlocks ? (blocks == 0 ? 1 : blocks)
+                                    : kMaxGrowthBlocks;
       arr_.resize_add(grow_blocks * arr_.block_size());
     }
   }
@@ -172,7 +171,6 @@ class DistVector {
   /// Published length: every slot below it is fully written.
   plat::CacheAligned<std::atomic<std::size_t>> size_{std::size_t{0}};
   std::mutex grow_mu_;
-  std::size_t max_growth_blocks_;
 };
 
 }  // namespace rcua::cont

@@ -73,19 +73,15 @@ class RCUArray {
     std::size_t block_size = 1024;
     /// QSBR domain; defaults to the process-wide one. Ignored under EBR.
     reclaim::Qsbr* qsbr = nullptr;
-    /// Deadline/backoff for the EBR spine drain in resize. The default
-    /// is env-configured and blocking (deadline 0) — the paper's
-    /// behaviour — unless RCUA_STALL_DEADLINE_NS is set. With a
-    /// deadline, a resize whose readers stall defers the old spine onto
-    /// a per-locale overflow retire list instead of blocking.
+    /// Deadline for the EBR spine drain in resize. The default is
+    /// env-configured and blocking (deadline 0) — the paper's behaviour —
+    /// unless RCUA_STALL_DEADLINE_NS is set. With a deadline, a resize
+    /// whose readers stall defers the old spine onto a per-locale
+    /// overflow retire list instead of blocking.
     reclaim::StallPolicy stall_policy = reclaim::StallPolicy::from_env();
     /// Watchdog receiving stall diagnostics and bounding overflow bytes
     /// (nullptr = the process-wide StallMonitor::global()).
     reclaim::StallMonitor* stall_monitor = nullptr;
-    /// Resize publish attempts that consult the fault plan; past this
-    /// many injected broadcast drops the plan is ignored, so resize_add
-    /// terminates under any plan.
-    std::uint32_t max_publish_attempts = 64;
     /// Sentinel for cache_capacity_bytes: defer to the environment.
     static constexpr std::size_t kCacheCapacityFromEnv =
         static_cast<std::size_t>(-1);
@@ -107,6 +103,10 @@ class RCUArray {
 
   static constexpr bool uses_qsbr = Policy::is_qsbr;
   static constexpr bool uses_interval = Policy::is_interval;
+  /// Resize publish attempts that consult the fault plan; past this many
+  /// injected broadcast drops the plan is ignored, so resize_add
+  /// terminates under any plan.
+  static constexpr std::uint32_t kMaxPublishAttempts = 64;
 
   RCUArray(rt::Cluster& cluster, std::size_t initial_capacity = 0,
            Options options = {})
@@ -116,7 +116,6 @@ class RCUArray {
         monitor_(options.stall_monitor != nullptr
                      ? options.stall_monitor
                      : &reclaim::StallMonitor::global()),
-        max_publish_attempts_(options.max_publish_attempts),
         cache_capacity_(options.cache_capacity_bytes ==
                                 Options::kCacheCapacityFromEnv
                             ? rt::BlockCache::capacity_from_env()
@@ -271,7 +270,7 @@ class RCUArray {
     // injected broadcast faults: a locale whose swap step the fault plan
     // drops is re-broadcast with backoff until every locale has
     // published. `done` makes the per-locale body idempotent across
-    // attempts, and after max_publish_attempts_ the plan is no longer
+    // attempts, and after kMaxPublishAttempts the plan is no longer
     // consulted, so resize_add terminates under any plan.
     std::vector<std::atomic<bool>> done(cluster_.num_locales());
     std::uint32_t attempt = 0;
@@ -280,7 +279,7 @@ class RCUArray {
       cluster_.coforall_locales([&](std::uint32_t l) {
         if (done[l].load(std::memory_order_acquire)) return;
         if (rt::FaultPlan* plan = cluster_.fault_plan();
-            plan != nullptr && attempt < max_publish_attempts_ &&
+            plan != nullptr && attempt < kMaxPublishAttempts &&
             plan->fires(rt::FaultPlan::Action::kDropBroadcast, l)) {
           RCUA_SCHED_POINT("rcua.resize.broadcast_dropped");
           return;  // injected lost broadcast: this locale missed the swap
@@ -1226,7 +1225,6 @@ class RCUArray {
   std::size_t block_size_;
   reclaim::StallPolicy stall_policy_;
   reclaim::StallMonitor* monitor_;
-  std::uint32_t max_publish_attempts_;
   std::size_t cache_capacity_;
   std::atomic<std::uint32_t> home_locale_;
   rt::GlobalLock write_lock_;

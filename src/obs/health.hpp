@@ -17,10 +17,10 @@
 
 namespace rcua::obs::health {
 
-/// Grace-period duration: how long writers waited for readers, from
-/// EBR wait_for_readers / try_wait_for_readers and the era reclaimers'
-/// wait_for_readers. Timed-out waits record the full deadline — the
-/// tail of this histogram is the stalled-reader signal.
+/// Grace-period duration: how long writers waited for readers, from the
+/// EBR and era reclaimers' wait_for_readers (each a plat::wait_until).
+/// A deadline-bounded EBR wait that times out records what it waited —
+/// the tail of this histogram is the stalled-reader signal.
 inline Histogram& grace_ns() {
   static Histogram& h = Registry::global().histogram("rcua.rcu.grace_ns");
   return h;

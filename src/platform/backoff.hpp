@@ -1,11 +1,16 @@
 #pragma once
 
+#include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <thread>
 
 #if defined(__x86_64__) || defined(__i386__)
 #include <immintrin.h>
 #endif
+
+#include "platform/timing.hpp"
+#include "testing/sched_point.hpp"
 
 namespace rcua::plat {
 
@@ -56,5 +61,52 @@ class Backoff {
   std::uint32_t limit_;
   std::uint32_t yield_threshold_;
 };
+
+/// The one wait for a condition another thread establishes: every grace
+/// period, era fence, reservation-slot claim and replication gap in the
+/// library waits here. Returns true once `pred()` holds. With a non-zero
+/// `deadline_ns` it gives up after that much wall time and returns
+/// `pred()`; 0 waits forever. `site` names the wait in sched traces.
+///
+/// The schedule is fixed: 64 spins, 64 yields, then a park of 50 µs that
+/// doubles up to 1 ms. Under the deterministic scheduler (RCUA_SCHED_TEST)
+/// a wall clock would break seed replay, so on a scheduled task a blocking
+/// wait is a `sched_await` and a deadline is one scheduler poll.
+template <typename Pred>
+bool wait_until(const char* site, Pred&& pred, std::uint64_t deadline_ns = 0) {
+#if defined(RCUA_SCHED_TEST) && RCUA_SCHED_TEST
+  if (testing::sched_task_active()) {
+    if (deadline_ns == 0) {
+      testing::sched_await(site, [&] { return pred(); });
+      return true;
+    }
+    if (pred()) return true;
+    testing::sched_point(site);
+    return pred();
+  }
+#endif
+  (void)site;
+  if (pred()) return true;
+  constexpr std::uint32_t kSpins = 64;
+  constexpr std::uint32_t kYields = 64;
+  constexpr std::uint64_t kParkMaxNs = 1000 * 1000;
+  const std::uint64_t start = deadline_ns != 0 ? now_ns() : 0;
+  std::uint32_t step = 0;
+  std::uint64_t park = 50 * 1000;
+  for (;;) {
+    if (step < kSpins) {
+      cpu_relax();
+      ++step;
+    } else if (step < kSpins + kYields) {
+      std::this_thread::yield();
+      ++step;
+    } else {
+      std::this_thread::sleep_for(std::chrono::nanoseconds(park));
+      park = std::min(park * 2, kParkMaxNs);
+    }
+    if (pred()) return true;
+    if (deadline_ns != 0 && now_ns() - start >= deadline_ns) return pred();
+  }
+}
 
 }  // namespace rcua::plat

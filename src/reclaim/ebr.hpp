@@ -26,9 +26,9 @@
 
 namespace rcua::reclaim {
 
-/// Outcome of a deadline-bounded drain (BasicEbr::try_wait_for_readers).
-/// On timeout the stuck-stripe fields identify the offender for the
-/// stall diagnostic.
+/// Outcome of a drain (BasicEbr::wait_for_readers). Only a deadline-
+/// bounded drain can time out; then the stuck-stripe fields identify the
+/// offender for the stall diagnostic.
 struct DrainResult {
   bool drained = true;
   std::uint64_t waited_ns = 0;
@@ -232,61 +232,37 @@ class BasicEbr {
   /// evacuated (RCU_Write lines 6-7): the old-parity column, summed over
   /// all stripes, must reach zero. A reader only ever announces and
   /// retracts on a single slot, so a zero sum means every announced
-  /// old-parity reader has retracted. After this returns, memory only
-  /// reachable from the pre-bump snapshot may be reclaimed.
-  void wait_for_readers(EpochT old_epoch) noexcept {
-    const std::size_t idx = static_cast<std::size_t>(old_epoch % 2);
-    if (RCUA_SCHED_MUT(ebr_skip_drain)) return;
-#if defined(RCUA_SCHED_TEST) && RCUA_SCHED_TEST
-    if constexpr (Layout::kStriped) {
-      if (RCUA_SCHED_MUT(ebr_skip_fence) && hoisted_scan_zero_[idx]) {
-        // The hoisted (pre-bump) scan saw an empty column; without the
-        // fence the writer believes the drain already completed.
-        hoisted_scan_zero_[idx] = false;
-        return;
-      }
-    }
-#endif
-    obs::TraceSpan span("rcu.drain_wait", "rcu");
-    const std::uint64_t grace_start = grace_clock_ns();
-    if (!RCUA_SCHED_AWAIT("ebr.wait_for_readers",
-                          [&] { return column_sum(idx) == 0; })) {
-      plat::Backoff backoff(/*yield_threshold=*/4);
-      while (column_sum(idx) != 0) {
-        backoff.pause();
-      }
-    }
-    sim::charge(sim::CostModel::get().epoch_drain_ns);
-    obs::health::grace_ns().record(grace_clock_ns() - grace_start);
-  }
-
-  /// Deadline-bounded variant of wait_for_readers: drains the old-parity
-  /// column under `policy`'s spin -> yield -> park backoff, giving up
-  /// once the deadline expires (a blocking policy never gives up, making
-  /// this equivalent to wait_for_readers). On timeout the result carries
-  /// the stall evidence — the column sum and the first stuck stripe — so
-  /// the caller can emit a StallDiagnostic and defer the retired memory
-  /// onto an OverflowRetireList instead of blocking forever.
-  DrainResult try_wait_for_readers(EpochT old_epoch,
-                                   const StallPolicy& policy) noexcept {
+  /// old-parity reader has retracted. After a drained result, memory
+  /// only reachable from the pre-bump snapshot may be reclaimed.
+  ///
+  /// A non-zero `deadline_ns` bounds the wait (StallPolicy). On timeout
+  /// the result carries the stall evidence — the column sum and the
+  /// first stuck stripe — so the caller can emit a StallDiagnostic and
+  /// defer the retired memory onto an OverflowRetireList instead of
+  /// blocking forever.
+  DrainResult wait_for_readers(EpochT old_epoch,
+                               std::uint64_t deadline_ns = 0) noexcept {
     const std::size_t idx = static_cast<std::size_t>(old_epoch % 2);
     DrainResult result;
     if (RCUA_SCHED_MUT(ebr_skip_drain)) return result;
 #if defined(RCUA_SCHED_TEST) && RCUA_SCHED_TEST
     if constexpr (Layout::kStriped) {
       if (RCUA_SCHED_MUT(ebr_skip_fence) && hoisted_scan_zero_[idx]) {
+        // The hoisted (pre-bump) scan saw an empty column; without the
+        // fence the writer believes the drain already completed.
         hoisted_scan_zero_[idx] = false;
         return result;
       }
     }
 #endif
     obs::TraceSpan span("rcu.drain_wait", "rcu");
-    const std::uint64_t start = plat::now_ns();
-    result.drained = wait_with_policy("ebr.try_wait_for_readers", policy,
-                                      [&] { return column_sum(idx) == 0; });
-    result.waited_ns = plat::now_ns() - start;
-    // Timed-out waits record the full deadline spent: the tail of the
-    // grace histogram is the stalled-reader signal.
+    const std::uint64_t start = grace_clock_ns();
+    result.drained = plat::wait_until(
+        "ebr.wait_for_readers", [&] { return column_sum(idx) == 0; },
+        deadline_ns);
+    result.waited_ns = grace_clock_ns() - start;
+    // Timed-out waits are recorded too: the tail of the grace histogram
+    // is the stalled-reader signal.
     obs::health::grace_ns().record(result.waited_ns);
     if (result.drained) {
       sim::charge(sim::CostModel::get().epoch_drain_ns);

@@ -431,11 +431,8 @@ class BasicEraReclaimer {
   void wait_for_readers(std::uint64_t fence) noexcept {
     obs::TraceSpan span("rcu.drain_wait", "rcu");
     const std::uint64_t t0 = scan_clock_ns();
-    if (!RCUA_SCHED_AWAIT("era.wait_for_readers",
-                          [&] { return readers_below(fence) == 0; })) {
-      plat::Backoff backoff(/*yield_threshold=*/4);
-      while (readers_below(fence) != 0) backoff.pause();
-    }
+    plat::wait_until("era.wait_for_readers",
+                     [&] { return readers_below(fence) == 0; });
     sim::charge(sim::CostModel::get().epoch_drain_ns);
     obs::health::grace_ns().record(scan_clock_ns() - t0);
   }
@@ -583,7 +580,6 @@ class BasicEraReclaimer {
 
   std::size_t claim_slot() {
     const std::size_t start = preferred_slot();
-    plat::Backoff backoff(/*yield_threshold=*/4);
     for (;;) {
       for (std::size_t i = 0; i < nslots_; ++i) {
         const std::size_t idx = (start + i) & slot_mask_;
@@ -597,16 +593,14 @@ class BasicEraReclaimer {
         }
       }
       // Every slot claimed: the domain is at its concurrent-reader bound.
-      if (!RCUA_SCHED_AWAIT("era.slot.wait", [&] {
-            for (std::size_t s = 0; s < nslots_; ++s) {
-              if (slots_[s].claimed.load(std::memory_order_acquire) == 0) {
-                return true;
-              }
-            }
-            return false;
-          })) {
-        backoff.pause();
-      }
+      plat::wait_until("era.slot.wait", [&] {
+        for (std::size_t s = 0; s < nslots_; ++s) {
+          if (slots_[s].claimed.load(std::memory_order_acquire) == 0) {
+            return true;
+          }
+        }
+        return false;
+      });
     }
   }
 

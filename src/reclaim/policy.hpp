@@ -30,7 +30,6 @@
 
 #include "obs/health.hpp"
 #include "obs/trace.hpp"
-#include "platform/backoff.hpp"
 #include "reclaim/ebr.hpp"
 #include "reclaim/eras.hpp"
 #include "reclaim/qsbr.hpp"
@@ -135,8 +134,9 @@ class EbrDomain {
   /// Spine retirement with stall tolerance (RCU_Write lines 5-8,
   /// deadline-bounded): frees `old` when the drain completes, else defers
   /// it onto the overflow list (bytes accounted on the locale and against
-  /// the watchdog budget). With `drain_follows`, `old` is returned for
-  /// that blocking drain to free instead.
+  /// the watchdog budget). A deferral that would breach the budget blocks
+  /// instead. With `drain_follows`, `old` is returned for that blocking
+  /// drain to free instead.
   template <typename S>
   S* retire_spine(S* old, std::size_t bytes, const RetireSite& site,
                   bool drain_follows) {
@@ -144,7 +144,7 @@ class EbrDomain {
     const auto epoch = ebr_.advance_epoch();
     RCUA_SCHED_POINT("rcua.resize.epoch_bumped");
     const DrainResult drain =
-        ebr_.try_wait_for_readers(epoch, site.stall_policy);
+        ebr_.wait_for_readers(epoch, site.stall_policy.deadline_ns);
     // The drained fast path is only sound while the overflow list is
     // empty: a pending entry means an earlier grace period on this
     // domain never completed, so a reader announced on the *other*
@@ -167,25 +167,17 @@ class EbrDomain {
     // (premise broken by an earlier stall) is bookkeeping, not news.
     if (!drain.drained) site.monitor.record_stall(diag);
     if (site.monitor.would_exceed(bytes)) {
-      site.monitor.escalate(diag);  // aborts under kFatal
-      if (site.monitor.escalation() == StallMonitor::Escalation::kBlock) {
-        // Hard memory bound: refuse the overflow and pay the blocking
-        // drain instead — memory stays bounded, resize latency degrades.
-        // Draining the overflow list first restores the fast-path
-        // premise, after which this spine's own column gates it.
-        plat::Backoff backoff(/*yield_threshold=*/4);
-        for (;;) {
-          flush(site);
-          if (overflow_.pending_objects() == 0 &&
-              ebr_.readers_at(static_cast<std::size_t>(epoch % 2)) == 0) {
-            break;
-          }
-          backoff.pause();
-        }
-        reclaimed(old, site);
-        return nullptr;
-      }
-      // kWarn: budget waived by configuration; fall through and defer.
+      // Hard memory bound: refuse the overflow and pay the blocking
+      // drain instead — memory stays bounded, resize latency degrades.
+      // Two grace periods, this column's and then the other's, outlast
+      // every reader that can still hold `old` or a deferred spine, so
+      // both go, and the fast-path premise holds again.
+      site.monitor.escalate(diag);
+      ebr_.wait_for_readers(epoch);
+      ebr_.wait_for_readers(ebr_.advance_epoch());
+      flush_unsafe(site);
+      reclaimed(old, site);
+      return nullptr;
     }
     site.stalled_spines.fetch_add(1, std::memory_order_relaxed);
     site.monitor.note_overflow(bytes);
@@ -220,7 +212,8 @@ class EbrDomain {
       return ebr_.readers_at(parity) == 0;
     }));
   }
-  /// Frees every deferred spine; external quiescence only (teardown).
+  /// Frees every deferred spine: only under external quiescence
+  /// (teardown) or after two grace periods (the budget-breach path).
   void flush_unsafe(const RetireSite& site) {
     note_flushed(site, overflow_.free_all());
   }

@@ -2,7 +2,6 @@
 
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 
 #include "obs/health.hpp"
 #include "obs/trace.hpp"
@@ -11,18 +10,7 @@
 namespace rcua::reclaim {
 
 StallPolicy StallPolicy::from_env() {
-  StallPolicy p;
-  p.deadline_ns = util::env_u64("RCUA_STALL_DEADLINE_NS", p.deadline_ns);
-  p.spin_iters = static_cast<std::uint32_t>(
-      util::env_u64("RCUA_STALL_SPIN", p.spin_iters));
-  p.yield_iters = static_cast<std::uint32_t>(
-      util::env_u64("RCUA_STALL_YIELD", p.yield_iters));
-  p.park_ns = util::env_u64("RCUA_STALL_PARK_NS", p.park_ns);
-  p.park_max_ns = util::env_u64("RCUA_STALL_PARK_MAX_NS", p.park_max_ns);
-  p.sched_polls = static_cast<std::uint32_t>(
-      util::env_u64("RCUA_STALL_SCHED_POLLS", p.sched_polls));
-  if (p.park_max_ns < p.park_ns) p.park_max_ns = p.park_ns;
-  return p;
+  return {util::env_u64("RCUA_STALL_DEADLINE_NS", 0)};
 }
 
 std::string StallDiagnostic::describe() const {
@@ -64,22 +52,7 @@ StallMonitor& StallMonitor::global() {
   static StallMonitor* monitor = [] {
     const auto budget = static_cast<std::size_t>(util::env_u64(
         "RCUA_OVERFLOW_BUDGET_BYTES", 64ULL * 1024 * 1024));
-    Escalation esc = Escalation::kBlock;
-    if (auto s = util::env_str("RCUA_STALL_ESCALATE")) {
-      if (*s == "warn") {
-        esc = Escalation::kWarn;
-      } else if (*s == "fatal") {
-        esc = Escalation::kFatal;
-      } else if (*s == "block") {
-        esc = Escalation::kBlock;
-      } else {
-        std::fprintf(stderr,
-                     "rcua: RCUA_STALL_ESCALATE=\"%s\" not one of "
-                     "warn|block|fatal; using block\n",
-                     s->c_str());
-      }
-    }
-    return new StallMonitor(budget, esc);  // immortal
+    return new StallMonitor(budget);  // immortal
   }();
   return *monitor;
 }
@@ -156,12 +129,6 @@ void StallMonitor::escalate(StallDiagnostic diag) {
   escalations_.fetch_add(1, std::memory_order_relaxed);
   obs::health::escalations().add();
   record_stall(diag);
-  if (escalation_ == Escalation::kFatal) {
-    std::fprintf(stderr,
-                 "rcua: StallMonitor: overflow budget exceeded under "
-                 "kFatal escalation; aborting\n");
-    std::abort();
-  }
 }
 
 void OverflowRetireList::push(void (*deleter)(void*), void* obj,

@@ -1,95 +1,30 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "platform/backoff.hpp"
 #include "platform/spinlock.hpp"
-#include "platform/timing.hpp"
 #include "testing/sched_point.hpp"
 
 namespace rcua::reclaim {
 
-/// Deadline/backoff policy for grace-period waits — the knob that turns
-/// "block forever on a stalled reader" (classic EBR fragility, the DEBRA+
-/// critique) into "give up after a bounded wait and let the caller defer".
-///
-/// The wait escalates spin -> yield -> park-with-exponential-backoff; a
-/// `deadline_ns` of 0 keeps the historical blocking behaviour, so every
-/// existing call site is unchanged unless a policy is configured.
-///
-/// Under the deterministic scheduler (RCUA_SCHED_TEST) wall clocks would
-/// break seed replay, so a non-blocking wait instead polls the predicate
-/// `sched_polls` times, yielding to the scheduler between polls — the
-/// deadline becomes a schedule-countable event.
+/// Deadline for the stall-bounded grace-period wait — the knob that
+/// turns "block forever on a stalled reader" (classic EBR fragility, the
+/// DEBRA+ critique) into "give up after a bounded wait and let the
+/// caller defer". A `deadline_ns` of 0 keeps the paper's blocking
+/// behaviour. The wait itself is plat::wait_until.
 struct StallPolicy {
   /// Wall-clock budget for a grace-period wait; 0 = block forever.
   std::uint64_t deadline_ns = 0;
-  /// Pure cpu_relax iterations before escalating to thread yields.
-  std::uint32_t spin_iters = 64;
-  /// Thread yields before escalating to parking sleeps.
-  std::uint32_t yield_iters = 64;
-  /// First parking sleep; doubles each round up to `park_max_ns`.
-  std::uint64_t park_ns = 50 * 1000;
-  std::uint64_t park_max_ns = 1000 * 1000;
-  /// Non-blocking poll budget under the deterministic scheduler.
-  std::uint32_t sched_polls = 4;
 
-  [[nodiscard]] bool blocking() const noexcept { return deadline_ns == 0; }
-
-  /// Environment-configured policy: RCUA_STALL_DEADLINE_NS,
-  /// RCUA_STALL_SPIN, RCUA_STALL_YIELD, RCUA_STALL_PARK_NS,
-  /// RCUA_STALL_PARK_MAX_NS, RCUA_STALL_SCHED_POLLS. Defaults (deadline 0)
-  /// preserve blocking semantics.
+  /// Environment-configured policy: RCUA_STALL_DEADLINE_NS (default 0,
+  /// blocking).
   [[nodiscard]] static StallPolicy from_env();
 };
-
-/// Waits until `pred()` holds or the policy's deadline expires. Returns
-/// true iff the predicate held. `site` names the wait in sched traces.
-template <typename Pred>
-bool wait_with_policy(const char* site, const StallPolicy& policy,
-                      Pred&& pred) {
-#if defined(RCUA_SCHED_TEST) && RCUA_SCHED_TEST
-  if (testing::sched_task_active()) {
-    if (policy.blocking()) {
-      testing::sched_await(site, [&] { return pred(); });
-      return true;
-    }
-    for (std::uint32_t i = 0; i < policy.sched_polls; ++i) {
-      if (pred()) return true;
-      testing::sched_point(site);
-    }
-    return pred();
-  }
-#endif
-  (void)site;
-  if (pred()) return true;
-  const std::uint64_t start = plat::now_ns();
-  std::uint64_t park = policy.park_ns;
-  std::uint64_t iter = 0;
-  for (;;) {
-    if (pred()) return true;
-    if (!policy.blocking() && plat::now_ns() - start >= policy.deadline_ns) {
-      return pred();
-    }
-    if (iter < policy.spin_iters) {
-      plat::cpu_relax();
-    } else if (iter < static_cast<std::uint64_t>(policy.spin_iters) +
-                          policy.yield_iters) {
-      std::this_thread::yield();
-    } else {
-      std::this_thread::sleep_for(std::chrono::nanoseconds(park));
-      if (park < policy.park_max_ns) park = std::min(park * 2, policy.park_max_ns);
-    }
-    ++iter;
-  }
-}
 
 /// Structured description of one detected stall: who is stuck, where,
 /// for how long, at what epoch. Emitted to the owning StallMonitor's sink
@@ -169,28 +104,21 @@ class CaptureStallSink final : public StallSink {
 /// Watchdog over grace-period stalls and overflow memory. Reclaimers
 /// report stalls through `record_stall`; structures that defer retired
 /// memory past a stalled grace period account the bytes here, and the
-/// monitor enforces a hard bound by escalating once the pending bytes
-/// would exceed `budget_bytes` (0 = unlimited):
-///
-///   kWarn  — diagnose and allow the overflow to keep growing,
-///   kBlock — refuse the overflow; the caller must fall back to the
-///            blocking wait (memory stays bounded, latency degrades),
-///   kFatal — abort: treat a budget breach as a failed domain.
+/// monitor enforces a hard bound: once the pending bytes would exceed
+/// `budget_bytes` (0 = unlimited) the caller records an escalation and
+/// refuses the overflow, falling back to the blocking wait (memory stays
+/// bounded, latency degrades).
 ///
 /// Thread-safe; one instance may be shared across locales and domains.
 class StallMonitor {
  public:
-  enum class Escalation : int { kWarn = 0, kBlock = 1, kFatal = 2 };
-
-  explicit StallMonitor(std::size_t budget_bytes = 0,
-                        Escalation escalation = Escalation::kBlock) noexcept
-      : budget_bytes_(budget_bytes), escalation_(escalation) {}
+  explicit StallMonitor(std::size_t budget_bytes = 0) noexcept
+      : budget_bytes_(budget_bytes) {}
   StallMonitor(const StallMonitor&) = delete;
   StallMonitor& operator=(const StallMonitor&) = delete;
 
   /// Process-wide monitor; budget from RCUA_OVERFLOW_BUDGET_BYTES
-  /// (default 64 MiB), escalation from RCUA_STALL_ESCALATE
-  /// (warn|block|fatal, default block).
+  /// (default 64 MiB).
   static StallMonitor& global();
 
   /// Replaces the diagnostic sink (default: a process-wide
@@ -218,7 +146,6 @@ class StallMonitor {
   [[nodiscard]] std::size_t budget_bytes() const noexcept {
     return budget_bytes_;
   }
-  [[nodiscard]] Escalation escalation() const noexcept { return escalation_; }
   [[nodiscard]] std::size_t overflow_bytes() const noexcept {
     return overflow_bytes_.load(std::memory_order_relaxed);
   }
@@ -242,12 +169,11 @@ class StallMonitor {
   [[nodiscard]] StallDiagnostic last() const;
 
   /// Records a budget escalation (kind kOverflowBudget) and bumps the
-  /// escalation counter; aborts under kFatal.
+  /// escalation counter.
   void escalate(StallDiagnostic diag);
 
  private:
   std::size_t budget_bytes_;
-  Escalation escalation_;
   StallSink* sink_ = default_sink();
   std::atomic<std::size_t> overflow_bytes_{0};
   std::atomic<std::size_t> peak_overflow_bytes_{0};
@@ -327,7 +253,8 @@ class OverflowRetireList {
   }
 
   /// Frees everything unconditionally. ONLY safe when no reader can hold
-  /// a reference (destructor / teardown under external quiescence).
+  /// a reference: teardown under external quiescence, or after two full
+  /// grace periods (EbrDomain's budget-breach fallback).
   FlushResult free_all();
 
   [[nodiscard]] std::size_t pending_objects() const noexcept {

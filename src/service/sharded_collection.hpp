@@ -220,9 +220,11 @@ class ShardedCollection {
   /// Moves shard `shard` to locale `dst`: block copy + spine swap via
   /// RCUArray::rehome (which owns copy-before-publish, the BlockCache
   /// invalidation interlock, and the reader drain), then the ShardMap
-  /// publication below. Returns false when a FaultPlan kKillLocale fault
-  /// rolled the copy back — the old mapping stays live and no element
-  /// was lost or duplicated.
+  /// publication below. Moving a shard to the home its blocks and its
+  /// mapping already name is a no-op: nothing is copied, published or
+  /// counted. Returns false when
+  /// a FaultPlan kKillLocale fault rolled the copy back — the old
+  /// mapping stays live and no element was lost or duplicated.
   bool migrate(std::size_t shard, std::uint32_t dst) {
     if (shard >= shard_count_) {
       throw std::invalid_argument("migrate: shard out of range");
@@ -230,6 +232,7 @@ class ShardedCollection {
     obs::TraceSpan span("svc.migrate", "service", dst);
     std::lock_guard<std::mutex> guard(remap_mu_);
     Backend& b = *shards_[shard];
+    if (b.home_locale() == dst && home_of(shard) == dst) return true;
     const std::size_t blocks = b.num_blocks();
     if (!b.rehome(dst)) {
       migration_rollbacks_.add();

@@ -4,8 +4,9 @@
 /// TESTING.md).
 ///
 /// Protocol-critical code marks its interleaving-sensitive steps with
-/// `RCUA_SCHED_POINT("site")` and makes unbounded spin-waits
-/// scheduler-aware with `RCUA_SCHED_AWAIT("site", predicate)`. When the
+/// `RCUA_SCHED_POINT("site")`; their grace-period, fence, slot-claim and
+/// replication waits go through `plat::wait_until("site", predicate)`,
+/// which hands a scheduled task's wait to `sched_await`. When the
 /// library is built without RCUA_SCHED_TEST — the default for release,
 /// bench and the tier-1/stress suites — every macro expands to a constant
 /// and the hooks vanish entirely: no function call, no TLS lookup, no
@@ -42,7 +43,7 @@ void sched_point(const char* site) noexcept;
 /// choosing the next task to run; between the deciding evaluation and the
 /// task's resumption no other task executes, so the condition still holds
 /// on return. No-op (returns immediately) when the calling thread is not
-/// a scheduled task — use RCUA_SCHED_AWAIT to fall back to a spin loop.
+/// a scheduled task — plat::wait_until falls back to its spin loop.
 void sched_await(const char* site, std::function<bool()> pred);
 
 /// Runs `body(0..n-1)` as n child tasks of the current logical task and
@@ -150,14 +151,6 @@ struct Mutations {
 
 #define RCUA_SCHED_POINT(site) ::rcua::testing::sched_point(site)
 
-/// Evaluates to true (after blocking until the predicate holds) when an
-/// active scheduler handled the wait; false when the caller must fall
-/// back to its spin loop.
-#define RCUA_SCHED_AWAIT(site, ...)                              \
-  (::rcua::testing::sched_task_active()                          \
-       ? (::rcua::testing::sched_await(site, __VA_ARGS__), true) \
-       : false)
-
 /// Reads a mutation flag; constant false without RCUA_SCHED_TEST, so the
 /// broken variant is compiled out of release code entirely.
 #define RCUA_SCHED_MUT(field) (::rcua::testing::mutations().field)
@@ -165,7 +158,6 @@ struct Mutations {
 #else  // !RCUA_SCHED_TEST
 
 #define RCUA_SCHED_POINT(site) ((void)0)
-#define RCUA_SCHED_AWAIT(site, ...) false
 #define RCUA_SCHED_MUT(field) false
 
 #endif  // RCUA_SCHED_TEST

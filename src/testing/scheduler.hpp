@@ -22,7 +22,7 @@
 ///    baton (one mutex + per-task condition variables) guarantees that at
 ///    most one task executes at any instant. Tasks hand control back at
 ///    every `RCUA_SCHED_POINT` the instrumented library (built with
-///    RCUA_SCHED_TEST=1) exposes, and at every `RCUA_SCHED_AWAIT`, which
+///    RCUA_SCHED_TEST=1) exposes, and at every `plat::wait_until`, which
 ///    replaces unbounded spin-waits with scheduler-visible blocking.
 ///  * Between two schedule points exactly one thread runs, so a schedule
 ///    — the sequence of (task, site) choices — fully determines the

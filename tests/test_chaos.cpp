@@ -53,15 +53,13 @@ TEST(Chaos, StalledReaderAndKilledWorkerDoNotHangResize) {
   // tasks, so it must outlive them (the cluster's destructor joins).
   rt::FaultPlan plan(/*seed=*/42);
   rt::Cluster cluster({.num_locales = 2, .workers_per_locale = 2});
-  reclaim::StallMonitor monitor(/*budget_bytes=*/1 << 20,
-                                reclaim::StallMonitor::Escalation::kBlock);
+  reclaim::StallMonitor monitor(/*budget_bytes=*/1 << 20);
   reclaim::CaptureStallSink captured;
   monitor.set_sink(&captured);
 
   rcua::RCUArray<int, rcua::EbrPolicy>::Options opts;
   opts.block_size = 64;
   opts.stall_policy.deadline_ns = 2 * 1000 * 1000;  // 2 ms
-  opts.stall_policy.park_ns = 50 * 1000;
   opts.stall_monitor = &monitor;
   rcua::RCUArray<int, rcua::EbrPolicy> arr(cluster, 4 * 64, opts);
   for (std::size_t i = 0; i < arr.capacity(); ++i) {
@@ -161,12 +159,11 @@ TEST(Chaos, DroppedBroadcastIsRetriedUntilEveryLocalePublishes) {
 
 TEST(Chaos, ResizeTerminatesUnderAPermanentBroadcastFault) {
   // A plan that drops a locale's broadcast forever must not livelock the
-  // resize: past max_publish_attempts the plan stops being consulted.
+  // resize: past kMaxPublishAttempts the plan stops being consulted.
   rt::FaultPlan plan(/*seed=*/3);  // outlives the cluster's workers
   rt::Cluster cluster({.num_locales = 2, .workers_per_locale = 1});
   rcua::RCUArray<int>::Options opts;
   opts.block_size = 16;
-  opts.max_publish_attempts = 8;
   rcua::RCUArray<int> arr(cluster, 0, opts);
 
   plan.add({.action = rt::FaultPlan::Action::kDropBroadcast,
@@ -177,7 +174,7 @@ TEST(Chaos, ResizeTerminatesUnderAPermanentBroadcastFault) {
 
   arr.resize_add(16);  // must return
   EXPECT_EQ(arr.capacity(), 16u);
-  EXPECT_GE(arr.broadcast_retries(), 8u);
+  EXPECT_GE(arr.broadcast_retries(), rcua::RCUArray<int>::kMaxPublishAttempts);
   cluster.set_fault_plan(nullptr);
 }
 
@@ -252,13 +249,12 @@ TEST(Chaos, SeededCoinReplaysIdentically) {
 }
 
 TEST(Chaos, BudgetBreachFallsBackToBlockingDrain) {
-  // With a 1-byte budget and kBlock escalation, a stalled drain may NOT
-  // defer: the writer must fall back to the blocking wait, keeping the
-  // overflow at zero — the hard memory bound.
+  // With a 1-byte budget a stalled drain may NOT defer: the writer must
+  // fall back to the blocking wait, keeping the overflow at zero — the
+  // hard memory bound.
   rt::FaultPlan plan(/*seed=*/2);  // outlives the cluster's workers
   rt::Cluster cluster({.num_locales = 1, .workers_per_locale = 1});
-  reclaim::StallMonitor monitor(/*budget_bytes=*/1,
-                                reclaim::StallMonitor::Escalation::kBlock);
+  reclaim::StallMonitor monitor(/*budget_bytes=*/1);
   reclaim::CaptureStallSink captured;
   monitor.set_sink(&captured);
 

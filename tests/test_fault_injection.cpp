@@ -215,12 +215,9 @@ TEST(FaultInjection, ParkWhileAnnouncedStallsTheDrainAndIsDiagnosed) {
   });
   while (!parked.load()) std::this_thread::yield();
 
-  reclaim::StallPolicy policy;
-  policy.deadline_ns = 500 * 1000;  // 0.5 ms
-  policy.park_ns = 20 * 1000;
   const auto old_epoch = ebr.advance_epoch();
   const reclaim::DrainResult drain =
-      ebr.try_wait_for_readers(old_epoch, policy);
+      ebr.wait_for_readers(old_epoch, /*deadline_ns=*/500 * 1000);  // 0.5 ms
   EXPECT_FALSE(drain.drained) << "parking must not fake an EBR retraction";
   EXPECT_EQ(drain.stuck_stripe, 3u);
   EXPECT_EQ(drain.stuck_readers, 1u);

@@ -228,6 +228,9 @@ TEST(QsbrStress, CanariesStayAliveUntilQuiescence) {
   std::vector<std::thread> threads;
   for (int t = 0; t < 4; ++t) {
     threads.emplace_back([&, t] {
+      // A reader must participate before its first dereference, or the
+      // other threads' checkpoints cannot see it.
+      qsbr.ensure_participant();
       int ops = 0;
       while (!stop.load(std::memory_order_relaxed)) {
         // Read the protected pointer; valid until our next checkpoint.

@@ -290,9 +290,6 @@ TYPED_TEST(RcuArrayAllPolicies, OutOfRangeElementOpsThrowAndLeaveNoSection) {
     opts.cache_capacity_bytes = cache;
     opts.stall_monitor = &monitor;
     opts.stall_policy.deadline_ns = 1;
-    opts.stall_policy.spin_iters = 1;
-    opts.stall_policy.yield_iters = 1;
-    opts.stall_policy.park_ns = 1000;
     typename TestFixture::Array arr(cluster, 128, opts);
     const std::size_t cap = arr.capacity();
     EXPECT_THROW((void)arr.index(cap), std::out_of_range) << cache;

@@ -37,10 +37,7 @@ void flag_free(void* p) {
 /// A silent monitor for tests that assert on its counters (the global
 /// one would also print to stderr and mix state across tests).
 struct SilentMonitor {
-  SilentMonitor() : monitor(/*budget_bytes=*/0,
-                            reclaim::StallMonitor::Escalation::kWarn) {
-    monitor.set_sink(&sink);
-  }
+  SilentMonitor() { monitor.set_sink(&sink); }
   reclaim::CaptureStallSink sink;
   reclaim::StallMonitor monitor;
 };
@@ -350,9 +347,6 @@ TEST(EraContrast, EbrOverflowGrowsLinearlyUnderParkedReader) {
   // Non-blocking drain, so the parked view defers instead of hanging
   // the resize train (the §9 watchdog path).
   opts.stall_policy.deadline_ns = 1;
-  opts.stall_policy.spin_iters = 1;
-  opts.stall_policy.yield_iters = 1;
-  opts.stall_policy.park_ns = 1000;
   rcua::RCUArray<int, rcua::EbrPolicy> arr(cluster, 64, opts);
 
   constexpr int kResizes = 24;

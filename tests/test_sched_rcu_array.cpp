@@ -22,6 +22,7 @@
 #include "core/rcu_array.hpp"
 #include "core/snapshot.hpp"
 #include "reclaim/qsbr.hpp"
+#include "reclaim/stall_monitor.hpp"
 #include "runtime/cluster.hpp"
 #include "runtime/thread_registry.hpp"
 #include "testing/scheduler.hpp"
@@ -115,6 +116,86 @@ TEST(SchedRcuArray, Lemma6UnderEbrPolicy) {
           }
           if (st->arr.capacity() != 2 * kBlock) {
             s.violation("resize_add lost blocks");
+          }
+        });
+      });
+  EXPECT_FALSE(result.found) << result.message << "\n" << result.trace;
+  EXPECT_EQ(result.schedules_run,
+            rcua::testing::effective_schedule_budget(opts));
+  EXPECT_EQ(Snapshot<int>::live_count(), 0u);
+}
+
+// The budget-breach fallback (DESIGN.md §8): with a 1-byte overflow
+// budget a spine drain that times out may not defer, so the writer blocks
+// until the reader leaves. That block must wait through the scheduler: a
+// writer spinning there would keep the baton from the reader it waits
+// for, and the schedule would never finish. The reader holds its view
+// until the breach is recorded, so every schedule takes the fallback.
+TEST(SchedRcuArray, BudgetBreachFallbackYieldsToTheScheduler) {
+  rcua::rt::Cluster cluster(small_cluster());
+
+  ExploreOptions opts;
+  opts.mode = ExploreMode::kRandom;
+  opts.schedules = 400;
+  opts.stop_on_violation = false;
+  const ExploreResult result =
+      rcua::testing::explore(opts, [&cluster](Scheduler& sched) {
+        struct State {
+          explicit State(rcua::rt::Cluster& c)
+              : arr(c, 0,
+                    {.block_size = kBlock,
+                     .stall_policy = {.deadline_ns = 1},
+                     .stall_monitor = &monitor}) {}
+          rcua::reclaim::StallMonitor monitor{/*budget_bytes=*/1};
+          RCUArray<int, EbrPolicy> arr;
+          std::atomic<bool> ready{false};
+          std::atomic<bool> pinned{false};
+          std::atomic<bool> resized{false};
+        };
+        auto st = std::make_shared<State>(cluster);
+        st->monitor.set_sink(nullptr);
+        sched.spawn("reader", [st] {
+          rcua::testing::sched_await("test.wait_ready", [st] {
+            return st->ready.load(std::memory_order_seq_cst);
+          });
+          auto view = st->arr.view();
+          st->pinned.store(true, std::memory_order_seq_cst);
+          rcua::testing::sched_point("test.reader.pinned");
+          if (view.capacity() != kBlock || view[1] != 7) {
+            rcua::testing::sched_violation("view lost its pinned values");
+          }
+          rcua::testing::sched_await("test.wait_breach", [st] {
+            return st->monitor.escalations() > 0;
+          });
+          if (st->resized.load(std::memory_order_seq_cst)) {
+            rcua::testing::sched_violation(
+                "resize finished while a view pinned the old spine");
+          }
+          if (view.capacity() != kBlock || view[1] != 7) {
+            rcua::testing::sched_violation("view lost its pinned values");
+          }
+        });
+        sched.spawn("writer", [st] {
+          st->arr.resize_add(kBlock);
+          st->arr.write(1, 7);
+          st->ready.store(true, std::memory_order_seq_cst);
+          rcua::testing::sched_await("test.wait_pinned", [st] {
+            return st->pinned.load(std::memory_order_seq_cst);
+          });
+          st->arr.resize_add(kBlock);  // times out on the view, blocks
+          st->resized.store(true, std::memory_order_seq_cst);
+        });
+        sched.on_finish([st](Scheduler& s) {
+          if (st->monitor.escalations() != 1) {
+            s.violation("the view's locale did not breach exactly once");
+          }
+          if (st->arr.reclaim_pending_objects() != 0 ||
+              st->arr.stalled_spines() != 0 ||
+              st->monitor.overflow_bytes() != 0) {
+            s.violation("a breached drain deferred instead of blocking");
+          }
+          if (Snapshot<int>::live_count() != kLocales) {
+            s.violation("old spines not reclaimed after the breach");
           }
         });
       });

@@ -290,6 +290,10 @@ TYPED_TEST(ShardedTyped, MigrateToCurrentHomeIsANoopMove) {
   ASSERT_TRUE(coll.migrate(0, 0));  // nothing to copy or free
   EXPECT_EQ(coll.home_of(0), 0u);
   EXPECT_EQ(coll.shard(0).rehomes(), 0u);  // no blocks moved
+  // Nothing moved, so nothing is published or counted.
+  EXPECT_EQ(coll.migrations(), 0u);
+  EXPECT_EQ(coll.migrated_blocks(), 0u);
+  EXPECT_EQ(coll.map_version(), 0u);
   for (std::size_t i = 0; i < coll.capacity(); ++i) {
     EXPECT_EQ(coll.read(i), i + 1);
   }

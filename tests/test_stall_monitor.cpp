@@ -1,17 +1,20 @@
 // Unit tests for the grace-period watchdog layer: StallPolicy,
-// wait_with_policy, StallMonitor, and the epoch-tagged OverflowRetireList.
+// plat::wait_until, StallMonitor, and the epoch-tagged OverflowRetireList.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "platform/backoff.hpp"
 #include "reclaim/ebr.hpp"
 #include "reclaim/stall_monitor.hpp"
 
+namespace plat = rcua::plat;
 namespace reclaim = rcua::reclaim;
 
 namespace {
@@ -32,67 +35,51 @@ void flag_deleter(void* p) {
 
 TEST(StallPolicy, DefaultIsBlocking) {
   const reclaim::StallPolicy policy;
-  EXPECT_TRUE(policy.blocking());
   EXPECT_EQ(policy.deadline_ns, 0u);
 }
 
-TEST(StallPolicy, FromEnvReadsKnobs) {
+TEST(StallPolicy, FromEnvReadsTheDeadline) {
   EnvGuard d("RCUA_STALL_DEADLINE_NS", "2500000");
-  EnvGuard s("RCUA_STALL_SPIN", "8");
-  EnvGuard y("RCUA_STALL_YIELD", "16");
-  EnvGuard p("RCUA_STALL_PARK_NS", "1000");
   const auto policy = reclaim::StallPolicy::from_env();
-  EXPECT_FALSE(policy.blocking());
   EXPECT_EQ(policy.deadline_ns, 2500000u);
-  EXPECT_EQ(policy.spin_iters, 8u);
-  EXPECT_EQ(policy.yield_iters, 16u);
-  EXPECT_EQ(policy.park_ns, 1000u);
 }
 
 TEST(StallPolicy, FromEnvDefaultsToBlocking) {
   // With no env configuration the policy must preserve the paper's
   // block-forever semantics (the compatibility guarantee).
   const auto policy = reclaim::StallPolicy::from_env();
-  EXPECT_TRUE(policy.blocking());
+  EXPECT_EQ(policy.deadline_ns, 0u);
 }
 
-TEST(WaitWithPolicy, ImmediateSuccess) {
-  reclaim::StallPolicy policy;
-  policy.deadline_ns = 1000;
-  EXPECT_TRUE(reclaim::wait_with_policy("test", policy, [] { return true; }));
+TEST(WaitUntil, ImmediateSuccess) {
+  EXPECT_TRUE(plat::wait_until("test", [] { return true; }, 1000));
 }
 
-TEST(WaitWithPolicy, TimesOutOnStuckPredicate) {
-  reclaim::StallPolicy policy;
-  policy.deadline_ns = 500 * 1000;  // 0.5 ms
-  policy.park_ns = 10 * 1000;
-  const bool ok =
-      reclaim::wait_with_policy("test", policy, [] { return false; });
-  EXPECT_FALSE(ok);
+TEST(WaitUntil, TimesOutOnStuckPredicate) {
+  // A 0.5 ms deadline.
+  EXPECT_FALSE(plat::wait_until("test", [] { return false; }, 500 * 1000));
 }
 
-TEST(WaitWithPolicy, BlockingPolicyWaitsOutTheStall) {
+TEST(WaitUntil, NoDeadlineWaitsOutTheStall) {
+  // 10 ms outlasts the spin and yield phases, so the wait parks.
   std::atomic<bool> ready{false};
   std::thread releaser([&] {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
     ready.store(true);
   });
-  const reclaim::StallPolicy blocking;  // deadline 0
-  EXPECT_TRUE(reclaim::wait_with_policy("test", blocking,
-                                        [&] { return ready.load(); }));
+  EXPECT_TRUE(plat::wait_until("test", [&] { return ready.load(); }));
   releaser.join();
 }
 
-TEST(WaitWithPolicy, DeadlineSurvivesLatePredicateFlip) {
+TEST(WaitUntil, DeadlineSurvivesLatePredicateFlip) {
   std::atomic<bool> ready{false};
   std::thread releaser([&] {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
     ready.store(true);
   });
-  reclaim::StallPolicy policy;
-  policy.deadline_ns = 2ull * 1000 * 1000 * 1000;  // generous 2 s
-  EXPECT_TRUE(reclaim::wait_with_policy("test", policy,
-                                        [&] { return ready.load(); }));
+  // A generous 2 s deadline.
+  const auto flipped = [&] { return ready.load(); };
+  EXPECT_TRUE(plat::wait_until("test", flipped, 2ull * 1000 * 1000 * 1000));
   releaser.join();
 }
 
@@ -162,8 +149,7 @@ TEST(StallMonitor, DescribeNamesStripeEpochAndDuration) {
 }
 
 TEST(StallMonitor, BudgetAccounting) {
-  reclaim::StallMonitor monitor(/*budget_bytes=*/100,
-                                reclaim::StallMonitor::Escalation::kWarn);
+  reclaim::StallMonitor monitor(/*budget_bytes=*/100);
   EXPECT_FALSE(monitor.would_exceed(100));
   monitor.note_overflow(60);
   EXPECT_EQ(monitor.overflow_bytes(), 60u);
@@ -184,15 +170,14 @@ TEST(StallMonitor, UnlimitedBudgetNeverExceeds) {
   EXPECT_FALSE(monitor.would_exceed(SIZE_MAX / 2));
 }
 
-TEST(StallMonitor, EscalateWarnRecordsAndContinues) {
-  reclaim::StallMonitor monitor(/*budget_bytes=*/1,
-                                reclaim::StallMonitor::Escalation::kWarn);
+TEST(StallMonitor, EscalateRecordsAndContinues) {
+  reclaim::StallMonitor monitor(/*budget_bytes=*/1);
   reclaim::CaptureStallSink captured;
   monitor.set_sink(&captured);
   reclaim::StallDiagnostic diag;
   diag.overflow_bytes = 10;
   diag.budget_bytes = 1;
-  monitor.escalate(diag);  // must not abort under kWarn
+  monitor.escalate(diag);  // the caller blocks; the monitor only records
   EXPECT_EQ(monitor.escalations(), 1u);
   const auto records = captured.records();
   ASSERT_EQ(records.size(), 1u);
@@ -276,29 +261,26 @@ TEST(OverflowRetireList, FlushAgainstLiveEbrColumn) {
   EXPECT_TRUE(freed.load());
 }
 
-TEST(Ebr, TryWaitForReadersTimesOutAndNamesTheStripe) {
+TEST(Ebr, DeadlineDrainTimesOutAndNamesTheStripe) {
   reclaim::Ebr ebr(0, /*stripe_count=*/4);
   ebr.test_stripe_override = 2;  // pin the reader to a known stripe
   reclaim::Ebr::ReadGuard guard(ebr);
   ebr.test_stripe_override = -1;
 
-  reclaim::StallPolicy policy;
-  policy.deadline_ns = 200 * 1000;  // 0.2 ms
-  policy.park_ns = 10 * 1000;
   const auto old_epoch = ebr.advance_epoch();
-  const reclaim::DrainResult r = ebr.try_wait_for_readers(old_epoch, policy);
+  const reclaim::DrainResult r =
+      ebr.wait_for_readers(old_epoch, /*deadline_ns=*/200 * 1000);  // 0.2 ms
   EXPECT_FALSE(r.drained);
   EXPECT_EQ(r.stuck_readers, 1u);
   EXPECT_EQ(r.stuck_stripe, 2u);
   EXPECT_GT(r.waited_ns, 0u);
 }
 
-TEST(Ebr, TryWaitForReadersDrainsWhenClear) {
+TEST(Ebr, DeadlineDrainDrainsWhenClear) {
   reclaim::Ebr ebr;
-  reclaim::StallPolicy policy;
-  policy.deadline_ns = 1000;
   const auto old_epoch = ebr.advance_epoch();
-  const reclaim::DrainResult r = ebr.try_wait_for_readers(old_epoch, policy);
+  const reclaim::DrainResult r =
+      ebr.wait_for_readers(old_epoch, /*deadline_ns=*/1000);
   EXPECT_TRUE(r.drained);
   EXPECT_EQ(r.stuck_stripe, SIZE_MAX);
 }
