@@ -17,7 +17,7 @@ int main() {
       "Ablation: protection schemes (random update indexing)",
       "(not a paper figure) same workload as Fig 2a across all "
       "protection schemes",
-      "expected: QSBR ~ unsynchronized > striped EBR ~ IBR ~ hazard eras "
+      "expected: QSBR ~ unsynchronized > owned EBR ~ IBR ~ hazard eras "
       ">> legacy EBR ~ hazard pointers >> rwlock > global lock");
   run_indexing_figure<ChapelArrayImpl, QsbrArrayImpl, EbrArrayImpl,
                       LegacyEbrArrayImpl, IbrArrayImpl, HazardErasArrayImpl,

@@ -2,7 +2,7 @@
 //
 // Five reclamation schemes retire the same spine train and are judged on
 // one question: how much retired-but-unreclaimed memory does a stalled
-// reader cost? The epoch schemes (striped EBR, legacy EBR) defer every
+// reader cost? The epoch schemes (owned EBR, legacy EBR) defer every
 // spine whose grace period a parked reader blocks, and QSBR defers every
 // spine until its laggard participant checkpoints — in both cases the
 // unreclaimed list grows linearly with the resize train. The interval

@@ -160,9 +160,9 @@ double measure_tasks(rt::Cluster& cluster, std::uint32_t tasks_per_locale,
 // ---- Implementation adapters (uniform construction + naming) ----------
 
 struct EbrArrayImpl {
-  /// Whether virtual-time per-op latencies replay exactly across runs
-  /// (pure per-task charges; see LatencyRecorder).
-  static constexpr bool kDetVtime = false;
+  /// Owned reader slots charge flat per-section costs with no shared
+  /// line to contend on, so per-op virtual times replay exactly.
+  static constexpr bool kDetVtime = true;
   static constexpr const char* kName = "EBRArray";
   using type = RCUArray<std::uint64_t, EbrPolicy>;
   static std::unique_ptr<type> make(rt::Cluster& c, std::size_t cap,

@@ -7,7 +7,9 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <vector>
 
+#include "platform/rng.hpp"
 #include "platform/spinlock.hpp"
 #include "platform/topology.hpp"
 #include "rcua.hpp"
@@ -28,20 +30,20 @@ void BM_EbrReadSide(benchmark::State& state) {
 }
 BENCHMARK(BM_EbrReadSide);
 
-// The striped-vs-legacy A/B this PR is about, on one SHARED reclaimer
-// instance so the reader RMW contention is real. At 1 thread the two
-// layouts should be near-identical (both are one uncontended RMW pair);
-// as threads grow the legacy layout serializes on its single counter
-// line while the striped bank spreads announcements across slots.
-rcua::reclaim::Ebr g_shared_striped_ebr;
+// The owned-vs-legacy A/B, on one SHARED reclaimer instance so the
+// reader contention is real. At 1 thread the owned section is one locked
+// RMW (the announce's exchange) where the legacy one has two; as threads
+// grow the legacy layout serializes on its single counter line while
+// each owned slot stays with its thread.
+rcua::reclaim::Ebr g_shared_owned_ebr;
 rcua::reclaim::LegacyEbr g_shared_legacy_ebr;
 
-void BM_EbrReadSharedStriped(benchmark::State& state) {
+void BM_EbrReadSharedOwned(benchmark::State& state) {
   for (auto _ : state) {
-    benchmark::DoNotOptimize(g_shared_striped_ebr.read([] { return 0; }));
+    benchmark::DoNotOptimize(g_shared_owned_ebr.read([] { return 0; }));
   }
 }
-BENCHMARK(BM_EbrReadSharedStriped)->ThreadRange(1, max_bench_threads());
+BENCHMARK(BM_EbrReadSharedOwned)->ThreadRange(1, max_bench_threads());
 
 void BM_EbrReadSharedLegacy(benchmark::State& state) {
   for (auto _ : state) {
@@ -175,6 +177,86 @@ void BM_ShardedCollectionRead(benchmark::State& state) {
 }
 BENCHMARK_TEMPLATE(BM_ShardedCollectionRead, rcua::QsbrPolicy);
 BENCHMARK_TEMPLATE(BM_ShardedCollectionRead, rcua::EbrPolicy);
+
+// bulk_read: one pinned section per 1024-element window (one block), so
+// items_per_second is the per-element cost of the bulk engine.
+constexpr std::size_t kBulkWindow = 1024;
+
+template <typename Policy>
+void BM_RcuArrayBulkRead(benchmark::State& state) {
+  rcua::rt::Cluster cluster({.num_locales = 1, .workers_per_locale = 1});
+  rcua::RCUArray<std::uint64_t, Policy> arr(cluster, kLadderElems);
+  std::vector<std::uint64_t> out(kBulkWindow);
+  std::size_t first = 0;
+  for (auto _ : state) {
+    arr.bulk_read(first, kBulkWindow, out.data());
+    benchmark::DoNotOptimize(out.data());
+    first = (first + kBulkWindow) & (kLadderElems - 1);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(kBulkWindow));
+  rcua::reclaim::Qsbr::global().flush_unsafe();
+}
+BENCHMARK_TEMPLATE(BM_RcuArrayBulkRead, rcua::QsbrPolicy);
+BENCHMARK_TEMPLATE(BM_RcuArrayBulkRead, rcua::EbrPolicy);
+
+// Cached read: 2 locales with the block cache on; every read targets a
+// block homed on the other locale, which after the first pass is a hit
+// in this locale's cache.
+template <typename Policy>
+void BM_RcuArrayCachedRead(benchmark::State& state) {
+  rcua::rt::Cluster cluster({.num_locales = 2, .workers_per_locale = 1});
+  rcua::RCUArray<std::uint64_t, Policy> arr(
+      cluster, kLadderElems, {.cache_capacity_bytes = std::size_t{1} << 20});
+  std::vector<std::size_t> remote;
+  for (std::size_t i = 0; i < kLadderElems; i += 7) {
+    if (arr.block_owner(i) != cluster.here()) remote.push_back(i);
+  }
+  std::size_t k = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(arr.read(remote[k]));
+    if (++k == remote.size()) k = 0;
+  }
+  rcua::reclaim::Qsbr::global().flush_unsafe();
+}
+BENCHMARK_TEMPLATE(BM_RcuArrayCachedRead, rcua::QsbrPolicy);
+BENCHMARK_TEMPLATE(BM_RcuArrayCachedRead, rcua::EbrPolicy);
+
+// DRAM-resident rows: the value ops over 512 MiB (perfbench
+// elastic-grow's array size) at random indices, so nearly every op
+// misses the caches. A section that ends with a locked RMW waits here
+// for the element's miss; one that ends with a plain store does not.
+constexpr std::size_t kDramElems = std::size_t{1} << 26;
+
+std::size_t dram_index(std::uint64_t i) {
+  return static_cast<std::size_t>(rcua::plat::mix64(i)) & (kDramElems - 1);
+}
+
+template <typename Policy>
+void BM_RcuArrayReadDram(benchmark::State& state) {
+  rcua::rt::Cluster cluster({.num_locales = 1, .workers_per_locale = 1});
+  rcua::RCUArray<std::uint64_t, Policy> arr(cluster, kDramElems);
+  std::uint64_t i = 0;
+  for (auto _ : state) benchmark::DoNotOptimize(arr.read(dram_index(i++)));
+  rcua::reclaim::Qsbr::global().flush_unsafe();
+}
+BENCHMARK_TEMPLATE(BM_RcuArrayReadDram, rcua::QsbrPolicy);
+BENCHMARK_TEMPLATE(BM_RcuArrayReadDram, rcua::EbrPolicy);
+
+template <typename Policy>
+void BM_RcuArrayWriteDram(benchmark::State& state) {
+  rcua::rt::Cluster cluster({.num_locales = 1, .workers_per_locale = 1});
+  rcua::RCUArray<std::uint64_t, Policy> arr(cluster, kDramElems);
+  std::uint64_t i = 0;
+  for (auto _ : state) {
+    arr.write(dram_index(i), i);
+    benchmark::ClobberMemory();
+    ++i;
+  }
+  rcua::reclaim::Qsbr::global().flush_unsafe();
+}
+BENCHMARK_TEMPLATE(BM_RcuArrayWriteDram, rcua::QsbrPolicy);
+BENCHMARK_TEMPLATE(BM_RcuArrayWriteDram, rcua::EbrPolicy);
 
 void BM_QsbrEnsureParticipant(benchmark::State& state) {
   rcua::reclaim::Qsbr& qsbr = rcua::reclaim::Qsbr::global();

@@ -9,11 +9,12 @@
 
 namespace rcua {
 
-/// A single RCU-protected object using the paper's TLS-free EBR,
+/// A single RCU-protected object using the paper's EBR (Algorithm 1),
 /// decoupled from RCUArray — the "future work" the conclusion names
 /// ("the decoupling of EBR from RCUArray can be performed easily ... and
 /// can even be used in other languages that lack official support for
-/// TLS").
+/// TLS"). reclaim::Ebr finds each reader's slot through a thread-local
+/// index; the conclusion's TLS-free form is reclaim::LegacyEbr.
 ///
 /// Readers run a function against a stable snapshot of the object;
 /// writers copy-mutate-swap and synchronously reclaim the old version

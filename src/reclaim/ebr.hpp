@@ -1,8 +1,9 @@
 #pragma once
 
+#include <algorithm>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <type_traits>
 #include <utility>
 
@@ -27,109 +28,200 @@
 namespace rcua::reclaim {
 
 /// Outcome of a drain (BasicEbr::wait_for_readers). Only a deadline-
-/// bounded drain can time out; then the stuck-stripe fields identify the
+/// bounded drain can time out; then the stuck-slot fields identify the
 /// offender for the stall diagnostic.
 struct DrainResult {
   bool drained = true;
   std::uint64_t waited_ns = 0;
-  /// First stripe whose old-parity slot was non-zero at expiry
+  /// First reader slot whose old-parity count was non-zero at expiry
   /// (SIZE_MAX when drained or when the column emptied between checks).
-  std::size_t stuck_stripe = SIZE_MAX;
+  /// In the owned layout the slot is its thread's reader index.
+  std::size_t stuck_slot = SIZE_MAX;
+  /// OS thread id that took `stuck_slot` (plat::reader_thread_id); 0 in
+  /// the legacy layout, whose one slot every reader shares.
+  std::uint64_t stuck_thread = 0;
   /// Old-parity column sum observed at expiry.
   std::uint64_t stuck_readers = 0;
 };
 
-/// Default number of reader-counter stripes: the hardware thread count
-/// rounded up to a power of two (clamped to [1, 256]), overridable with
-/// the RCUA_EBR_STRIPES environment variable (also rounded/clamped).
-[[nodiscard]] std::size_t default_ebr_stripes();
-
-/// Reader-counter layout policies (the A/B knob for the ablation bench).
-///
-/// `StripedReaders` is the optimized layout: `stripes × 2` cache-line
-/// padded announcement slots, stripe picked by a cheap hash of the
-/// calling thread, announce/retract RMWs weakened to acq_rel and paired
-/// with a writer-side seq_cst fence after the epoch bump.
-///
-/// `LegacyReaders` is the paper's original collective layout — one
-/// `EpochReaders[2]` pair shared by every reader on the locale, all
-/// RMWs seq_cst — kept selectable so benches can A/B the two in one
-/// binary and tests can pin the paper's exact cost structure.
-struct StripedReaders {
-  static constexpr bool kStriped = true;
-};
-struct LegacyReaders {
-  static constexpr bool kStriped = false;
+/// One reader slot: a count of open sections per epoch parity, on its
+/// own cache line.
+struct alignas(plat::kCacheLine) ReaderSlot {
+  std::atomic<std::uint64_t> count[2] = {};
+#if RCUA_EBR_STATS
+  std::atomic<std::uint64_t> reads{0};
+  std::atomic<std::uint64_t> retries{0};
+#endif
 };
 
-/// The paper's novel TLS-free Epoch-Based Reclamation (Algorithm 1),
-/// with a striped read side.
+/// Reader-bank layouts (the A/B knob for the ablation bench).
 ///
-/// Readers announce themselves *collectively* on one of two columns of a
-/// counter bank, selected by the parity of a monotonically increasing
-/// `GlobalEpoch`. The read side is
+/// `OwnedReaders` is the default: every thread has a small dense reader
+/// index (plat::reader_index) and the bank holds one ReaderSlot per
+/// index, written only by the thread that owns it. Slots are allocated
+/// in chunks of kChunkSlots the first time an index in the chunk reads,
+/// so a bank costs memory only for the indices that have used it.
+class OwnedReaders {
+ public:
+  static constexpr bool kOwned = true;
+
+  OwnedReaders() = default;
+  OwnedReaders(const OwnedReaders&) = delete;
+  OwnedReaders& operator=(const OwnedReaders&) = delete;
+  ~OwnedReaders() {
+    for (auto& c : chunks_) delete[] c.load(std::memory_order_relaxed);
+  }
+
+  /// The calling thread's slot.
+  ReaderSlot& mine() {
+    // The ebr_shared_reader_slot mutation hands every reader slot 0:
+    // two owners' load-then-exchange increments can then lose a count.
+    const std::size_t i = RCUA_SCHED_MUT(ebr_shared_reader_slot)
+                              ? std::size_t{0}
+                              : plat::reader_index();
+    // seq_cst (a plain load on x86 and an ldar on ARM, like acquire):
+    // it orders another thread's install of the chunk before this
+    // reader's announcement in the single total order (DESIGN.md §5).
+    ReaderSlot* chunk =
+        chunks_[i / kChunkSlots].load(std::memory_order_seq_cst);
+    if (chunk == nullptr) [[unlikely]] chunk = install_chunk(i / kChunkSlots);
+    return chunk[i % kChunkSlots];
+  }
+
+  /// Calls fn(index, slot) for every allocated slot of an index handed
+  /// out so far. The high-water and chunk loads follow the writer's
+  /// seq_cst fence, so they see every index and chunk whose reader's
+  /// announcement precedes that fence (DESIGN.md §5).
+  template <typename F>
+  void for_each(F&& fn) const {
+    const std::size_t high = plat::reader_index_high_water();
+    for (std::size_t c = 0; c * kChunkSlots < high; ++c) {
+      const ReaderSlot* chunk = chunks_[c].load(std::memory_order_acquire);
+      if (chunk == nullptr) continue;
+      const std::size_t n = std::min(kChunkSlots, high - c * kChunkSlots);
+      for (std::size_t j = 0; j < n; ++j) fn(c * kChunkSlots + j, chunk[j]);
+    }
+  }
+
+  /// The slot of `index`, or nullptr when its chunk was never allocated.
+  [[nodiscard]] const ReaderSlot* find(std::size_t index) const noexcept {
+    if (index >= plat::kMaxReaders) return nullptr;
+    const ReaderSlot* chunk =
+        chunks_[index / kChunkSlots].load(std::memory_order_acquire);
+    return chunk == nullptr ? nullptr : &chunk[index % kChunkSlots];
+  }
+
+  /// An owned slot has no contention to model: the announce is one
+  /// uncontended RMW and the retract a store to a line already cached.
+  static void charge_enter(std::size_t) noexcept {
+    sim::charge(sim::CostModel::get().atomic_rmw_ns);
+  }
+  static void charge_leave(std::size_t) noexcept {
+    sim::charge(sim::CostModel::get().local_cached_ns);
+  }
+
+ private:
+  static constexpr std::size_t kChunkSlots = 64;  // 4 KiB
+
+  ReaderSlot* install_chunk(std::size_t c) {
+    ReaderSlot* fresh = new ReaderSlot[kChunkSlots];
+    ReaderSlot* expected = nullptr;
+    // seq_cst: the install precedes every announcement on the chunk in
+    // the single total order, so a drain scan after the writer's fence
+    // cannot miss the chunk.
+    if (chunks_[c].compare_exchange_strong(expected, fresh,
+                                           std::memory_order_seq_cst)) {
+      return fresh;
+    }
+    delete[] fresh;
+    return expected;
+  }
+
+  std::atomic<ReaderSlot*> chunks_[plat::kMaxReaders / kChunkSlots] = {};
+};
+
+/// `LegacyReaders` is the paper's original collective layout: one
+/// `EpochReaders[2]` pair shared by every reader on the locale, all RMWs
+/// seq_cst. It stays selectable so benches can A/B the two in one binary
+/// and tests can pin the paper's exact cost structure.
+class LegacyReaders {
+ public:
+  static constexpr bool kOwned = false;
+
+  ReaderSlot& mine() noexcept { return shared_; }
+  template <typename F>
+  void for_each(F&& fn) const { fn(std::size_t{0}, shared_); }
+  [[nodiscard]] const ReaderSlot* find(std::size_t index) const noexcept {
+    return index == 0 ? &shared_ : nullptr;
+  }
+
+  /// Modeled as always-contended: the whole point of the collective
+  /// counters is that every reader on the locale hammers them, so the
+  /// line ping-pongs on every RMW. (A truly solo reader is overcharged
+  /// in virtual time; the paper never evaluates that regime.)
+  void charge_enter(std::size_t parity) noexcept {
+    if (sim::enabled()) {
+      lines_[parity].use(sim::CostModel::get().rmw_transfer_ns);
+    }
+  }
+  void charge_leave(std::size_t parity) noexcept { charge_enter(parity); }
+
+ private:
+  ReaderSlot shared_;
+  sim::VirtualResource lines_[2];
+};
+
+/// The paper's Epoch-Based Reclamation (Algorithm 1). The default
+/// layout gives every thread its own reader slot, found through its
+/// thread-local reader index; `LegacyReaders` keeps the paper's TLS-free
+/// collective counters.
+///
+/// Readers announce themselves on one of two counters of their slot,
+/// selected by the parity of a monotonically increasing `GlobalEpoch`.
+/// The read side is
 ///
 ///     loop:
 ///       e   <- GlobalEpoch                   (line 10)
 ///       idx <- e % 2                         (line 11)
-///       Bank[stripe][idx] += 1               (line 12, the announcement)
+///       Slot[me][idx] += 1                   (line 12, the announcement)
 ///       if GlobalEpoch == e:                 (line 13, the verification)
-///         r <- lambda(snapshot); Bank[stripe][idx] -= 1; return r
-///       Bank[stripe][idx] -= 1; retry        (line 17)
+///         r <- lambda(snapshot); Slot[me][idx] -= 1; return r
+///       Slot[me][idx] -= 1; retry            (line 17)
 ///
 /// and the write side, after publishing the new snapshot, bumps the epoch
-/// and waits for the *old* parity's column — summed across stripes — to
+/// and waits for the *old* parity's counters — summed across slots — to
 /// drain before reclaiming (lines 5-8). Lemma 1 guarantees at most two
-/// live snapshots (the writer holds a cluster lock), so two columns
-/// suffice, and Lemma 2 shows parity is preserved even across integer
-/// overflow of the epoch — which is why the epoch type is a template
-/// parameter: tests instantiate `BasicEbr<std::uint8_t>` and drive it
-/// through wrap-around for real.
+/// live snapshots (the writer holds a cluster lock), so two counters per
+/// slot suffice, and Lemma 2 shows parity is preserved even across
+/// integer overflow of the epoch — which is why the epoch type is a
+/// template parameter: tests instantiate `BasicEbr<std::uint8_t>` and
+/// drive it through wrap-around for real.
 ///
-/// Striping (DEBRA's observation, kept TLS-free): the paper attributes
-/// EBR's collapse to every reader on a locale hammering the same two
-/// cache lines with seq_cst RMWs. Hashing each reader onto its own
-/// padded slot makes the announce/retract RMWs almost-always
-/// uncontended; summing a column preserves the drain condition because a
-/// reader only ever announces and retracts on one slot. Memory ordering:
-/// the announce/retract RMWs are acq_rel, the epoch load/verify stays
-/// seq_cst, and `advance_epoch` issues a seq_cst fence after the bump —
-/// the line-13 argument needs only that a reader whose verify load saw
-/// the pre-bump epoch has its announcement visible to the writer's
-/// post-fence drain scan (see DESIGN.md §5).
-template <typename EpochT = std::uint64_t, typename Layout = StripedReaders>
+/// Owned slots (DEBRA's per-thread announcements): only the owner writes
+/// its slot, so the increment is a relaxed load plus one seq_cst
+/// `exchange` (an `xchg` on x86, which gives line 13 its StoreLoad edge),
+/// and the undo and the retract are release stores — no locked RMW ends
+/// a section. The writer bumps the epoch with a seq_cst RMW, issues a
+/// seq_cst fence, then sums the old-parity counters with acquire loads.
+/// A zero sum means every announced old-parity reader has retracted,
+/// because each reader only ever counts on its own slot (DESIGN.md §5).
+template <typename EpochT = std::uint64_t, typename Layout = OwnedReaders>
 class BasicEbr {
   static_assert(std::is_unsigned_v<EpochT>,
                 "epochs rely on unsigned wrap-around (Lemma 2)");
 
  public:
-  /// `stripe_count` of 0 means `default_ebr_stripes()`; any other value
-  /// is rounded up to a power of two. LegacyReaders always uses one
-  /// stripe (the original EpochReaders[2] pair).
   BasicEbr() : BasicEbr(EpochT{0}) {}
-  explicit BasicEbr(EpochT initial_epoch, std::size_t stripe_count = 0)
-      : stripes_(Layout::kStriped
-                     ? round_up_pow2(stripe_count != 0 ? stripe_count
-                                                       : default_ebr_stripes())
-                     : 1),
-        stripe_mask_(stripes_ - 1),
-        slots_(new Slot[stripes_ * 2]),
-        slot_lines_(new sim::VirtualResource[stripes_ * 2])
-#if RCUA_EBR_STATS
-        ,
-        stripe_stats_(new StripeStats[stripes_])
-#endif
-  {
+  explicit BasicEbr(EpochT initial_epoch) {
     epoch_->store(initial_epoch, std::memory_order_relaxed);
   }
   BasicEbr(const BasicEbr&) = delete;
   BasicEbr& operator=(const BasicEbr&) = delete;
 
-  /// Observability counters. `reads` and `read_retries` are maintained
-  /// per-stripe and only when the library is built with -DRCUA_STATS=ON
-  /// (they are read-side RMWs, so by default they compile out of the hot
-  /// path entirely and report 0). `epoch_advances` is write-side and
-  /// always maintained.
+  /// Observability counters. `reads` and `read_retries` are kept in the
+  /// reader slots and only when the library is built with -DRCUA_STATS=ON
+  /// (by default they compile out of the hot path entirely and report 0).
+  /// `epoch_advances` is write-side and always maintained.
   struct Stats {
     std::uint64_t reads = 0;
     std::uint64_t read_retries = 0;
@@ -137,7 +229,7 @@ class BasicEbr {
   };
 
   static constexpr bool kStatsEnabled = RCUA_EBR_STATS != 0;
-  static constexpr bool kStripedLayout = Layout::kStriped;
+  static constexpr bool kOwnedLayout = Layout::kOwned;
 
   /// Test-only fault injection: when non-null, invoked at the read-side
   /// linearization points — phase 0 after the epoch load (line 10) and
@@ -148,12 +240,6 @@ class BasicEbr {
   /// is a `ReadGuard` scope, so the hook fires identically on either.
   using ReadHook = void (*)(BasicEbr&, int phase);
   ReadHook test_read_hook = nullptr;
-
-  /// Test-only stripe pin: when >= 0, announcements land on this stripe
-  /// (mod stripe count) instead of the thread-hash choice. Lets unit
-  /// tests place readers on known stripes to exercise the drain's
-  /// cross-stripe summation.
-  std::int32_t test_stripe_override = -1;
 
   /// RCU_Read: runs `fn` inside a read-side critical section and returns
   /// its result. `fn` may return a reference; per the paper's relaxation
@@ -167,48 +253,56 @@ class BasicEbr {
     return std::forward<F>(fn)();
   }
 
+ private:
+  /// A section's announced counter and its parity.
+  struct Held {
+    std::atomic<std::uint64_t>* count;
+    std::size_t parity;
+  };
+
+ public:
   /// RAII read-side critical section: announces on construction and
   /// retracts on destruction, unwinding included. The one read path;
   /// read() is a guard scope around its λ.
   class ReadGuard {
    public:
-    explicit ReadGuard(BasicEbr& ebr) : ebr_(ebr), slot_(ebr.announce()) {
+    explicit ReadGuard(BasicEbr& ebr) : ebr_(ebr), held_(ebr.announce()) {
       obs::trace_event("rcu.read_section", "rcu", 'B');
       dwell_start_ = dwell_clock_if_enabled();
     }
     ~ReadGuard() {
       RCUA_SCHED_POINT("ebr.guard.leave");
       note_section_end(dwell_start_);
-      ebr_.retract(slot_);
+      ebr_.leave(*held_.count, held_.parity);
     }
     ReadGuard(const ReadGuard&) = delete;
     ReadGuard& operator=(const ReadGuard&) = delete;
 
    private:
     BasicEbr& ebr_;
-    std::size_t slot_;
+    Held held_;
     std::uint64_t dwell_start_ = 0;
   };
 
   /// Write-side epoch bump (RCU_Write line 5). Returns the *previous*
-  /// epoch, whose parity selects the column to drain. The caller must
+  /// epoch, whose parity selects the counters to drain. The caller must
   /// hold the structure's write lock and must already have published the
-  /// new snapshot. In the striped layout the bump is followed by a
-  /// seq_cst fence: the drain's counter loads must not be satisfied
-  /// before the new epoch is visible, or a reader that announced and
-  /// verified against the old epoch could be missed (the StoreLoad edge
-  /// the all-seq_cst legacy layout got implicitly).
+  /// new snapshot. In the owned layout the bump is followed by a seq_cst
+  /// fence: the drain's counter loads must not be satisfied before the
+  /// new epoch is visible, or a reader that announced and verified
+  /// against the old epoch could be missed (the StoreLoad edge the
+  /// all-seq_cst legacy layout gets from its RMWs).
   EpochT advance_epoch() noexcept {
     epoch_advances_.value.fetch_add(1, std::memory_order_relaxed);
     sim::charge(sim::CostModel::get().atomic_rmw_ns);
 #if defined(RCUA_SCHED_TEST) && RCUA_SCHED_TEST
-    if constexpr (Layout::kStriped) {
+    if constexpr (Layout::kOwned) {
       if (RCUA_SCHED_MUT(ebr_skip_fence)) {
         // SC emulation of the reordering the fence forbids: without the
-        // fence the drain's first column scan may be satisfied by values
-        // read before the epoch store became visible. Sample the
-        // soon-to-be-old column here, pre-bump; wait_for_readers consumes
-        // the sample as its (hoisted) first check.
+        // fence the drain's first scan may be satisfied by values read
+        // before the epoch store became visible. Sample the soon-to-be-
+        // old parity here, pre-bump; wait_for_readers consumes the
+        // sample as its (hoisted) first check.
         const auto old_idx = static_cast<std::size_t>(
             epoch_->load(std::memory_order_seq_cst) % 2);
         hoisted_scan_zero_[old_idx] = column_sum(old_idx) == 0;
@@ -218,7 +312,7 @@ class BasicEbr {
 #endif
     RCUA_SCHED_POINT("ebr.advance_epoch");
     const EpochT prev = epoch_->fetch_add(1, std::memory_order_seq_cst);
-    if constexpr (Layout::kStriped) {
+    if constexpr (Layout::kOwned) {
       if (!RCUA_SCHED_MUT(ebr_skip_fence)) {
         std::atomic_thread_fence(std::memory_order_seq_cst);
       }
@@ -229,24 +323,24 @@ class BasicEbr {
   }
 
   /// Waits until every reader recorded under `old_epoch`'s parity has
-  /// evacuated (RCU_Write lines 6-7): the old-parity column, summed over
-  /// all stripes, must reach zero. A reader only ever announces and
-  /// retracts on a single slot, so a zero sum means every announced
+  /// evacuated (RCU_Write lines 6-7): the old-parity counters, summed
+  /// over all slots, must reach zero. A reader only ever announces and
+  /// retracts on its own slot, so a zero sum means every announced
   /// old-parity reader has retracted. After a drained result, memory
   /// only reachable from the pre-bump snapshot may be reclaimed.
   ///
   /// A non-zero `deadline_ns` bounds the wait (StallPolicy). On timeout
-  /// the result carries the stall evidence — the column sum and the
-  /// first stuck stripe — so the caller can emit a StallDiagnostic and
-  /// defer the retired memory onto an OverflowRetireList instead of
-  /// blocking forever.
+  /// the result carries the stall evidence — the column sum, the first
+  /// stuck slot and the thread that owns it — so the caller can emit a
+  /// StallDiagnostic and defer the retired memory onto an
+  /// OverflowRetireList instead of blocking forever.
   DrainResult wait_for_readers(EpochT old_epoch,
                                std::uint64_t deadline_ns = 0) noexcept {
     const std::size_t idx = static_cast<std::size_t>(old_epoch % 2);
     DrainResult result;
     if (RCUA_SCHED_MUT(ebr_skip_drain)) return result;
 #if defined(RCUA_SCHED_TEST) && RCUA_SCHED_TEST
-    if constexpr (Layout::kStriped) {
+    if constexpr (Layout::kOwned) {
       if (RCUA_SCHED_MUT(ebr_skip_fence) && hoisted_scan_zero_[idx]) {
         // The hoisted (pre-bump) scan saw an empty column; without the
         // fence the writer believes the drain already completed.
@@ -269,19 +363,16 @@ class BasicEbr {
       return result;
     }
     result.stuck_readers = column_sum(idx);
-    result.stuck_stripe = scan_stalled_stripe(idx);
-    return result;
-  }
-
-  /// First stripe currently holding a non-zero count at `parity`;
-  /// SIZE_MAX when the column is empty. Watchdog detection surface.
-  [[nodiscard]] std::size_t scan_stalled_stripe(std::size_t parity) const
-      noexcept {
-    const std::size_t idx = parity % 2;
-    for (std::size_t s = 0; s < stripes_; ++s) {
-      if (slots_[s * 2 + idx]->load(std::memory_order_acquire) != 0) return s;
+    bank_.for_each([&](std::size_t i, const ReaderSlot& s) {
+      if (result.stuck_slot == SIZE_MAX &&
+          s.count[idx].load(std::memory_order_acquire) != 0) {
+        result.stuck_slot = i;
+      }
+    });
+    if (Layout::kOwned && result.stuck_slot != SIZE_MAX) {
+      result.stuck_thread = plat::reader_thread_id(result.stuck_slot);
     }
-    return SIZE_MAX;
+    return result;
   }
 
   /// advance + drain in one call ("synchronize_rcu").
@@ -291,50 +382,35 @@ class BasicEbr {
     return epoch_->load(std::memory_order_seq_cst);
   }
 
-  /// Sum of the given parity's column across all stripes.
+  /// Sum of the given parity's counters across all slots.
   [[nodiscard]] std::uint64_t readers_at(std::size_t parity) const noexcept {
     return column_sum(parity % 2);
   }
 
-  /// One slot of the bank (tests of the stripe summation).
-  [[nodiscard]] std::uint64_t readers_at_stripe(std::size_t stripe,
-                                                std::size_t parity) const
+  /// One slot's count at `parity` (tests of slot ownership): the owned
+  /// layout's slot `index` belongs to the thread with that reader index;
+  /// the legacy layout has the one slot 0. 0 for a slot never allocated.
+  [[nodiscard]] std::uint64_t readers_in_slot(std::size_t index,
+                                              std::size_t parity) const
       noexcept {
-    return slots_[(stripe & stripe_mask_) * 2 + (parity % 2)]->load(
-        std::memory_order_seq_cst);
+    const ReaderSlot* s = bank_.find(index);
+    return s == nullptr ? 0
+                        : s->count[parity % 2].load(std::memory_order_acquire);
   }
-
-  [[nodiscard]] std::size_t stripe_count() const noexcept { return stripes_; }
 
   [[nodiscard]] Stats stats() const noexcept {
     Stats s;
 #if RCUA_EBR_STATS
-    for (std::size_t i = 0; i < stripes_; ++i) {
-      s.reads += stripe_stats_[i].reads.load(std::memory_order_relaxed);
-      s.read_retries +=
-          stripe_stats_[i].retries.load(std::memory_order_relaxed);
-    }
+    bank_.for_each([&](std::size_t, const ReaderSlot& r) {
+      s.reads += r.reads.load(std::memory_order_relaxed);
+      s.read_retries += r.retries.load(std::memory_order_relaxed);
+    });
 #endif
     s.epoch_advances = epoch_advances_.value.load(std::memory_order_relaxed);
     return s;
   }
 
  private:
-  using Slot = plat::CacheAligned<std::atomic<std::uint64_t>>;
-
-#if RCUA_EBR_STATS
-  struct alignas(plat::kCacheLine) StripeStats {
-    std::atomic<std::uint64_t> reads{0};
-    std::atomic<std::uint64_t> retries{0};
-  };
-#endif
-
-  static constexpr std::size_t round_up_pow2(std::size_t n) noexcept {
-    std::size_t p = 1;
-    while (p < n && p < 256) p <<= 1;
-    return p;
-  }
-
   /// Grace/dwell timestamps follow the trace-layer convention: virtual
   /// time when a TaskClock is attached (deterministic under the sched
   /// harness), wall time otherwise. Reading now_v() charges nothing.
@@ -356,132 +432,82 @@ class BasicEbr {
     }
   }
 
-  /// Announce/retract ordering: the striped layout relies on the
-  /// writer-side fence for the StoreLoad edge, so its reader RMWs only
-  /// need acq_rel (release so the drain's acquire loads order the
-  /// critical section before reclamation; acquire so the section's loads
-  /// cannot hoist above the announcement). The legacy layout keeps the
-  /// paper's all-seq_cst RMWs.
-  static constexpr std::memory_order reader_rmw_order() noexcept {
-    return Layout::kStriped ? std::memory_order_acq_rel
-                            : std::memory_order_seq_cst;
-  }
-
-  [[nodiscard]] std::size_t current_stripe() const noexcept {
-    if constexpr (!Layout::kStriped) return 0;
-#if defined(RCUA_SCHED_TEST) && RCUA_SCHED_TEST
-    // Under the deterministic scheduler the stripe must be a function of
-    // the logical task, not of the (run-varying) OS thread identity, or
-    // seeds would not replay.
-    if (testing::sched_task_active()) {
-      return testing::sched_task_id() & stripe_mask_;
-    }
-#endif
-    if (test_stripe_override >= 0) {
-      return static_cast<std::size_t>(test_stripe_override) & stripe_mask_;
-    }
-    return plat::stripe_index(stripes_);
-  }
-
   /// ReadGuard's entry loop (lines 10-13 + the undo/retry of line 17).
-  /// Returns the bank slot index the guard retracts from when it ends.
-  std::size_t announce() {
+  /// Returns the announced counter, which the guard retracts when it
+  /// ends.
+  Held announce() {
+    ReaderSlot& slot = bank_.mine();
     for (;;) {
       // Attempt to record our read (lines 10-12).
       const EpochT e = epoch_->load(std::memory_order_seq_cst);
       if (test_read_hook != nullptr) test_read_hook(*this, 0);
-      RCUA_SCHED_POINT("ebr.read.epoch_loaded");
-      const std::size_t stripe = current_stripe();
-      const std::size_t slot = stripe * 2 + static_cast<std::size_t>(e % 2);
-      slots_[slot]->fetch_add(1, reader_rmw_order());
-      charge_reader_rmw(slot);
+      const auto parity = static_cast<std::size_t>(e % 2);
+      std::atomic<std::uint64_t>& count = slot.count[parity];
+      if constexpr (Layout::kOwned) {
+        // Only the owner stores to its slot, so this load and the
+        // exchange below are one increment.
+        const std::uint64_t open = count.load(std::memory_order_relaxed);
+        RCUA_SCHED_POINT("ebr.read.epoch_loaded");
+        count.exchange(open + 1, std::memory_order_seq_cst);
+      } else {
+        RCUA_SCHED_POINT("ebr.read.epoch_loaded");
+        count.fetch_add(1, std::memory_order_seq_cst);
+      }
+      bank_.charge_enter(parity);
       if (test_read_hook != nullptr) test_read_hook(*this, 1);
-      RCUA_SCHED_POINT(announce_site(stripe));
+      RCUA_SCHED_POINT("ebr.read.announced");
       // Did the snapshot possibly change before we recorded? (line 13)
       bool verified = epoch_->load(std::memory_order_seq_cst) == e;
       if (RCUA_SCHED_MUT(ebr_skip_reverify)) verified = true;
       if (verified) {
-        count_read(stripe);
-        return slot;
+        count_stat(slot, /*retry=*/false);
+        return {&count, parity};
       }
       // Undo and try again (line 17).
-      slots_[slot]->fetch_sub(1, reader_rmw_order());
-      charge_reader_rmw(slot);
-      count_retry(stripe);
+      leave(count, parity);
+      count_stat(slot, /*retry=*/true);
     }
   }
 
-  void retract(std::size_t slot) noexcept {
-    slots_[slot]->fetch_sub(1, reader_rmw_order());
-    charge_reader_rmw(slot);
+  /// The undo (line 17) and the retract: a release store in the owned
+  /// layout, so the section happens-before a drain that reads the
+  /// decremented count; the paper's seq_cst RMW in the legacy one.
+  void leave(std::atomic<std::uint64_t>& count, std::size_t parity) noexcept {
+    if constexpr (Layout::kOwned) {
+      count.store(count.load(std::memory_order_relaxed) - 1,
+                  std::memory_order_release);
+    } else {
+      count.fetch_sub(1, std::memory_order_seq_cst);
+    }
+    bank_.charge_leave(parity);
   }
 
   [[nodiscard]] std::uint64_t column_sum(std::size_t idx) const noexcept {
     std::uint64_t sum = 0;
-    for (std::size_t s = 0; s < stripes_; ++s) {
-      sum += slots_[s * 2 + idx]->load(Layout::kStriped
-                                           ? std::memory_order_acquire
-                                           : std::memory_order_seq_cst);
-    }
+    bank_.for_each([&](std::size_t, const ReaderSlot& s) {
+      sum += s.count[idx].load(Layout::kOwned ? std::memory_order_acquire
+                                              : std::memory_order_seq_cst);
+    });
     return sum;
   }
 
-  void count_read(std::size_t stripe) noexcept {
+  void count_stat(ReaderSlot& slot, bool retry) noexcept {
 #if RCUA_EBR_STATS
-    stripe_stats_[stripe].reads.fetch_add(1, std::memory_order_relaxed);
-#else
-    (void)stripe;
-#endif
-  }
-  void count_retry(std::size_t stripe) noexcept {
-#if RCUA_EBR_STATS
-    stripe_stats_[stripe].retries.fetch_add(1, std::memory_order_relaxed);
-#else
-    (void)stripe;
-#endif
-  }
-
-  void charge_reader_rmw(std::size_t slot) noexcept {
-    if (!sim::enabled()) return;
-    if constexpr (Layout::kStriped) {
-      // A stripe's line stays in its (usual) owner's cache: a reader
-      // re-announcing on its own stripe pays an uncontended RMW; only a
-      // hash collision (or a writer's drain scan racing in) transfers
-      // the line. This is the regime split the striping buys.
-      const auto& m = sim::CostModel::get();
-      slot_lines_[slot].use_owned(m.rmw_transfer_ns, m.atomic_rmw_ns);
+    std::atomic<std::uint64_t>& c = retry ? slot.retries : slot.reads;
+    if constexpr (Layout::kOwned) {
+      c.store(c.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
     } else {
-      // Modeled as always-contended: the whole point of the collective
-      // counters is that every reader on the locale hammers them, so the
-      // line ping-pongs on every RMW. (A truly solo reader is overcharged
-      // in virtual time; the paper never evaluates that regime.)
-      slot_lines_[slot].use(sim::CostModel::get().rmw_transfer_ns);
+      c.fetch_add(1, std::memory_order_relaxed);
     }
-  }
-
-  /// Static per-stripe site names so sched traces show which stripe an
-  /// announcement landed on without allocating.
-  static const char* announce_site(std::size_t stripe) noexcept {
-    static constexpr const char* kSites[] = {
-        "ebr.read.announced[s0]", "ebr.read.announced[s1]",
-        "ebr.read.announced[s2]", "ebr.read.announced[s3]",
-        "ebr.read.announced[s4]", "ebr.read.announced[s5]",
-        "ebr.read.announced[s6]", "ebr.read.announced[s7]",
-    };
-    return stripe < 8 ? kSites[stripe] : "ebr.read.announced";
-  }
-
-  // GlobalEpoch on its own cache line; the reader bank is stripes × 2
-  // padded slots, slot (stripe, parity) at index stripe*2 + parity.
-  plat::CacheAligned<std::atomic<EpochT>> epoch_{EpochT{0}};
-  std::size_t stripes_;
-  std::size_t stripe_mask_;
-  std::unique_ptr<Slot[]> slots_;
-  // Virtual-time contention model, one line per bank slot.
-  std::unique_ptr<sim::VirtualResource[]> slot_lines_;
-#if RCUA_EBR_STATS
-  std::unique_ptr<StripeStats[]> stripe_stats_;
+#else
+    (void)slot;
+    (void)retry;
 #endif
+  }
+
+  // GlobalEpoch on its own cache line, then the reader bank.
+  plat::CacheAligned<std::atomic<EpochT>> epoch_{EpochT{0}};
+  Layout bank_;
   plat::CacheAligned<std::atomic<std::uint64_t>> epoch_advances_{0ULL};
 #if defined(RCUA_SCHED_TEST) && RCUA_SCHED_TEST
   /// ebr_skip_fence emulation state (see advance_epoch); written and
@@ -491,7 +517,7 @@ class BasicEbr {
 };
 
 /// Default epoch width and layout used by RCUArray.
-using Ebr = BasicEbr<std::uint64_t, StripedReaders>;
+using Ebr = BasicEbr<std::uint64_t, OwnedReaders>;
 /// The paper's original 2-counter collective layout (A/B baseline).
 using LegacyEbr = BasicEbr<std::uint64_t, LegacyReaders>;
 

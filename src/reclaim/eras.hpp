@@ -157,7 +157,7 @@ class BasicEraReclaimer {
                                               : default_era_slots())),
         slot_mask_(nslots_ - 1),
         slots_(new Slot[nslots_]),
-        slot_lines_(new sim::VirtualResource[nslots_]),
+        reservation_lines_(new sim::VirtualResource[nslots_]),
 #if RCUA_ERA_STATS
         slot_stats_(new SlotStats[nslots_]),
 #endif
@@ -615,9 +615,9 @@ class BasicEraReclaimer {
   void charge_slot_rmw(std::size_t idx) noexcept {
     // A claimed slot is reader-private: publishes are almost always
     // uncontended owned-line RMWs; only the writer's scan racing in
-    // transfers the line (the same regime split EBR's striping buys).
+    // transfers the line.
     const auto& m = sim::CostModel::get();
-    slot_lines_[idx].use_owned(m.rmw_transfer_ns, m.atomic_rmw_ns);
+    reservation_lines_[idx].use_owned(m.rmw_transfer_ns, m.atomic_rmw_ns);
   }
 
   void note_pending_hwm(std::size_t now_bytes) noexcept {
@@ -649,7 +649,7 @@ class BasicEraReclaimer {
   std::size_t slot_mask_;
   std::unique_ptr<Slot[]> slots_;
   // Virtual-time contention model, one line per reservation slot.
-  std::unique_ptr<sim::VirtualResource[]> slot_lines_;
+  std::unique_ptr<sim::VirtualResource[]> reservation_lines_;
 #if RCUA_ERA_STATS
   std::unique_ptr<SlotStats[]> slot_stats_;
 #endif

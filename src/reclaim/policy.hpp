@@ -106,7 +106,7 @@ class QsbrDomain {
   Qsbr* qsbr_;
 };
 
-/// EBR (Algorithm 1) over the striped or the paper's legacy reader bank,
+/// EBR (Algorithm 1) over the owned or the paper's legacy reader bank,
 /// plus the overflow list for spines whose stall-bounded drain timed out
 /// (DESIGN.md §8).
 template <typename E>
@@ -115,7 +115,7 @@ class EbrDomain {
   static constexpr bool is_qsbr = false;
   static constexpr bool is_interval = false;
   static constexpr const char* name =
-      E::kStripedLayout ? "EBR" : "EBR-legacy";
+      E::kOwnedLayout ? "EBR" : "EBR-legacy";
 
   explicit EbrDomain(Qsbr&) {}
 
@@ -160,7 +160,8 @@ class EbrDomain {
     diag.domain = &ebr_;
     diag.locale = site.locale.id();
     diag.epoch = static_cast<std::uint64_t>(epoch);
-    diag.stripe = drain.stuck_stripe;
+    diag.slot = drain.stuck_slot;
+    diag.thread_id = drain.stuck_thread;
     diag.stuck_readers = drain.stuck_readers;
     diag.waited_ns = drain.waited_ns;
     // Only an expired deadline is a stall; a drained-but-deferred spine
@@ -301,7 +302,7 @@ class EraDomain {
       diag.domain = &era_;
       diag.locale = site.locale.id();
       diag.epoch = res.era;
-      diag.stripe = res.laggard_slot;
+      diag.slot = res.laggard_slot;
       diag.era_lag = res.reservation_lag;
       diag.overflow_bytes = res.pending_bytes;
       site.monitor.record_stall(diag);

@@ -18,13 +18,13 @@ std::string StallDiagnostic::describe() const {
   switch (kind) {
     case Kind::kEbrReader:
       std::snprintf(buf, sizeof(buf),
-                    "rcua: EBR stall: domain %p locale %d stripe %zd holds "
-                    "%" PRIu64 " reader(s) at epoch %" PRIu64
-                    " after %" PRIu64 " ns",
+                    "rcua: EBR stall: domain %p locale %d reader slot %zd "
+                    "(thread %" PRIu64 ") holds %" PRIu64
+                    " reader(s) at epoch %" PRIu64 " after %" PRIu64 " ns",
                     domain, locale == UINT32_MAX ? -1 : static_cast<int>(locale),
-                    stripe == SIZE_MAX ? static_cast<std::ptrdiff_t>(-1)
-                                       : static_cast<std::ptrdiff_t>(stripe),
-                    stuck_readers, epoch, waited_ns);
+                    slot == SIZE_MAX ? static_cast<std::ptrdiff_t>(-1)
+                                     : static_cast<std::ptrdiff_t>(slot),
+                    thread_id, stuck_readers, epoch, waited_ns);
       break;
     case Kind::kOverflowBudget:
       std::snprintf(buf, sizeof(buf),
@@ -40,8 +40,8 @@ std::string StallDiagnostic::describe() const {
                     "the era clock by %" PRIu64 " era(s) at era %" PRIu64
                     ", holding %zu bytes pending (bounded)",
                     domain, locale == UINT32_MAX ? -1 : static_cast<int>(locale),
-                    stripe == SIZE_MAX ? static_cast<std::ptrdiff_t>(-1)
-                                       : static_cast<std::ptrdiff_t>(stripe),
+                    slot == SIZE_MAX ? static_cast<std::ptrdiff_t>(-1)
+                                     : static_cast<std::ptrdiff_t>(slot),
                     era_lag, epoch, overflow_bytes);
       break;
   }

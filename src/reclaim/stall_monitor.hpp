@@ -52,8 +52,13 @@ struct StallDiagnostic {
   std::uint32_t locale = UINT32_MAX;
   /// EBR: the pre-bump epoch being drained; eras: the era clock.
   std::uint64_t epoch = 0;
-  /// EBR: first stripe with a non-zero old-parity count (SIZE_MAX = n/a).
-  std::size_t stripe = SIZE_MAX;
+  /// EBR: first reader slot with a non-zero old-parity count — in the
+  /// owned layout the stuck thread's reader index; eras: the laggard
+  /// reservation slot (SIZE_MAX = n/a).
+  std::size_t slot = SIZE_MAX;
+  /// EBR owned layout: OS thread id (Linux tid) of the thread that took
+  /// `slot`, recorded when the index was assigned (0 = unknown).
+  std::uint64_t thread_id = 0;
   /// EBR: old-parity column sum at deadline expiry.
   std::uint64_t stuck_readers = 0;
   /// How long the waiter spun before giving up.
@@ -62,12 +67,12 @@ struct StallDiagnostic {
   std::size_t overflow_bytes = 0;
   std::size_t budget_bytes = 0;
   /// Era reservations: how many eras the laggard reservation trails the
-  /// clock (kEraReservation; `stripe` carries the slot, `overflow_bytes`
+  /// clock (kEraReservation; `slot` carries the slot, `overflow_bytes`
   /// the blocked-pending bytes).
   std::uint64_t era_lag = 0;
 
-  /// One-line human-readable rendering ("which stripe/slot is stuck,
-  /// for how long, at what epoch").
+  /// One-line human-readable rendering ("which slot and thread is
+  /// stuck, for how long, at what epoch").
   [[nodiscard]] std::string describe() const;
 };
 

@@ -29,8 +29,8 @@ namespace rcua::testing {
 
 /// Creation-order id of the calling logical task; 0 when the calling
 /// thread is not a scheduled task. Deterministic across replays — used
-/// by the striped EBR to derive its stripe choice from the logical task
-/// instead of the (run-varying) OS thread identity.
+/// by the era reclaimers to derive their reservation slot from the
+/// logical task instead of the (run-varying) OS thread identity.
 [[nodiscard]] std::size_t sched_task_id() noexcept;
 
 /// Yield point: hands control to the scheduler, which picks the next
@@ -68,11 +68,17 @@ struct Mutations {
   /// EBR: reclaim without draining the old-parity reader counter
   /// (Algorithm 1 lines 6-7).
   bool ebr_skip_drain = false;
-  /// EBR (striped layout): drop the writer-side seq_cst fence after the
+  /// EBR (owned layout): drop the writer-side seq_cst fence after the
   /// epoch bump. Emulated under the SC scheduler as the StoreLoad hoist
   /// the fence forbids: the drain's first column scan may be satisfied by
   /// values sampled before the bump became visible.
   bool ebr_skip_fence = false;
+  /// EBR (owned layout): hand every reader the same slot. The owned
+  /// increment is a load and an exchange, sound only because no other
+  /// thread stores to the slot; two readers that both load before either
+  /// exchanges lose a count, so one retract empties the slot under the
+  /// other reader and a drain completes while it is still inside.
+  bool ebr_shared_reader_slot = false;
   /// QSBR: checkpoint reclaims up to the *current* epoch instead of the
   /// minimum observed epoch over all participants (Algorithm 2 lines
   /// 6-8).

@@ -9,7 +9,7 @@ namespace rcua::util {
 
 /// Reads environment variable `name` as a u64; returns `fallback` when
 /// the variable is unset or unparsable. Malformed or overflowing values
-/// (e.g. RCUA_EBR_STRIPES=abc, "12junk", "-3", 2^70) never throw: they
+/// (e.g. RCUA_COMM_WINDOW=abc, "12junk", "-3", 2^70) never throw: they
 /// warn once per variable to stderr and fall back.
 std::uint64_t env_u64(const char* name, std::uint64_t fallback);
 

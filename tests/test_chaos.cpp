@@ -47,7 +47,7 @@ bool eventually(Pred&& pred) {
 // The acceptance scenario: a reader stalled mid-read-section plus a
 // killed worker, with resize_add completing within the configured
 // deadline instead of hanging, the overflow list within budget, and the
-// diagnostic naming the stuck stripe.
+// diagnostic naming the stuck reader slot.
 TEST(Chaos, StalledReaderAndKilledWorkerDoNotHangResize) {
   // Declared before the cluster: pool workers consult the plan between
   // tasks, so it must outlive them (the cluster's destructor joins).
@@ -99,15 +99,16 @@ TEST(Chaos, StalledReaderAndKilledWorkerDoNotHangResize) {
   EXPECT_GE(monitor.stalls(), 1u);
   EXPECT_LE(monitor.peak_overflow_bytes(), monitor.budget_bytes());
 
-  // The diagnostic names the stuck locale/stripe/epoch.
+  // The diagnostic names the stuck locale/slot/thread/epoch.
   const auto captured_diags = captured.records();
   ASSERT_FALSE(captured_diags.empty());
   const reclaim::StallDiagnostic& diag = captured_diags.front();
   EXPECT_EQ(diag.kind, reclaim::StallDiagnostic::Kind::kEbrReader);
   EXPECT_EQ(diag.locale, 0u);
-  EXPECT_NE(diag.stripe, SIZE_MAX);
+  EXPECT_NE(diag.slot, SIZE_MAX);
   EXPECT_GE(diag.stuck_readers, 1u);
-  EXPECT_NE(diag.describe().find("stripe"), std::string::npos);
+  EXPECT_NE(diag.thread_id, 0u);
+  EXPECT_NE(diag.describe().find("reader slot"), std::string::npos);
 
   // The killed worker died after handing off its queue; the pool (and a
   // further resize) keeps working.

@@ -106,7 +106,7 @@ TEST_F(ChargingTest, WriteToRemoteBlockUsesPutCost) {
   rcua::reclaim::Qsbr::global().flush_unsafe();
 }
 
-TEST_F(ChargingTest, EbrAddsTwoReaderTransfersPerOp) {
+TEST_F(ChargingTest, EbrAddsOneOwnedRmwAndOneStorePerOp) {
   rt::Cluster cluster({.num_locales = 1, .workers_per_locale = 1});
   RCUArray<std::uint64_t, EbrPolicy> arr(cluster, 64, {.block_size = 64});
   arr.read(0);  // warm the block (no clock -> free)
@@ -115,12 +115,12 @@ TEST_F(ChargingTest, EbrAddsTwoReaderTransfersPerOp) {
     sim::ClockScope scope(clock);
     arr.read(0);
   }
-  // The striped EBR read path: the announce RMW pulls the stripe line
-  // (rmw_transfer 500); the retract hits the line this task now owns
-  // (atomic_rmw 20). Plus snapshot atomic load inside the lambda (2),
+  // The owned-slot EBR read path: the announce is one uncontended RMW on
+  // the task's own line (atomic_rmw 20) and the retract a store to it
+  // (local_cached 1). Plus snapshot atomic load inside the lambda (2),
   // index overhead 50, cached element (first in scope: miss 100 + spine
   // 800).
-  EXPECT_EQ(clock.vtime_ns, 50 + (500 + 20) + 2 + 100 + 800);
+  EXPECT_EQ(clock.vtime_ns, 50 + (20 + 1) + 2 + 100 + 800);
 }
 
 TEST_F(ChargingTest, LegacyEbrAddsTwoReaderTransfersPerOp) {

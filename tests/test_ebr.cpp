@@ -228,6 +228,7 @@ TEST(EbrSim, ReaderRmwChargesAreModeled) {
   auto& m = rcua::sim::CostModel::mutable_instance();
   m.rmw_transfer_ns = 500;
   m.atomic_rmw_ns = 5;
+  m.local_cached_ns = 1;
 
   reclaim::Ebr ebr;
   rcua::sim::TaskClock clock;
@@ -235,10 +236,10 @@ TEST(EbrSim, ReaderRmwChargesAreModeled) {
     rcua::sim::ClockScope scope(clock);
     ebr.read([] { return 0; });
   }
-  // Striped layout: the announce pays one transfer to pull the stripe's
-  // line in (500); the balancing retract hits the line this task now
-  // owns, so it costs only the local RMW (5).
-  EXPECT_EQ(clock.vtime_ns, 505u);
+  // Owned layout: no other thread writes the slot, so nothing transfers
+  // the line. The announce pays one uncontended RMW (5), the retract a
+  // store to a line already cached (1).
+  EXPECT_EQ(clock.vtime_ns, 6u);
 }
 
 TEST(EbrSim, LegacyLayoutChargesAlwaysContendedTransfers) {

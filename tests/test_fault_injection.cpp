@@ -3,10 +3,14 @@
 // hoping a scheduler interleaving finds them.
 
 #include <gtest/gtest.h>
+#include <sys/syscall.h>
+#include <unistd.h>
 
 #include <atomic>
+#include <cstdint>
 #include <thread>
 
+#include "platform/topology.hpp"
 #include "reclaim/ebr.hpp"
 #include "reclaim/qsbr.hpp"
 #include "reclaim/stall_monitor.hpp"
@@ -198,16 +202,19 @@ TEST(FaultInjection, ParkWhileAnnouncedStallsTheDrainAndIsDiagnosed) {
   // in the registry) while still ANNOUNCED in an EBR read-side section.
   // Parking must not erase the announcement — the drain has to keep
   // waiting (safety) — and the deadline-bounded drain must name the
-  // stuck stripe for the watchdog.
-  reclaim::Ebr ebr(0, /*stripe_count=*/4);
+  // stuck reader's slot and thread for the watchdog.
+  reclaim::Ebr ebr;
   rcua::rt::ThreadRegistry registry;
   reclaim::Qsbr qsbr(registry);
 
   std::atomic<bool> parked{false};
   std::atomic<bool> release{false};
+  std::atomic<std::size_t> stuck_index{SIZE_MAX};
+  std::atomic<std::uint64_t> stuck_tid{0};
   std::thread stuck([&] {
-    ebr.test_stripe_override = 3;
-    reclaim::Ebr::ReadGuard guard(ebr);  // announced on stripe 3
+    stuck_index.store(rcua::plat::reader_index());
+    stuck_tid.store(static_cast<std::uint64_t>(::syscall(SYS_gettid)));
+    reclaim::Ebr::ReadGuard guard(ebr);  // announced on its own slot
     qsbr.park();                         // ... then parks, still announced
     parked.store(true);
     while (!release.load()) std::this_thread::yield();
@@ -219,7 +226,8 @@ TEST(FaultInjection, ParkWhileAnnouncedStallsTheDrainAndIsDiagnosed) {
   const reclaim::DrainResult drain =
       ebr.wait_for_readers(old_epoch, /*deadline_ns=*/500 * 1000);  // 0.5 ms
   EXPECT_FALSE(drain.drained) << "parking must not fake an EBR retraction";
-  EXPECT_EQ(drain.stuck_stripe, 3u);
+  EXPECT_EQ(drain.stuck_slot, stuck_index.load());
+  EXPECT_EQ(drain.stuck_thread, stuck_tid.load());
   EXPECT_EQ(drain.stuck_readers, 1u);
 
   release.store(true);

@@ -95,19 +95,19 @@ TEST(Shape, LegacyEbrIsASmallFractionOfQsbr) {
   EXPECT_GT(ebr, 0.001 * qsbr);
 }
 
-TEST(Shape, StripedEbrClosesMostOfTheQsbrGap) {
-  const double striped = vtime_throughput<RCUArray<std::uint64_t, EbrPolicy>>(
+TEST(Shape, OwnedEbrClosesMostOfTheQsbrGap) {
+  const double owned = vtime_throughput<RCUArray<std::uint64_t, EbrPolicy>>(
       4, 16, 512, false);
   const double legacy =
       vtime_throughput<RCUArray<std::uint64_t, rcua::LegacyEbrPolicy>>(
           4, 16, 512, false);
   const double qsbr = vtime_throughput<RCUArray<std::uint64_t, QsbrPolicy>>(
       4, 16, 512, false);
-  // The striped bank removes the shared-line serialization: at 64 tasks
-  // the default EbrPolicy must now land within 2x of QSBR instead of the
-  // legacy collapse, and beat the two-counter layout by >=3x.
-  EXPECT_GT(striped, 0.5 * qsbr);
-  EXPECT_GT(striped, 3.0 * legacy);
+  // Owned reader slots remove the shared-line serialization: at 64
+  // tasks the default EbrPolicy must land within 2x of QSBR instead of
+  // the legacy collapse, and beat the two-counter layout by >=3x.
+  EXPECT_GT(owned, 0.5 * qsbr);
+  EXPECT_GT(owned, 3.0 * legacy);
 }
 
 TEST(Shape, SyncArrayDoesNotScale) {

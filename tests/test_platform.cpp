@@ -201,3 +201,13 @@ TEST(Topology, ReportsAtLeastOneThread) {
   EXPECT_GE(plat::hardware_threads(), 1u);
   EXPECT_TRUE(plat::oversubscribed(plat::hardware_threads() + 1));
 }
+
+TEST(Topology, StripeIndexStaysInRange) {
+  for (std::size_t n : {std::size_t{1}, std::size_t{2}, std::size_t{8},
+                        std::size_t{64}}) {
+    EXPECT_LT(plat::stripe_index(n), n) << "stripes=" << n;
+  }
+  // Stable within a thread: the stripe is a pure function of the thread
+  // identity, so repeated calls agree (the line stays cache-resident).
+  EXPECT_EQ(plat::stripe_index(64), plat::stripe_index(64));
+}

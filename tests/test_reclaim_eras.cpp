@@ -274,7 +274,7 @@ TYPED_TEST(EraArrayTest, EraStallDiagnosticIsStructuredAndNonEscalating) {
       EXPECT_NE(d.domain, nullptr);
       EXPECT_EQ(d.locale, 0u);
       EXPECT_GE(d.era_lag, 3u);
-      EXPECT_NE(d.stripe, SIZE_MAX);     // the laggard slot is named
+      EXPECT_NE(d.slot, SIZE_MAX);     // the laggard slot is named
       EXPECT_GT(d.overflow_bytes, 0u);   // pending (bounded) bytes
       EXPECT_EQ(d.budget_bytes, 0u);     // no budget in play
       EXPECT_FALSE(d.describe().empty());

@@ -28,14 +28,12 @@ using rcua::testing::ScopedMutation;
 using rcua::testing::Scheduler;
 
 /// Shared state of the reader/writer scenarios: a "current snapshot" index
-/// into an arena of freed-flags. The stripe count is pinned (not the
-/// host-dependent default) so the schedule tree — and every printed seed —
-/// replays identically on any machine.
-template <typename EpochT,
-          typename Layout = rcua::reclaim::StripedReaders>
+/// into an arena of freed-flags. Each task reads on its own thread's
+/// reader slot; no sched site names the slot, so every printed seed
+/// replays identically whatever indices the task threads take.
+template <typename EpochT, typename Layout = rcua::reclaim::OwnedReaders>
 struct Arena {
-  explicit Arena(EpochT initial_epoch = EpochT{0}, std::size_t stripes = 2)
-      : ebr(initial_epoch, stripes) {}
+  explicit Arena(EpochT initial_epoch = EpochT{0}) : ebr(initial_epoch) {}
 
   rcua::reclaim::BasicEbr<EpochT, Layout> ebr;
   std::atomic<std::size_t> current{0};
@@ -139,7 +137,7 @@ TEST(SchedEbr, MutationSkipDrainFound) {
 }
 
 TEST(SchedEbr, MutationSkipFenceFound) {
-  // Striped layout only: dropping the writer-side seq_cst fence after the
+  // Owned layout only: dropping the writer-side seq_cst fence after the
   // epoch bump lets the drain's first column scan be satisfied by values
   // read before the bump (StoreLoad hoist). Emulated under the SC
   // scheduler by the pre-bump hoisted scan in advance_epoch. The failing
@@ -183,7 +181,7 @@ TEST(SchedEbr, MutationSkipFenceFoundByDfs) {
 }
 
 TEST(SchedEbr, SkipFenceIsVacuousOnLegacyLayout) {
-  // The fence is an obligation the *striped* layout introduced: the
+  // The fence is an obligation the *owned* layout introduced: the
   // legacy all-seq_cst layout never elides the StoreLoad edge, so the
   // same mutation must find nothing there.
   ScopedMutation mut(&rcua::testing::mutations().ebr_skip_fence);
@@ -229,23 +227,93 @@ TEST(SchedEbr, NegativeControlDfsExhaustive) {
       << result.schedules_run;
 }
 
-TEST(SchedEbr, NegativeControlFourStripes) {
-  // The unmutated protocol stays safe when readers land on distinct
-  // stripes and the drain must sum the column across the bank.
+TEST(SchedEbr, NegativeControlThreeReaders) {
+  // The unmutated protocol stays safe when three readers each count on
+  // their own slot and the drain must sum the column across the bank.
   ExploreOptions opts;
   opts.mode = ExploreMode::kRandom;
   opts.schedules = 2000;
   opts.stop_on_violation = false;
   const ExploreResult result =
       rcua::testing::explore(opts, [](Scheduler& sched) {
-        auto a = std::make_shared<Arena<std::uint64_t>>(std::uint64_t{0},
-                                                        std::size_t{4});
+        auto a = std::make_shared<Arena<std::uint64_t>>();
         for (int r = 0; r < 3; ++r) {
           sched.spawn("reader", [a] { reader_once(*a); });
         }
         sched.spawn("writer", [a] { writer_rounds(*a, 2); });
       });
   EXPECT_FALSE(result.found) << result.message << "\n" << result.trace;
+}
+
+/// Two readers and a one-round writer: the scenario that exposes a
+/// shared reader slot. Both readers load the slot's count before either
+/// exchanges, so one increment is lost; the first retract then empties
+/// the slot under the second reader, and the writer's drain reclaims the
+/// snapshot that reader still holds.
+void shared_slot_scenario(Scheduler& sched) {
+  auto a = std::make_shared<Arena<std::uint64_t>>();
+  sched.spawn("reader", [a] { reader_once(*a); });
+  sched.spawn("reader", [a] { reader_once(*a); });
+  sched.spawn("writer", [a] { writer_rounds(*a, 1); });
+}
+
+TEST(SchedEbr, MutationSharedReaderSlotFound) {
+  ScopedMutation mut(&rcua::testing::mutations().ebr_shared_reader_slot);
+
+  ExploreOptions opts;
+  opts.mode = ExploreMode::kRandom;
+  opts.schedules = 10000;
+  const ExploreResult result =
+      rcua::testing::explore(opts, shared_slot_scenario);
+  ASSERT_TRUE(result.found)
+      << "two owners of one slot lose an increment; that must be caught";
+
+  ExploreOptions replay;
+  replay.mode = ExploreMode::kRandom;
+  replay.schedules = 1;
+  replay.base_seed = result.seed;
+  replay.quiet = true;
+  const ExploreResult again =
+      rcua::testing::explore(replay, shared_slot_scenario);
+  ASSERT_TRUE(again.found) << "seed " << result.seed << " did not replay";
+  EXPECT_EQ(again.message, result.message);
+}
+
+TEST(SchedEbr, MutationSharedReaderSlotFoundByDfs) {
+  ScopedMutation mut(&rcua::testing::mutations().ebr_shared_reader_slot);
+
+  ExploreOptions opts;
+  opts.mode = ExploreMode::kDfs;
+  opts.schedules = 200000;
+  opts.preemption_bound = 3;
+  const ExploreResult result =
+      rcua::testing::explore(opts, shared_slot_scenario);
+  ASSERT_TRUE(result.found)
+      << "the lost count needs 3 preemptions; bounded DFS must reach it";
+}
+
+TEST(SchedEbr, NegativeControlSharedSlotScenario) {
+  // Unmutated, each reader owns its slot: no schedule loses a count.
+  ExploreOptions opts;
+  opts.mode = ExploreMode::kRandom;
+  opts.schedules = 2000;
+  opts.stop_on_violation = false;
+  const ExploreResult result =
+      rcua::testing::explore(opts, shared_slot_scenario);
+  EXPECT_FALSE(result.found) << result.message << "\n" << result.trace;
+
+  ExploreOptions dfs;
+  dfs.mode = ExploreMode::kDfs;
+  dfs.schedules = 200000;
+  dfs.preemption_bound = 3;
+  dfs.stop_on_violation = false;
+  const ExploreResult exhaustive =
+      rcua::testing::explore(dfs, shared_slot_scenario);
+  EXPECT_FALSE(exhaustive.found) << exhaustive.message << "\n"
+                                 << exhaustive.trace;
+  EXPECT_TRUE(exhaustive.exhausted)
+      << "expected to enumerate the full 3-preemption schedule tree, ran "
+      << exhaustive.schedules_run;
 }
 
 // Lemma 2: epoch parity (and with it reader/writer pairing) survives

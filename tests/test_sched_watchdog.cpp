@@ -30,11 +30,8 @@ using rcua::testing::ScopedMutation;
 using rcua::testing::Scheduler;
 
 /// "Reclamation" is flipping a freed-flag, so a protocol bug is detected
-/// as a flag read, not a real use-after-free. Stripes are pinned to 2 so
-/// seeds replay identically on any machine.
+/// as a flag read, not a real use-after-free.
 struct Arena {
-  Arena() : ebr(0, /*stripes=*/2) {}
-
   rcua::reclaim::BasicEbr<std::uint64_t> ebr;
   rcua::reclaim::OverflowRetireList overflow;
   std::atomic<std::size_t> current{0};
@@ -165,9 +162,9 @@ TEST(SchedWatchdog, NegativeControlDfs) {
   EXPECT_FALSE(result.found) << result.message << "\n" << result.trace;
 }
 
-TEST(SchedWatchdog, TwoReadersAcrossStripesStaySafe) {
-  // The flush's drained-predicate sums the parity column across stripes;
-  // two readers on distinct stripes must both gate it.
+TEST(SchedWatchdog, TwoReadersOnTheirOwnSlotsStaySafe) {
+  // The flush's drained-predicate sums the parity column across reader
+  // slots; two readers, each on its own slot, must both gate it.
   ExploreOptions opts;
   opts.mode = ExploreMode::kRandom;
   opts.schedules = 2000;

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "platform/backoff.hpp"
+#include "platform/topology.hpp"
 #include "reclaim/ebr.hpp"
 #include "reclaim/stall_monitor.hpp"
 
@@ -92,7 +93,8 @@ TEST(StallMonitor, RecordStallCountsAndForwards) {
   diag.kind = reclaim::StallDiagnostic::Kind::kEbrReader;
   diag.locale = 3;
   diag.epoch = 17;
-  diag.stripe = 2;
+  diag.slot = 2;
+  diag.thread_id = 4321;
   diag.stuck_readers = 1;
   diag.waited_ns = 1000000;
   monitor.record_stall(diag);
@@ -105,7 +107,8 @@ TEST(StallMonitor, RecordStallCountsAndForwards) {
   EXPECT_EQ(records[0].kind, reclaim::StallDiagnostic::Kind::kEbrReader);
   EXPECT_EQ(records[0].locale, 3u);
   EXPECT_EQ(records[0].epoch, 17u);
-  EXPECT_EQ(records[0].stripe, 2u);
+  EXPECT_EQ(records[0].slot, 2u);
+  EXPECT_EQ(records[0].thread_id, 4321u);
   EXPECT_EQ(records[0].stuck_readers, 1u);
   EXPECT_EQ(records[0].waited_ns, 1000000u);
   EXPECT_EQ(monitor.last().epoch, 17u);
@@ -134,16 +137,18 @@ TEST(StallMonitor, CaptureSinkSupportsClearAndSize) {
   EXPECT_TRUE(sink.records().empty());
 }
 
-TEST(StallMonitor, DescribeNamesStripeEpochAndDuration) {
+TEST(StallMonitor, DescribeNamesSlotThreadEpochAndDuration) {
   reclaim::StallDiagnostic diag;
   diag.kind = reclaim::StallDiagnostic::Kind::kEbrReader;
   diag.locale = 1;
   diag.epoch = 42;
-  diag.stripe = 5;
+  diag.slot = 5;
+  diag.thread_id = 31337;
   diag.stuck_readers = 2;
   diag.waited_ns = 7000;
   const std::string s = diag.describe();
-  EXPECT_NE(s.find("stripe 5"), std::string::npos) << s;
+  EXPECT_NE(s.find("slot 5"), std::string::npos) << s;
+  EXPECT_NE(s.find("thread 31337"), std::string::npos) << s;
   EXPECT_NE(s.find("42"), std::string::npos) << s;
   EXPECT_NE(s.find("7000"), std::string::npos) << s;
 }
@@ -242,7 +247,7 @@ TEST(OverflowRetireList, FlushAgainstLiveEbrColumn) {
   // End-to-end with a real reclaimer: while a reader occupies either
   // column, deferred entries survive flushes; once it leaves, both
   // columns are observed empty and the entry is reclaimed.
-  reclaim::Ebr ebr(0, /*stripe_count=*/2);
+  reclaim::Ebr ebr;
   reclaim::OverflowRetireList list;
   std::atomic<bool> freed{false};
 
@@ -261,18 +266,18 @@ TEST(OverflowRetireList, FlushAgainstLiveEbrColumn) {
   EXPECT_TRUE(freed.load());
 }
 
-TEST(Ebr, DeadlineDrainTimesOutAndNamesTheStripe) {
-  reclaim::Ebr ebr(0, /*stripe_count=*/4);
-  ebr.test_stripe_override = 2;  // pin the reader to a known stripe
-  reclaim::Ebr::ReadGuard guard(ebr);
-  ebr.test_stripe_override = -1;
+TEST(Ebr, DeadlineDrainTimesOutAndNamesTheReaderSlot) {
+  reclaim::Ebr ebr;
+  reclaim::Ebr::ReadGuard guard(ebr);  // on this thread's own slot
 
   const auto old_epoch = ebr.advance_epoch();
   const reclaim::DrainResult r =
       ebr.wait_for_readers(old_epoch, /*deadline_ns=*/200 * 1000);  // 0.2 ms
   EXPECT_FALSE(r.drained);
   EXPECT_EQ(r.stuck_readers, 1u);
-  EXPECT_EQ(r.stuck_stripe, 2u);
+  EXPECT_EQ(r.stuck_slot, rcua::plat::reader_index());
+  EXPECT_EQ(r.stuck_thread,
+            rcua::plat::reader_thread_id(rcua::plat::reader_index()));
   EXPECT_GT(r.waited_ns, 0u);
 }
 
@@ -282,5 +287,5 @@ TEST(Ebr, DeadlineDrainDrainsWhenClear) {
   const reclaim::DrainResult r =
       ebr.wait_for_readers(old_epoch, /*deadline_ns=*/1000);
   EXPECT_TRUE(r.drained);
-  EXPECT_EQ(r.stuck_stripe, SIZE_MAX);
+  EXPECT_EQ(r.stuck_slot, SIZE_MAX);
 }
