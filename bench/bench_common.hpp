@@ -196,9 +196,9 @@ struct QsbrArrayImpl {
 };
 
 struct IbrArrayImpl {
-  /// Era reservation slots are shared sim::VirtualResource lines, so
-  /// per-op virtual times depend on real-thread arrival order.
-  static constexpr bool kDetVtime = false;
+  /// Each thread publishes into its own era reservation slot with flat
+  /// charges, so per-op virtual times replay exactly.
+  static constexpr bool kDetVtime = true;
   static constexpr const char* kName = "IBRArray";
   using type = RCUArray<std::uint64_t, IbrPolicy>;
   static std::unique_ptr<type> make(rt::Cluster& c, std::size_t cap,
@@ -208,9 +208,9 @@ struct IbrArrayImpl {
 };
 
 struct HazardErasArrayImpl {
-  /// Era reservation slots are shared sim::VirtualResource lines, so
-  /// per-op virtual times depend on real-thread arrival order.
-  static constexpr bool kDetVtime = false;
+  /// Each thread publishes into its own era reservation slot with flat
+  /// charges, so per-op virtual times replay exactly.
+  static constexpr bool kDetVtime = true;
   static constexpr const char* kName = "HEArray";
   using type = RCUArray<std::uint64_t, HazardErasPolicy>;
   static std::unique_ptr<type> make(rt::Cluster& c, std::size_t cap,
@@ -256,9 +256,9 @@ struct RwlockArrayImpl {
 };
 
 struct HazardArrayImpl {
-  /// Whether virtual-time per-op latencies replay exactly across runs
-  /// (pure per-task charges; see LatencyRecorder).
-  static constexpr bool kDetVtime = false;
+  /// A read charges flat costs and its hazard record is the thread's own
+  /// slot, so per-op virtual times replay exactly.
+  static constexpr bool kDetVtime = true;
   static constexpr const char* kName = "HazardArray";
   using type = baseline::HazardArray<std::uint64_t>;
   static std::unique_ptr<type> make(rt::Cluster& c, std::size_t cap,

@@ -63,10 +63,10 @@ class Backoff {
 };
 
 /// The one wait for a condition another thread establishes: every grace
-/// period, era fence, reservation-slot claim and replication gap in the
-/// library waits here. Returns true once `pred()` holds. With a non-zero
-/// `deadline_ns` it gives up after that much wall time and returns
-/// `pred()`; 0 waits forever. `site` names the wait in sched traces.
+/// period, era fence and replication gap in the library waits here.
+/// Returns true once `pred()` holds. With a non-zero `deadline_ns` it
+/// gives up after that much wall time and returns `pred()`; 0 waits
+/// forever. `site` names the wait in sched traces.
 ///
 /// The schedule is fixed: 64 spins, 64 yields, then a park of 50 µs that
 /// doubles up to 1 ms. Under the deterministic scheduler (RCUA_SCHED_TEST)

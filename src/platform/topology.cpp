@@ -41,8 +41,8 @@ ReaderIndexPool& reader_pool() {
 
 /// Returns the thread's reader index to the pool when the thread exits.
 /// Every section the thread opened has ended by then, so each bank's
-/// slot for the index holds zeros, and the pool mutex orders those final
-/// stores before the next owner's loads.
+/// slot for the index holds no open section, and the pool mutex orders
+/// the thread's final stores to its slots before the next owner's loads.
 struct ReaderIndexOwner {
   bool armed = false;
   ~ReaderIndexOwner() {

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -56,60 +55,12 @@ struct alignas(plat::kCacheLine) ReaderSlot {
 
 /// Reader-bank layouts (the A/B knob for the ablation bench).
 ///
-/// `OwnedReaders` is the default: every thread has a small dense reader
-/// index (plat::reader_index) and the bank holds one ReaderSlot per
-/// index, written only by the thread that owns it. Slots are allocated
-/// in chunks of kChunkSlots the first time an index in the chunk reads,
-/// so a bank costs memory only for the indices that have used it.
-class OwnedReaders {
+/// `OwnedReaders` is the default: the shared thread-owned bank
+/// (plat::ReaderBank), one ReaderSlot per reader index, written only by
+/// the thread that owns it.
+class OwnedReaders : public plat::ReaderBank<ReaderSlot> {
  public:
   static constexpr bool kOwned = true;
-
-  OwnedReaders() = default;
-  OwnedReaders(const OwnedReaders&) = delete;
-  OwnedReaders& operator=(const OwnedReaders&) = delete;
-  ~OwnedReaders() {
-    for (auto& c : chunks_) delete[] c.load(std::memory_order_relaxed);
-  }
-
-  /// The calling thread's slot.
-  ReaderSlot& mine() {
-    // The ebr_shared_reader_slot mutation hands every reader slot 0:
-    // two owners' load-then-exchange increments can then lose a count.
-    const std::size_t i = RCUA_SCHED_MUT(ebr_shared_reader_slot)
-                              ? std::size_t{0}
-                              : plat::reader_index();
-    // seq_cst (a plain load on x86 and an ldar on ARM, like acquire):
-    // it orders another thread's install of the chunk before this
-    // reader's announcement in the single total order (DESIGN.md §5).
-    ReaderSlot* chunk =
-        chunks_[i / kChunkSlots].load(std::memory_order_seq_cst);
-    if (chunk == nullptr) [[unlikely]] chunk = install_chunk(i / kChunkSlots);
-    return chunk[i % kChunkSlots];
-  }
-
-  /// Calls fn(index, slot) for every allocated slot of an index handed
-  /// out so far. The high-water and chunk loads follow the writer's
-  /// seq_cst fence, so they see every index and chunk whose reader's
-  /// announcement precedes that fence (DESIGN.md §5).
-  template <typename F>
-  void for_each(F&& fn) const {
-    const std::size_t high = plat::reader_index_high_water();
-    for (std::size_t c = 0; c * kChunkSlots < high; ++c) {
-      const ReaderSlot* chunk = chunks_[c].load(std::memory_order_acquire);
-      if (chunk == nullptr) continue;
-      const std::size_t n = std::min(kChunkSlots, high - c * kChunkSlots);
-      for (std::size_t j = 0; j < n; ++j) fn(c * kChunkSlots + j, chunk[j]);
-    }
-  }
-
-  /// The slot of `index`, or nullptr when its chunk was never allocated.
-  [[nodiscard]] const ReaderSlot* find(std::size_t index) const noexcept {
-    if (index >= plat::kMaxReaders) return nullptr;
-    const ReaderSlot* chunk =
-        chunks_[index / kChunkSlots].load(std::memory_order_acquire);
-    return chunk == nullptr ? nullptr : &chunk[index % kChunkSlots];
-  }
 
   /// An owned slot has no contention to model: the announce is one
   /// uncontended RMW and the retract a store to a line already cached.
@@ -119,25 +70,6 @@ class OwnedReaders {
   static void charge_leave(std::size_t) noexcept {
     sim::charge(sim::CostModel::get().local_cached_ns);
   }
-
- private:
-  static constexpr std::size_t kChunkSlots = 64;  // 4 KiB
-
-  ReaderSlot* install_chunk(std::size_t c) {
-    ReaderSlot* fresh = new ReaderSlot[kChunkSlots];
-    ReaderSlot* expected = nullptr;
-    // seq_cst: the install precedes every announcement on the chunk in
-    // the single total order, so a drain scan after the writer's fence
-    // cannot miss the chunk.
-    if (chunks_[c].compare_exchange_strong(expected, fresh,
-                                           std::memory_order_seq_cst)) {
-      return fresh;
-    }
-    delete[] fresh;
-    return expected;
-  }
-
-  std::atomic<ReaderSlot*> chunks_[plat::kMaxReaders / kChunkSlots] = {};
 };
 
 /// `LegacyReaders` is the paper's original collective layout: one

@@ -15,9 +15,9 @@
 //    retire]: `birth` is the era current when the object was allocated
 //    (stamped by the owner before publication), `retire` the era current
 //    when it was unpublished and handed to `retire()`.
-//  * Readers claim one padded **reservation slot** (CAS, preferred index
-//    derived from the logical task / thread) and publish era values into
-//    it through `ReadGuard::protect()`, a publish-then-reverify loop:
+//  * Every thread publishes into its own padded **reservation slot**, the
+//    one its reader index selects in the domain's plat::ReaderBank, through
+//    `ReadGuard::protect()`, a publish-then-reverify loop:
 //
 //        e <- Era                      (publish the reservation at e)
 //        loop:
@@ -37,8 +37,17 @@
 //    reservation [lo, hi] satisfies `lo <= r && b <= hi`; everything
 //    else is freed immediately. No grace-period wait exists on this
 //    path — where EBR's writer blocks (or defers onto the bytes-budgeted
-//    overflow list), an era writer always completes its retire in O(slots
-//    + pending) and moves on.
+//    overflow list), an era writer always completes its retire in
+//    O(reader indices + pending) and moves on. No reader waits either:
+//    its slot is its own.
+//  * A section nested in another on the same domain (same thread) shares
+//    the slot: it keeps the outer section's lower bound, raises only the
+//    upper, and restores the outer reservation when it ends. Sections on
+//    one domain therefore end in the reverse order they began on a
+//    thread, which RAII scopes give, and under hazard eras an enclosing
+//    section does not protect() again while a nested one is live (its
+//    republish would raise the shared lower bound past what the nested
+//    section protects).
 //
 // The two schemes differ only in what a reservation holds:
 //
@@ -76,7 +85,6 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "obs/health.hpp"
@@ -87,7 +95,6 @@
 #include "platform/timing.hpp"
 #include "platform/topology.hpp"
 #include "sim/cost_model.hpp"
-#include "sim/resource.hpp"
 #include "sim/task_clock.hpp"
 #include "testing/sched_point.hpp"
 
@@ -98,14 +105,6 @@
 #endif
 
 namespace rcua::reclaim {
-
-/// Default reservation-slot count: twice the hardware thread count
-/// rounded up to a power of two (clamped to [2, 512]), overridable with
-/// the RCUA_ERA_SLOTS environment variable. Reservations are per-reader
-/// state (not additive like EBR's counters), so the slot count bounds
-/// concurrent read sections per domain; a reader finding every slot
-/// claimed waits for one.
-[[nodiscard]] std::size_t default_era_slots();
 
 /// Outcome of one retire()/scan(): what was freed, what stays blocked,
 /// and the stall evidence (how far the slowest live reservation trails
@@ -124,7 +123,7 @@ struct RetireResult {
   std::uint64_t reservation_lag = 0;
   /// Count of live reservations whose upper bound trails the era clock.
   std::uint64_t stale_reservations = 0;
-  /// Slot index of the reservation setting the lag (SIZE_MAX = none).
+  /// Reader index of the reservation setting the lag (SIZE_MAX = none).
   std::size_t laggard_slot = SIZE_MAX;
 };
 
@@ -140,7 +139,7 @@ struct HazardEraReservations {
 
 template <typename Shape>
 class BasicEraReclaimer {
-  struct Slot;  // declared below; named in ReadGuard's signatures
+  struct Slot;  // declared below; named in ReadGuard's members
 
  public:
   /// Sentinel era meaning "slot holds no reservation".
@@ -148,20 +147,9 @@ class BasicEraReclaimer {
   static constexpr bool kStatsEnabled = RCUA_ERA_STATS != 0;
   static constexpr bool kPinLower = Shape::kPinLower;
 
-  /// `slot_count` of 0 means default_era_slots(); any other value is
-  /// rounded up to a power of two (clamped like the default).
   BasicEraReclaimer() : BasicEraReclaimer(0) {}
-  explicit BasicEraReclaimer(std::uint64_t initial_era,
-                             std::size_t slot_count = 0)
-      : nslots_(round_up_pow2(slot_count != 0 ? slot_count
-                                              : default_era_slots())),
-        slot_mask_(nslots_ - 1),
-        slots_(new Slot[nslots_]),
-        reservation_lines_(new sim::VirtualResource[nslots_]),
-#if RCUA_ERA_STATS
-        slot_stats_(new SlotStats[nslots_]),
-#endif
-        unreclaimed_gauge_(
+  explicit BasicEraReclaimer(std::uint64_t initial_era)
+      : unreclaimed_gauge_(
             &obs::health::unreclaimed_bytes_hwm(Shape::kPolicyTag)) {
     era_.value.store(initial_era, std::memory_order_relaxed);
   }
@@ -169,9 +157,9 @@ class BasicEraReclaimer {
   BasicEraReclaimer& operator=(const BasicEraReclaimer&) = delete;
   ~BasicEraReclaimer() { flush_unsafe(); }
 
-  /// Observability counters. `reads`/`read_retries` are per-slot and
-  /// only maintained under -DRCUA_STATS=ON (read-side RMWs, compiled out
-  /// by default); everything else is write-side and always live.
+  /// Observability counters. `reads`/`read_retries` are kept in the
+  /// reader slots and only under -DRCUA_STATS=ON (compiled out by
+  /// default); everything else is write-side and always live.
   /// `epoch_advances` counts era-clock advances — named for drop-in
   /// compatibility with BasicEbr::Stats (bench_stat lines).
   struct Stats {
@@ -187,24 +175,32 @@ class BasicEraReclaimer {
     std::size_t pending_bytes_hwm = 0;
   };
 
-  /// Test-only slot pin: when >= 0, readers claim from this preferred
-  /// index (mod slot count) instead of the task/thread-derived choice.
-  std::int32_t test_slot_override = -1;
+  /// One slot's published reservation, kIdleEra-pairs when idle.
+  struct Reservation {
+    std::uint64_t lower = kIdleEra;
+    std::uint64_t upper = kIdleEra;
+  };
 
-  /// RAII read-side critical section. Construction claims a reservation
-  /// slot (waiting if all are claimed); `protect()` publishes era
-  /// reservations and returns a pointer guaranteed not to be reclaimed
-  /// while the guard lives; destruction clears and releases the slot.
+  /// RAII read-side critical section on the calling thread's own
+  /// reservation slot. `protect()` publishes era reservations and returns
+  /// a pointer guaranteed not to be reclaimed while the guard lives;
+  /// destruction restores the reservation the slot held at construction:
+  /// idle, or an enclosing section's on this domain.
   class ReadGuard {
    public:
     explicit ReadGuard(BasicEraReclaimer& dom)
-        : dom_(dom), slot_(dom.claim_slot()) {
+        : dom_(dom),
+          slot_(dom.bank_.mine()),
+          outer_{slot_.lower.load(std::memory_order_relaxed),
+                 slot_.upper.load(std::memory_order_relaxed)} {
       obs::trace_event("rcu.read_section", "rcu", 'B');
     }
     ~ReadGuard() {
       RCUA_SCHED_POINT("era.guard.leave");
       obs::trace_event("rcu.read_section", "rcu", 'E');
-      dom_.release_slot(slot_);
+      slot_.lower.store(outer_.lower, std::memory_order_seq_cst);
+      slot_.upper.store(outer_.upper, std::memory_order_seq_cst);
+      sim::charge(sim::CostModel::get().atomic_rmw_ns);
     }
     ReadGuard(const ReadGuard&) = delete;
     ReadGuard& operator=(const ReadGuard&) = delete;
@@ -218,7 +214,6 @@ class BasicEraReclaimer {
     /// at the first protect.
     template <typename P>
     [[nodiscard]] P* protect(const std::atomic<P*>& src) {
-      Slot& s = dom_.slots_[slot_];
 #if defined(RCUA_SCHED_TEST) && RCUA_SCHED_TEST
       if constexpr (Shape::kPinLower) {
         if (RCUA_SCHED_MUT(ibr_reserve_after_load)) {
@@ -228,15 +223,15 @@ class BasicEraReclaimer {
           // object (tests/test_sched_eras.cpp).
           P* p = src.load(std::memory_order_seq_cst);
           RCUA_SCHED_POINT("era.protect.load_unreserved");
-          publish(s, dom_.era_.value.load(std::memory_order_seq_cst));
-          dom_.count_read(slot_);
+          publish(dom_.era_.value.load(std::memory_order_seq_cst));
+          count_stat(/*retry=*/false);
           return p;
         }
       }
 #endif
       std::uint64_t e = dom_.era_.value.load(std::memory_order_seq_cst);
       for (;;) {
-        publish(s, e);
+        publish(e);
         RCUA_SCHED_POINT("era.protect.reserved");
         P* p = src.load(std::memory_order_seq_cst);
         const std::uint64_t now =
@@ -248,40 +243,48 @@ class BasicEraReclaimer {
               // MUTATION: the pointer is in hand, so drop the slot
               // before the section's accesses — the classic premature
               // hazard release (tests/test_sched_eras.cpp).
-              s.lower.store(kIdleEra, std::memory_order_seq_cst);
-              s.upper.store(kIdleEra, std::memory_order_seq_cst);
+              slot_.lower.store(kIdleEra, std::memory_order_seq_cst);
+              slot_.upper.store(kIdleEra, std::memory_order_seq_cst);
               RCUA_SCHED_POINT("era.protect.cleared_early");
             }
           }
 #endif
-          dom_.count_read(slot_);
+          count_stat(/*retry=*/false);
           return p;
         }
         e = now;
-        dom_.count_retry(slot_);
+        count_stat(/*retry=*/true);
       }
     }
 
-    /// The claimed reservation slot (tests of the slot machinery).
-    [[nodiscard]] std::size_t slot() const noexcept { return slot_; }
-
    private:
-    void publish(Slot& s, std::uint64_t e) noexcept {
-      if constexpr (Shape::kPinLower) {
-        // IBR: the lower bound is written once per section.
-        if (!published_) {
-          s.lower.store(e, std::memory_order_seq_cst);
-          published_ = true;
-        }
-      } else {
-        s.lower.store(e, std::memory_order_seq_cst);
+    /// Publishes the reservation [lower, e]. The lower bound is the era
+    /// of the section's first publish under IBR and `e` itself under
+    /// hazard eras; a section nested in another on this domain keeps the
+    /// outer section's, so everything the outer one protects stays
+    /// covered. seq_cst stores: the reverify load must not pass them.
+    void publish(std::uint64_t e) noexcept {
+      if (outer_.lower == kIdleEra && !(Shape::kPinLower && published_)) {
+        slot_.lower.store(e, std::memory_order_seq_cst);
       }
-      s.upper.store(e, std::memory_order_seq_cst);
-      dom_.charge_slot_rmw(slot_);
+      published_ = true;
+      slot_.upper.store(e, std::memory_order_seq_cst);
+      sim::charge(sim::CostModel::get().atomic_rmw_ns);
+    }
+
+    void count_stat(bool retry) noexcept {
+#if RCUA_ERA_STATS
+      std::atomic<std::uint64_t>& c = retry ? slot_.retries : slot_.reads;
+      c.store(c.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
+#else
+      (void)retry;
+#endif
     }
 
     BasicEraReclaimer& dom_;
-    std::size_t slot_;
+    Slot& slot_;
+    /// The reservation to restore: an enclosing section's, or idle.
+    const Reservation outer_;
     bool published_ = false;
   };
 
@@ -306,10 +309,10 @@ class BasicEraReclaimer {
 
   /// Retires `(deleter, obj)` with allocation-era tag `birth_era`,
   /// stamps the retire era, ticks the era clock and scans against the
-  /// live reservations. NEVER waits on readers: where EBR's writer drains a
-  /// parity column, this returns in O(slots + pending) with everything
-  /// unblocked freed and the blocked remainder carried as pending (the
-  /// bounded-by-construction contract).
+  /// live reservations. NEVER waits on readers: where EBR's writer drains
+  /// a parity column, this returns in O(reader indices + pending) with
+  /// everything unblocked freed and the blocked remainder carried as
+  /// pending (the bounded-by-construction contract).
   RetireResult retire(void (*deleter)(void*), void* obj, std::size_t bytes,
                       std::uint64_t birth_era) {
     {
@@ -338,27 +341,28 @@ class BasicEraReclaimer {
     std::vector<Retired> freeable;
     {
       std::lock_guard<plat::Spinlock> guard(lock_);
+      // Orders every unpublish that precedes a retire on this list before
+      // the slot scan, so the scan sees each reservation that was
+      // published before it (DESIGN.md §13).
+      std::atomic_thread_fence(std::memory_order_seq_cst);
       out.era = era_.value.load(std::memory_order_seq_cst);
       scratch_.clear();
       std::uint64_t min_upper = kIdleEra;
-      for (std::size_t s = 0; s < nslots_; ++s) {
-        if (slots_[s].claimed.load(std::memory_order_acquire) == 0) continue;
-        const std::uint64_t hi =
-            slots_[s].upper.load(std::memory_order_seq_cst);
-        const std::uint64_t lo =
-            slots_[s].lower.load(std::memory_order_seq_cst);
-        // A claimed slot with no published upper bound is a reader still
-        // inside protect(): it holds nothing yet, and anything retired
+      bank_.for_each([&](std::size_t index, const Slot& s) {
+        const std::uint64_t hi = s.upper.load(std::memory_order_seq_cst);
+        // An idle upper bound is an idle slot or a reader still before
+        // its first publish: it holds nothing yet, and anything retired
         // before its publish was unpublished first, so its eventual load
         // cannot return it. Safe to skip.
-        if (hi == kIdleEra) continue;
+        if (hi == kIdleEra) return;
+        const std::uint64_t lo = s.lower.load(std::memory_order_seq_cst);
         scratch_.push_back({lo == kIdleEra ? hi : lo, hi});
         if (hi < min_upper) {
           min_upper = hi;
-          out.laggard_slot = s;
+          out.laggard_slot = index;
         }
         if (hi < out.era) ++out.stale_reservations;
-      }
+      });
       if (min_upper != kIdleEra && out.era > min_upper) {
         out.reservation_lag = out.era - min_upper;
       }
@@ -397,8 +401,9 @@ class BasicEraReclaimer {
                                      std::memory_order_relaxed);
     }
     scans_.value.fetch_add(1, std::memory_order_relaxed);
-    sim::charge(sim::CostModel::get().atomic_load_ns *
-                static_cast<double>(nslots_));
+    // Flat, like EBR's drain charge: a scan's virtual cost must not
+    // depend on how many threads the process has run.
+    sim::charge(sim::CostModel::get().atomic_load_ns);
     obs::health::era_scan_ns().record(scan_clock_ns() - t0);
     out.pending_objects =
         pending_objects_.value.load(std::memory_order_relaxed);
@@ -413,13 +418,14 @@ class BasicEraReclaimer {
   /// on the lower bound, not the upper: an IBR section that entered
   /// pre-fence may still hold its first-protected pointer even after
   /// later protects extended its upper bound past the fence. (For
-  /// hazard eras lower == upper, so the two are the same check.)
+  /// hazard eras lower == upper outside nesting, so the two are the same
+  /// check.)
   [[nodiscard]] std::uint64_t readers_below(std::uint64_t fence) const
       noexcept {
     std::uint64_t n = 0;
-    for (std::size_t s = 0; s < nslots_; ++s) {
+    bank_.for_each([&](std::size_t, const Slot& s) {
       if (entry_era(s) < fence) ++n;
-    }
+    });
     return n;
   }
 
@@ -431,6 +437,9 @@ class BasicEraReclaimer {
   void wait_for_readers(std::uint64_t fence) noexcept {
     obs::TraceSpan span("rcu.drain_wait", "rcu");
     const std::uint64_t t0 = scan_clock_ns();
+    // As in scan(): the slot loads must not be satisfied before the fence
+    // era's advance is visible (DESIGN.md §13).
+    std::atomic_thread_fence(std::memory_order_seq_cst);
     plat::wait_until("era.wait_for_readers",
                      [&] { return readers_below(fence) == 0; });
     sim::charge(sim::CostModel::get().epoch_drain_ns);
@@ -469,39 +478,31 @@ class BasicEraReclaimer {
   [[nodiscard]] std::size_t pending_bytes() const noexcept {
     return pending_bytes_.value.load(std::memory_order_relaxed);
   }
-  [[nodiscard]] std::size_t slot_count() const noexcept { return nslots_; }
 
-  /// Currently claimed slots holding a published reservation.
+  /// Slots holding a published reservation.
   [[nodiscard]] std::uint64_t active_reservations() const noexcept {
     std::uint64_t n = 0;
-    for (std::size_t s = 0; s < nslots_; ++s) {
-      if (slots_[s].claimed.load(std::memory_order_acquire) != 0 &&
-          slots_[s].upper.load(std::memory_order_seq_cst) != kIdleEra) {
-        ++n;
-      }
-    }
+    bank_.for_each([&](std::size_t, const Slot& s) {
+      if (s.upper.load(std::memory_order_seq_cst) != kIdleEra) ++n;
+    });
     return n;
   }
 
-  /// One slot's published reservation, kIdleEra-pairs when idle (tests).
-  struct Reservation {
-    std::uint64_t lower = kIdleEra;
-    std::uint64_t upper = kIdleEra;
-  };
-  [[nodiscard]] Reservation reservation_at(std::size_t slot) const noexcept {
-    const Slot& s = slots_[slot & slot_mask_];
-    return {s.lower.load(std::memory_order_seq_cst),
-            s.upper.load(std::memory_order_seq_cst)};
+  /// The reservation in reader index `index`'s slot (tests).
+  [[nodiscard]] Reservation reservation_at(std::size_t index) const noexcept {
+    const Slot* s = bank_.find(index);
+    if (s == nullptr) return {};
+    return {s->lower.load(std::memory_order_seq_cst),
+            s->upper.load(std::memory_order_seq_cst)};
   }
 
   [[nodiscard]] Stats stats() const noexcept {
     Stats s;
 #if RCUA_ERA_STATS
-    for (std::size_t i = 0; i < nslots_; ++i) {
-      s.reads += slot_stats_[i].reads.load(std::memory_order_relaxed);
-      s.read_retries +=
-          slot_stats_[i].retries.load(std::memory_order_relaxed);
-    }
+    bank_.for_each([&](std::size_t, const Slot& r) {
+      s.reads += r.reads.load(std::memory_order_relaxed);
+      s.read_retries += r.retries.load(std::memory_order_relaxed);
+    });
 #endif
     s.epoch_advances = era_advances_.value.load(std::memory_order_relaxed);
     s.era_scans = scans_.value.load(std::memory_order_relaxed);
@@ -516,17 +517,15 @@ class BasicEraReclaimer {
   }
 
  private:
+  /// One reader index's reservation, written only by its owner.
   struct alignas(plat::kCacheLine) Slot {
     std::atomic<std::uint64_t> lower{kIdleEra};
     std::atomic<std::uint64_t> upper{kIdleEra};
-    std::atomic<std::uint32_t> claimed{0};
-  };
 #if RCUA_ERA_STATS
-  struct alignas(plat::kCacheLine) SlotStats {
     std::atomic<std::uint64_t> reads{0};
     std::atomic<std::uint64_t> retries{0};
-  };
 #endif
+  };
   struct Retired {
     void (*deleter)(void*);
     void* obj;
@@ -539,85 +538,18 @@ class BasicEraReclaimer {
     std::uint64_t upper;
   };
 
-  static constexpr std::size_t round_up_pow2(std::size_t n) noexcept {
-    std::size_t p = 1;
-    while (p < n && p < 512) p <<= 1;
-    return p < 2 ? 2 : p;
-  }
-
   /// Scan/grace timestamps follow the trace-layer convention: virtual
   /// time when a TaskClock is attached, wall time otherwise.
   [[nodiscard]] static std::uint64_t scan_clock_ns() noexcept {
     return sim::enabled() ? sim::now_v() : plat::now_ns();
   }
 
-  /// Slot `s`'s section-entry era: the published lower bound, falling
-  /// back to the upper (mid-publish), kIdleEra when the slot holds no
-  /// reservation. A mid-protect claimant with both bounds idle holds
-  /// nothing (its load has not happened under a reservation yet).
-  [[nodiscard]] std::uint64_t entry_era(std::size_t s) const noexcept {
-    if (slots_[s].claimed.load(std::memory_order_acquire) == 0) {
-      return kIdleEra;
-    }
-    const std::uint64_t lo = slots_[s].lower.load(std::memory_order_seq_cst);
+  /// A slot's section-entry era: the published lower bound, falling back
+  /// to the upper, kIdleEra when the slot holds no reservation.
+  [[nodiscard]] static std::uint64_t entry_era(const Slot& s) noexcept {
+    const std::uint64_t lo = s.lower.load(std::memory_order_seq_cst);
     if (lo != kIdleEra) return lo;
-    return slots_[s].upper.load(std::memory_order_seq_cst);
-  }
-
-  [[nodiscard]] std::size_t preferred_slot() const noexcept {
-#if defined(RCUA_SCHED_TEST) && RCUA_SCHED_TEST
-    // Under the deterministic scheduler the choice must be a function of
-    // the logical task, or seeds would not replay.
-    if (testing::sched_task_active()) {
-      return testing::sched_task_id() & slot_mask_;
-    }
-#endif
-    if (test_slot_override >= 0) {
-      return static_cast<std::size_t>(test_slot_override) & slot_mask_;
-    }
-    return plat::stripe_index(nslots_);
-  }
-
-  std::size_t claim_slot() {
-    const std::size_t start = preferred_slot();
-    for (;;) {
-      for (std::size_t i = 0; i < nslots_; ++i) {
-        const std::size_t idx = (start + i) & slot_mask_;
-        std::uint32_t expect = 0;
-        if (slots_[idx].claimed.compare_exchange_strong(
-                expect, 1, std::memory_order_acq_rel,
-                std::memory_order_relaxed)) {
-          charge_slot_rmw(idx);
-          RCUA_SCHED_POINT("era.slot.claimed");
-          return idx;
-        }
-      }
-      // Every slot claimed: the domain is at its concurrent-reader bound.
-      plat::wait_until("era.slot.wait", [&] {
-        for (std::size_t s = 0; s < nslots_; ++s) {
-          if (slots_[s].claimed.load(std::memory_order_acquire) == 0) {
-            return true;
-          }
-        }
-        return false;
-      });
-    }
-  }
-
-  void release_slot(std::size_t idx) noexcept {
-    Slot& s = slots_[idx];
-    s.lower.store(kIdleEra, std::memory_order_seq_cst);
-    s.upper.store(kIdleEra, std::memory_order_seq_cst);
-    s.claimed.store(0, std::memory_order_release);
-    charge_slot_rmw(idx);
-  }
-
-  void charge_slot_rmw(std::size_t idx) noexcept {
-    // A claimed slot is reader-private: publishes are almost always
-    // uncontended owned-line RMWs; only the writer's scan racing in
-    // transfers the line.
-    const auto& m = sim::CostModel::get();
-    reservation_lines_[idx].use_owned(m.rmw_transfer_ns, m.atomic_rmw_ns);
+    return s.upper.load(std::memory_order_seq_cst);
   }
 
   void note_pending_hwm(std::size_t now_bytes) noexcept {
@@ -630,29 +562,7 @@ class BasicEraReclaimer {
     unreclaimed_gauge_->update_max(now_bytes);
   }
 
-  void count_read(std::size_t slot) noexcept {
-#if RCUA_ERA_STATS
-    slot_stats_[slot].reads.fetch_add(1, std::memory_order_relaxed);
-#else
-    (void)slot;
-#endif
-  }
-  void count_retry(std::size_t slot) noexcept {
-#if RCUA_ERA_STATS
-    slot_stats_[slot].retries.fetch_add(1, std::memory_order_relaxed);
-#else
-    (void)slot;
-#endif
-  }
-
-  std::size_t nslots_;
-  std::size_t slot_mask_;
-  std::unique_ptr<Slot[]> slots_;
-  // Virtual-time contention model, one line per reservation slot.
-  std::unique_ptr<sim::VirtualResource[]> reservation_lines_;
-#if RCUA_ERA_STATS
-  std::unique_ptr<SlotStats[]> slot_stats_;
-#endif
+  plat::ReaderBank<Slot> bank_;
   obs::Gauge* unreclaimed_gauge_;
   plat::CacheAligned<std::atomic<std::uint64_t>> era_{0ULL};
   plat::CacheAligned<std::atomic<std::uint64_t>> era_advances_{0ULL};

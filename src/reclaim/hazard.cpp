@@ -1,99 +1,15 @@
 #include "reclaim/hazard.hpp"
 
 #include <algorithm>
-#include <mutex>
-#include <unordered_set>
 
 #include "sim/cost_model.hpp"
 #include "sim/task_clock.hpp"
 
 namespace rcua::reclaim {
 
-namespace {
-
-std::mutex& hp_liveness_mutex() {
-  static std::mutex m;
-  return m;
-}
-
-std::unordered_set<std::uint64_t>& hp_live_domains() {
-  static std::unordered_set<std::uint64_t> s;
-  return s;
-}
-
-std::uint64_t hp_next_id() {
-  static std::atomic<std::uint64_t> next{1};
-  return next.fetch_add(1, std::memory_order_relaxed);
-}
-
-}  // namespace
-
-/// Per-thread cache of (domain id, record). On thread exit, releases the
-/// record in every still-live domain. Ids are never reused, so a stale
-/// entry for a dead domain is simply skipped — no dangling dereference.
-struct HpCacheTls {
-  struct Entry {
-    std::uint64_t dom_id;
-    HazardDomain::Record* rec;
-  };
-  std::vector<Entry> entries;
-
-  HazardDomain::Record* find(std::uint64_t id) const noexcept {
-    for (const Entry& e : entries) {
-      if (e.dom_id == id) return e.rec;
-    }
-    return nullptr;
-  }
-
-  ~HpCacheTls() {
-    std::lock_guard<std::mutex> guard(hp_liveness_mutex());
-    for (const Entry& e : entries) {
-      if (!hp_live_domains().contains(e.dom_id)) continue;
-      for (auto& s : e.rec->slots) s.store(nullptr, std::memory_order_release);
-      e.rec->in_use.store(false, std::memory_order_release);
-    }
-  }
-};
-
-namespace {
-thread_local HpCacheTls tl_cache;
-}  // namespace
-
-HazardDomain::HazardDomain() : id_(hp_next_id()) {
-  std::lock_guard<std::mutex> guard(hp_liveness_mutex());
-  hp_live_domains().insert(id_);
-}
-
 HazardDomain& HazardDomain::global() {
   static HazardDomain* dom = new HazardDomain;  // immortal
   return *dom;
-}
-
-HazardDomain::Record& HazardDomain::local_record() {
-  if (Record* cached = tl_cache.find(id_)) return *cached;
-  Record* rec = acquire_record();
-  tl_cache.entries.push_back({id_, rec});
-  return *rec;
-}
-
-HazardDomain::Record* HazardDomain::acquire_record() {
-  for (Record* r = head_.load(std::memory_order_acquire); r != nullptr;
-       r = r->next) {
-    bool expected = false;
-    if (r->in_use.compare_exchange_strong(expected, true,
-                                          std::memory_order_acq_rel)) {
-      return r;
-    }
-  }
-  auto* r = new Record;
-  for (auto& s : r->slots) s.store(nullptr, std::memory_order_relaxed);
-  r->in_use.store(true, std::memory_order_relaxed);
-  Record* old_head = head_.load(std::memory_order_relaxed);
-  do {
-    r->next = old_head;
-  } while (!head_.compare_exchange_weak(old_head, r, std::memory_order_release,
-                                        std::memory_order_relaxed));
-  return r;
 }
 
 void HazardDomain::retire_raw(void* obj, void (*deleter)(void*)) {
@@ -108,16 +24,20 @@ void HazardDomain::retire_raw(void* obj, void (*deleter)(void*)) {
 std::size_t HazardDomain::scan() {
   RCUA_SCHED_POINT("hazard.scan");
   Record& rec = local_record();
+  // The StoreLoad edge between the caller's unpublish of everything it
+  // retired and the slot loads below, which also lets the bank's index
+  // and chunk loads see every record (the era scan's argument, DESIGN.md
+  // §13).
+  std::atomic_thread_fence(std::memory_order_seq_cst);
   // Snapshot every protected pointer.
   std::vector<void*> protected_ptrs;
-  for (Record* r = head_.load(std::memory_order_acquire); r != nullptr;
-       r = r->next) {
-    for (const auto& s : r->slots) {
+  records_.for_each([&](std::size_t, const Record& r) {
+    for (const auto& s : r.slots) {
       if (void* p = s.load(std::memory_order_seq_cst)) {
         protected_ptrs.push_back(p);
       }
     }
-  }
+  });
   std::sort(protected_ptrs.begin(), protected_ptrs.end());
 
   std::size_t freed = 0;
@@ -140,25 +60,12 @@ std::size_t HazardDomain::scan() {
 }
 
 void HazardDomain::flush_unsafe() {
-  for (Record* r = head_.load(std::memory_order_acquire); r != nullptr;
-       r = r->next) {
-    for (auto& entry : r->retired) entry.deleter(entry.ptr);
-    r->retired.clear();
-  }
+  records_.for_each([](std::size_t, Record& r) {
+    for (auto& entry : r.retired) entry.deleter(entry.ptr);
+    r.retired.clear();
+  });
 }
 
-HazardDomain::~HazardDomain() {
-  {
-    std::lock_guard<std::mutex> guard(hp_liveness_mutex());
-    hp_live_domains().erase(id_);
-  }
-  Record* r = head_.exchange(nullptr, std::memory_order_acq_rel);
-  while (r != nullptr) {
-    Record* next = r->next;
-    for (auto& entry : r->retired) entry.deleter(entry.ptr);
-    delete r;
-    r = next;
-  }
-}
+HazardDomain::~HazardDomain() { flush_unsafe(); }
 
 }  // namespace rcua::reclaim

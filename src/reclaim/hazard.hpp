@@ -2,9 +2,11 @@
 
 #include <atomic>
 #include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include "platform/align.hpp"
+#include "platform/topology.hpp"
 #include "testing/sched_point.hpp"
 
 namespace rcua::reclaim {
@@ -18,39 +20,41 @@ namespace rcua::reclaim {
 /// Standard design: each thread owns a record with a small fixed number
 /// of hazard slots plus a private retired list; `retire()` scans all
 /// records' slots once the retired list exceeds a threshold and frees
-/// every pointer not currently protected.
+/// every pointer not currently protected. A thread's record is its slot
+/// in the shared thread-owned bank (plat::ReaderBank), so a thread that
+/// exits hands its record, retired list included, to the next thread
+/// that takes its reader index.
 class HazardDomain {
  public:
   static constexpr std::size_t kSlotsPerThread = 4;
 
-  HazardDomain();
+  HazardDomain() = default;
   HazardDomain(const HazardDomain&) = delete;
   HazardDomain& operator=(const HazardDomain&) = delete;
   ~HazardDomain();
 
   static HazardDomain& global();
 
-  struct Record {
-    std::atomic<void*> slots[kSlotsPerThread];
-    std::atomic<bool> in_use{false};
-    Record* next = nullptr;
-    // Thread-private retired list (only the owner pushes; scan is local).
+  struct alignas(plat::kCacheLine) Record {
+    std::atomic<void*> slots[kSlotsPerThread] = {};
+    // Owner-private retired list (only the owner pushes; scan is local).
     struct Retired {
       void* ptr;
       void (*deleter)(void*);
     };
     std::vector<Retired> retired;
-    char pad[plat::kCacheLine];
   };
 
   /// RAII protection of a single pointer loaded from `src`: loops
   /// publish-then-verify until the published value is stable, so the
-  /// object cannot be freed while the guard lives.
+  /// object cannot be freed while the guard lives. `slot` picks one of
+  /// the record's kSlotsPerThread hazard slots; a larger value throws
+  /// std::out_of_range.
   template <typename T>
   class Guard {
    public:
     Guard(HazardDomain& dom, const std::atomic<T*>& src, std::size_t slot = 0)
-        : dom_(dom), rec_(dom.local_record()), slot_(slot) {
+        : slot_(checked_slot(slot)), rec_(dom.local_record()) {
       T* p = src.load(std::memory_order_acquire);
       for (;;) {
         rec_.slots[slot_].store(p, std::memory_order_seq_cst);
@@ -78,9 +82,16 @@ class HazardDomain {
     T& operator*() const noexcept { return *ptr_; }
 
    private:
-    HazardDomain& dom_;
-    Record& rec_;
+    static std::size_t checked_slot(std::size_t slot) {
+      if (slot >= kSlotsPerThread) {
+        throw std::out_of_range(
+            "HazardDomain::Guard: hazard slot out of range");
+      }
+      return slot;
+    }
+
     std::size_t slot_;
+    Record& rec_;
     T* ptr_ = nullptr;
   };
 
@@ -102,8 +113,8 @@ class HazardDomain {
   /// too, so their owners must be quiescent.
   void flush_unsafe();
 
-  /// The calling thread's record (registering on first use).
-  Record& local_record();
+  /// The calling thread's record.
+  Record& local_record() { return records_.mine(); }
 
   [[nodiscard]] std::size_t retire_threshold() const noexcept {
     return retire_threshold_;
@@ -118,12 +129,7 @@ class HazardDomain {
   }
 
  private:
-  friend struct HpCacheTls;
-
-  Record* acquire_record();
-
-  std::uint64_t id_;  // unique, never reused; guards stale TLS caches
-  std::atomic<Record*> head_{nullptr};
+  plat::ReaderBank<Record> records_;
   std::size_t retire_threshold_ = 64;
   plat::CacheAligned<std::atomic<std::uint64_t>> retired_total_{0ULL};
   plat::CacheAligned<std::atomic<std::uint64_t>> freed_total_{0ULL};

@@ -12,7 +12,7 @@
 //              enter                  pin              exit
 //   QSBR       ensure_participant     acquire load     -
 //   EBR        announce               acquire load     retract
-//   IBR / HE   claim a slot           protect()        release the slot
+//   IBR / HE   find the own slot      protect()        restore the slot
 //
 // Write side; the caller holds the structure's write lock and has just
 // published the replacement on this locale:
@@ -303,6 +303,7 @@ class EraDomain {
       diag.locale = site.locale.id();
       diag.epoch = res.era;
       diag.slot = res.laggard_slot;
+      diag.thread_id = plat::reader_thread_id(res.laggard_slot);
       diag.era_lag = res.reservation_lag;
       diag.overflow_bytes = res.pending_bytes;
       site.monitor.record_stall(diag);

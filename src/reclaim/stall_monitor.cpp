@@ -36,13 +36,14 @@ std::string StallDiagnostic::describe() const {
       break;
     case Kind::kEraReservation:
       std::snprintf(buf, sizeof(buf),
-                    "rcua: era stall: domain %p locale %d slot %zd trails "
-                    "the era clock by %" PRIu64 " era(s) at era %" PRIu64
+                    "rcua: era stall: domain %p locale %d reader slot %zd "
+                    "(thread %" PRIu64 ") trails the era clock by %" PRIu64
+                    " era(s) at era %" PRIu64
                     ", holding %zu bytes pending (bounded)",
                     domain, locale == UINT32_MAX ? -1 : static_cast<int>(locale),
                     slot == SIZE_MAX ? static_cast<std::ptrdiff_t>(-1)
                                      : static_cast<std::ptrdiff_t>(slot),
-                    era_lag, epoch, overflow_bytes);
+                    thread_id, era_lag, epoch, overflow_bytes);
       break;
   }
   return std::string(buf);

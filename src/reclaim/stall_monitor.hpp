@@ -53,11 +53,11 @@ struct StallDiagnostic {
   /// EBR: the pre-bump epoch being drained; eras: the era clock.
   std::uint64_t epoch = 0;
   /// EBR: first reader slot with a non-zero old-parity count — in the
-  /// owned layout the stuck thread's reader index; eras: the laggard
-  /// reservation slot (SIZE_MAX = n/a).
+  /// owned layout the stuck thread's reader index; eras: the reader
+  /// index of the laggard reservation (SIZE_MAX = n/a).
   std::size_t slot = SIZE_MAX;
-  /// EBR owned layout: OS thread id (Linux tid) of the thread that took
-  /// `slot`, recorded when the index was assigned (0 = unknown).
+  /// EBR owned layout and eras: OS thread id (Linux tid) of the thread
+  /// that took `slot`, recorded when the index was assigned (0 = unknown).
   std::uint64_t thread_id = 0;
   /// EBR: old-parity column sum at deadline expiry.
   std::uint64_t stuck_readers = 0;
@@ -67,8 +67,8 @@ struct StallDiagnostic {
   std::size_t overflow_bytes = 0;
   std::size_t budget_bytes = 0;
   /// Era reservations: how many eras the laggard reservation trails the
-  /// clock (kEraReservation; `slot` carries the slot, `overflow_bytes`
-  /// the blocked-pending bytes).
+  /// clock (kEraReservation; `slot` and `thread_id` name the reader,
+  /// `overflow_bytes` the blocked-pending bytes).
   std::uint64_t era_lag = 0;
 
   /// One-line human-readable rendering ("which slot and thread is

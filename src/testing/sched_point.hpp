@@ -4,11 +4,11 @@
 /// TESTING.md).
 ///
 /// Protocol-critical code marks its interleaving-sensitive steps with
-/// `RCUA_SCHED_POINT("site")`; their grace-period, fence, slot-claim and
-/// replication waits go through `plat::wait_until("site", predicate)`,
-/// which hands a scheduled task's wait to `sched_await`. When the
-/// library is built without RCUA_SCHED_TEST — the default for release,
-/// bench and the tier-1/stress suites — every macro expands to a constant
+/// `RCUA_SCHED_POINT("site")`; their grace-period, fence and replication
+/// waits go through `plat::wait_until("site", predicate)`, which hands a
+/// scheduled task's wait to `sched_await`. When the library is built
+/// without RCUA_SCHED_TEST — the default for release, bench and the
+/// tier-1/stress suites — every macro expands to a constant
 /// and the hooks vanish entirely: no function call, no TLS lookup, no
 /// extra branch. When built with RCUA_SCHED_TEST=1 (the `rcua_sched`
 /// library variant the `sched` test tier links against), the hooks hand
@@ -29,8 +29,8 @@ namespace rcua::testing {
 
 /// Creation-order id of the calling logical task; 0 when the calling
 /// thread is not a scheduled task. Deterministic across replays — used
-/// by the era reclaimers to derive their reservation slot from the
-/// logical task instead of the (run-varying) OS thread identity.
+/// by the trace layer to tag events with the logical task instead of the
+/// (run-varying) OS thread identity.
 [[nodiscard]] std::size_t sched_task_id() noexcept;
 
 /// Yield point: hands control to the scheduler, which picks the next
@@ -73,12 +73,14 @@ struct Mutations {
   /// the fence forbids: the drain's first column scan may be satisfied by
   /// values sampled before the bump became visible.
   bool ebr_skip_fence = false;
-  /// EBR (owned layout): hand every reader the same slot. The owned
-  /// increment is a load and an exchange, sound only because no other
-  /// thread stores to the slot; two readers that both load before either
-  /// exchanges lose a count, so one retract empties the slot under the
-  /// other reader and a drain completes while it is still inside.
-  bool ebr_shared_reader_slot = false;
+  /// Reader bank (plat::ReaderBank): hand every reader slot 0, in every
+  /// bank that finds a thread's state by reader index. Each user assumes
+  /// only the owner writes its slot: EBR's load-then-exchange increment
+  /// loses a count when two readers load before either exchanges, and an
+  /// era or hazard-pointer reader that ends its section clears (or
+  /// restores) the reservation a second reader still relies on. Either
+  /// way a writer frees what a live reader holds.
+  bool shared_reader_slot = false;
   /// QSBR: checkpoint reclaims up to the *current* epoch instead of the
   /// minimum observed epoch over all participants (Algorithm 2 lines
   /// 6-8).

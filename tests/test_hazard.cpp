@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstddef>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
+#include "platform/topology.hpp"
 #include "reclaim/hazard.hpp"
 
 namespace reclaim = rcua::reclaim;
@@ -158,4 +161,45 @@ TEST(Hazard, MultipleSlotsProtectIndependently) {
   }
   dom.scan();
   EXPECT_EQ(destroyed.load(), 2);
+}
+
+TEST(Hazard, GuardRejectsAnOutOfRangeSlot) {
+  reclaim::HazardDomain dom;
+  Counted obj;
+  std::atomic<Counted*> src{&obj};
+  using Guard = reclaim::HazardDomain::Guard<Counted>;
+  EXPECT_THROW(Guard(dom, src, reclaim::HazardDomain::kSlotsPerThread),
+               std::out_of_range);
+  EXPECT_THROW(Guard(dom, src, static_cast<std::size_t>(-1)),
+               std::out_of_range);
+  // The last valid slot still protects.
+  Guard guard(dom, src, reclaim::HazardDomain::kSlotsPerThread - 1);
+  EXPECT_EQ(guard.get(), &obj);
+}
+
+TEST(Hazard, ExitedThreadsRetiredListPassesToTheNextOwner) {
+  // A thread's record is its reader index's slot: a thread that exits
+  // with retired objects below the scan threshold leaves them there,
+  // and the next thread to take that index frees them with its scan.
+  destroyed.store(0);
+  reclaim::HazardDomain dom;
+  dom.set_retire_threshold(100);
+  std::size_t first = 0;
+  std::thread([&] {
+    first = rcua::plat::reader_index();
+    dom.retire(new Counted);
+    dom.retire(new Counted);
+  }).join();
+  EXPECT_EQ(destroyed.load(), 0);
+
+  std::size_t next = 0;
+  std::size_t freed = 0;
+  std::thread([&] {
+    next = rcua::plat::reader_index();
+    freed = dom.scan();
+  }).join();
+  ASSERT_EQ(next, first) << "the lowest free reader index is reused";
+  EXPECT_EQ(freed, 2u);
+  EXPECT_EQ(destroyed.load(), 2);
+  EXPECT_EQ(dom.freed_count(), 2u);
 }

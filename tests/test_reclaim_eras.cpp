@@ -13,11 +13,13 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "core/rcu_array.hpp"
+#include "platform/topology.hpp"
 #include "reclaim/eras.hpp"
 #include "reclaim/qsbr.hpp"
 #include "reclaim/stall_monitor.hpp"
@@ -55,7 +57,7 @@ using EraDomains = ::testing::Types<reclaim::Ibr, reclaim::HazardEras>;
 TYPED_TEST_SUITE(EraDomainTest, EraDomains);
 
 TYPED_TEST(EraDomainTest, RetireWithoutReadersFreesImmediately) {
-  TypeParam dom(0, /*slot_count=*/4);
+  TypeParam dom;
   std::atomic<bool> freed[3] = {};
   for (int i = 0; i < 3; ++i) {
     const auto res =
@@ -74,7 +76,7 @@ TYPED_TEST(EraDomainTest, RetireWithoutReadersFreesImmediately) {
 }
 
 TYPED_TEST(EraDomainTest, GuardBlocksOverlappingLifetimeUntilRelease) {
-  TypeParam dom(0, 4);
+  TypeParam dom;
   std::atomic<bool> freed{false};
   std::atomic<std::atomic<bool>*> src{&freed};
   {
@@ -104,7 +106,7 @@ TYPED_TEST(EraDomainTest, StalledReservationBoundsPendingByConstruction) {
   // — everything born after the reservation's upper bound is freed on
   // its own retire — so pending never exceeds a constant, independent
   // of R.
-  TypeParam dom(0, 4);
+  TypeParam dom;
   constexpr int kRounds = 32;
   std::atomic<bool> freed[kRounds + 1] = {};
   std::atomic<std::atomic<bool>*> src{&freed[0]};
@@ -135,19 +137,20 @@ TYPED_TEST(EraDomainTest, StalledReservationBoundsPendingByConstruction) {
 }
 
 TYPED_TEST(EraDomainTest, LowerBoundPinsOnlyUnderIbr) {
-  TypeParam dom(0, 4);
+  TypeParam dom;
   std::atomic<int> obj{7};
   std::atomic<std::atomic<int>*> src{&obj};
   typename TypeParam::ReadGuard guard(dom);
   (void)guard.protect(src);
-  const auto first = dom.reservation_at(guard.slot());
+  const std::size_t me = rcua::plat::reader_index();
+  const auto first = dom.reservation_at(me);
   EXPECT_EQ(first.lower, 0u);
   EXPECT_EQ(first.upper, 0u);
 
   dom.advance_era();
   dom.advance_era();
   (void)guard.protect(src);
-  const auto second = dom.reservation_at(guard.slot());
+  const auto second = dom.reservation_at(me);
   EXPECT_EQ(second.upper, 2u);
   if constexpr (TypeParam::kPinLower) {
     EXPECT_EQ(second.lower, 0u) << "IBR pins the section-entry era";
@@ -157,7 +160,7 @@ TYPED_TEST(EraDomainTest, LowerBoundPinsOnlyUnderIbr) {
 }
 
 TYPED_TEST(EraDomainTest, FenceWaitSeesPreFenceSection) {
-  TypeParam dom(0, 4);
+  TypeParam dom;
   std::atomic<int> obj{1};
   std::atomic<std::atomic<int>*> src{&obj};
   auto guard = std::make_unique<typename TypeParam::ReadGuard>(dom);
@@ -181,17 +184,106 @@ TYPED_TEST(EraDomainTest, FenceWaitSeesPreFenceSection) {
   dom.wait_for_readers(fence);  // must return immediately
 }
 
-TYPED_TEST(EraDomainTest, SlotClaimProbesPastTakenSlots) {
-  TypeParam dom(0, 4);
-  dom.test_slot_override = 1;
-  typename TypeParam::ReadGuard a(dom);
-  typename TypeParam::ReadGuard b(dom);
-  EXPECT_NE(a.slot(), b.slot());
-  EXPECT_EQ(a.slot(), 1u);
+TYPED_TEST(EraDomainTest, NestedSectionRestoresTheOuterReservation) {
+  // A section nested in another on the same domain shares the thread's
+  // slot: it keeps the outer lower bound, raises the upper, and hands
+  // the outer reservation back when it ends, so the outer section's
+  // object stays blocked until the outer section itself ends.
+  TypeParam dom;
+  std::atomic<bool> freed{false};
+  std::atomic<std::atomic<bool>*> src{&freed};
+  std::atomic<int> other{0};
+  std::atomic<std::atomic<int>*> other_src{&other};
+  const std::size_t me = rcua::plat::reader_index();
+  {
+    typename TypeParam::ReadGuard outer(dom);
+    ASSERT_EQ(outer.protect(src), &freed);
+    dom.advance_era();
+    dom.advance_era();
+    {
+      typename TypeParam::ReadGuard inner(dom);
+      (void)inner.protect(other_src);
+      const auto nested = dom.reservation_at(me);
+      EXPECT_EQ(nested.lower, 0u) << "the outer lower bound is kept";
+      EXPECT_EQ(nested.upper, 2u) << "only the upper bound is raised";
+      EXPECT_EQ(dom.active_reservations(), 1u) << "one slot per thread";
+    }
+    const auto restored = dom.reservation_at(me);
+    EXPECT_EQ(restored.lower, 0u);
+    EXPECT_EQ(restored.upper, 0u);
+
+    src.store(nullptr, std::memory_order_seq_cst);
+    const auto res = dom.retire(&flag_free, &freed, 8, /*birth_era=*/0);
+    EXPECT_EQ(res.freed_objects, 0u);
+    EXPECT_EQ(res.pending_objects, 1u);
+    EXPECT_FALSE(freed.load()) << "freed under the live outer section";
+  }
+  EXPECT_EQ(dom.reservation_at(me).upper, TypeParam::kIdleEra);
+  EXPECT_EQ(dom.scan().freed_objects, 1u);
+  EXPECT_TRUE(freed.load());
+}
+
+namespace {
+/// Opens `depth` sections on `dom`, each nested in the previous one, and
+/// protects `src` in each; returns the reservation seen innermost.
+template <typename Dom>
+typename Dom::Reservation nest(Dom& dom,
+                               const std::atomic<std::atomic<int>*>& src,
+                               int depth) {
+  typename Dom::ReadGuard guard(dom);
+  (void)guard.protect(src);
+  if (depth == 1) return dom.reservation_at(rcua::plat::reader_index());
+  return nest(dom, src, depth - 1);
+}
+}  // namespace
+
+TYPED_TEST(EraDomainTest, DeepNestingNeverWaitsForASlot) {
+  // A reader never waits: however deep one thread nests sections on one
+  // domain, every section uses the thread's own slot, so a thread may
+  // hold more sections than any fixed pool of claimable slots.
+  TypeParam dom;
+  std::atomic<int> obj{0};
+  std::atomic<std::atomic<int>*> src{&obj};
+  dom.advance_era();
+  const auto innermost = nest(dom, src, /*depth=*/600);
+  EXPECT_EQ(innermost.lower, 1u);
+  EXPECT_EQ(innermost.upper, 1u);
+  EXPECT_EQ(dom.active_reservations(), 0u);
+}
+
+TYPED_TEST(EraDomainTest, ConcurrentReadersLandOnDistinctSlots) {
+  // Readers on different threads publish into their own reader index's
+  // slot, so a scan sees one reservation per live reader.
+  TypeParam dom;
+  std::atomic<int> obj{0};
+  std::atomic<std::atomic<int>*> src{&obj};
+  constexpr int kReaders = 3;
+  std::atomic<int> inside{0};
+  std::atomic<bool> release{false};
+  std::size_t index[kReaders] = {};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < kReaders; ++t) {
+    readers.emplace_back([&, t] {
+      typename TypeParam::ReadGuard guard(dom);
+      (void)guard.protect(src);
+      index[t] = rcua::plat::reader_index();
+      inside.fetch_add(1);
+      while (!release.load()) std::this_thread::yield();
+    });
+  }
+  while (inside.load() != kReaders) std::this_thread::yield();
+  EXPECT_EQ(dom.active_reservations(), static_cast<std::uint64_t>(kReaders));
+  for (int t = 0; t < kReaders; ++t) {
+    EXPECT_EQ(dom.reservation_at(index[t]).upper, 0u) << "reader " << t;
+    for (int u = 0; u < t; ++u) EXPECT_NE(index[t], index[u]);
+  }
+  release.store(true);
+  for (auto& r : readers) r.join();
+  EXPECT_EQ(dom.active_reservations(), 0u);
 }
 
 TYPED_TEST(EraDomainTest, FlushUnsafeFreesEverything) {
-  TypeParam dom(0, 4);
+  TypeParam dom;
   std::atomic<bool> freed{false};
   {
     typename TypeParam::ReadGuard guard(dom);
@@ -275,6 +367,9 @@ TYPED_TEST(EraArrayTest, EraStallDiagnosticIsStructuredAndNonEscalating) {
       EXPECT_EQ(d.locale, 0u);
       EXPECT_GE(d.era_lag, 3u);
       EXPECT_NE(d.slot, SIZE_MAX);     // the laggard slot is named
+      EXPECT_NE(d.thread_id, 0u);      // ... and the thread that owns it
+      EXPECT_NE(d.describe().find("thread"), std::string::npos)
+          << d.describe();
       EXPECT_GT(d.overflow_bytes, 0u);   // pending (bounded) bytes
       EXPECT_EQ(d.budget_bytes, 0u);     // no budget in play
       EXPECT_FALSE(d.describe().empty());

@@ -258,7 +258,7 @@ void shared_slot_scenario(Scheduler& sched) {
 }
 
 TEST(SchedEbr, MutationSharedReaderSlotFound) {
-  ScopedMutation mut(&rcua::testing::mutations().ebr_shared_reader_slot);
+  ScopedMutation mut(&rcua::testing::mutations().shared_reader_slot);
 
   ExploreOptions opts;
   opts.mode = ExploreMode::kRandom;
@@ -280,7 +280,7 @@ TEST(SchedEbr, MutationSharedReaderSlotFound) {
 }
 
 TEST(SchedEbr, MutationSharedReaderSlotFoundByDfs) {
-  ScopedMutation mut(&rcua::testing::mutations().ebr_shared_reader_slot);
+  ScopedMutation mut(&rcua::testing::mutations().shared_reader_slot);
 
   ExploreOptions opts;
   opts.mode = ExploreMode::kDfs;

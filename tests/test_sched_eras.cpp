@@ -12,6 +12,9 @@
 //     pointer is in hand, before the section's accesses. The very next
 //     retire + scan sees no overlapping reservation and frees the object
 //     under the live guard.
+//   shared_reader_slot      — hand every reader reader-bank slot 0. A
+//     reader whose section ends restores the reservation it found at
+//     entry, wiping out a second reader's that landed in between.
 //
 // The harness must find a violating schedule for each mutation (random
 // and bounded DFS), the unmutated protocol must survive the same budget
@@ -42,13 +45,12 @@ void flag_free(void* p) {
 }
 
 /// "Reclamation" flips a freed-flag, so a protocol bug is detected as a
-/// flag read, not a real use-after-free. Two reservation slots keep the
-/// claim path deterministic across machines.
+/// flag read, not a real use-after-free. Each task reads on its own
+/// thread's reservation slot; no sched site names the slot, so every
+/// printed seed replays whatever reader indices the task threads take.
 template <typename Dom>
 struct Arena {
-  Arena() : dom(0, /*slot_count=*/2) {
-    current.store(&freed[0], std::memory_order_relaxed);
-  }
+  Arena() { current.store(&freed[0], std::memory_order_relaxed); }
 
   Dom dom;
   std::atomic<bool> freed[8] = {};
@@ -257,8 +259,8 @@ TEST(SchedEras, MutationsDoNotLeakAcrossShapes) {
 }
 
 TEST(SchedEras, TwoReadersAcrossSlotsStaySafe) {
-  // The scan snapshots EVERY claimed slot; two concurrent readers (the
-  // domain's full slot budget) must both gate retirement.
+  // The scan snapshots every reader's slot; two concurrent readers must
+  // both gate retirement.
   ExploreOptions opts;
   opts.mode = ExploreMode::kRandom;
   opts.schedules = 2000;
@@ -272,4 +274,84 @@ TEST(SchedEras, TwoReadersAcrossSlotsStaySafe) {
         sched.spawn("writer", [a] { writer_rounds(*a, 2); });
       });
   EXPECT_FALSE(result.found) << result.message << "\n" << result.trace;
+}
+
+// -- Shared reader slot -------------------------------------------------
+
+namespace {
+/// Two readers and a one-round writer: the scenario that exposes a
+/// shared reservation slot. The second reader enters after the first
+/// has published and takes that reservation for an enclosing section's.
+/// The first reader then leaves and restores the idle slot it found,
+/// while the second still holds its object, and the writer's scan frees
+/// it.
+void shared_slot_scenario(Scheduler& sched) {
+  auto a = std::make_shared<Arena<rcua::reclaim::Ibr>>();
+  sched.spawn("reader", [a] { reader_once(*a); });
+  sched.spawn("reader", [a] { reader_once(*a); });
+  sched.spawn("writer", [a] { writer_rounds(*a, 1); });
+}
+}  // namespace
+
+TEST(SchedEras, IbrMutationSharedReaderSlotFound) {
+  ScopedMutation mut(&rcua::testing::mutations().shared_reader_slot);
+
+  ExploreOptions opts;
+  opts.mode = ExploreMode::kRandom;
+  opts.schedules = 10000;
+  const ExploreResult result =
+      rcua::testing::explore(opts, shared_slot_scenario);
+  ASSERT_TRUE(result.found)
+      << "two readers on one reservation slot must be caught";
+
+  ExploreOptions replay;
+  replay.mode = ExploreMode::kRandom;
+  replay.schedules = 1;
+  replay.base_seed = result.seed;
+  replay.quiet = true;
+  const ExploreResult again =
+      rcua::testing::explore(replay, shared_slot_scenario);
+  ASSERT_TRUE(again.found) << "seed " << result.seed << " did not replay";
+  EXPECT_EQ(again.message, result.message);
+}
+
+TEST(SchedEras, IbrMutationSharedReaderSlotFoundByDfs) {
+  ScopedMutation mut(&rcua::testing::mutations().shared_reader_slot);
+
+  ExploreOptions opts;
+  opts.mode = ExploreMode::kDfs;
+  opts.schedules = 200000;
+  opts.preemption_bound = 3;
+  const ExploreResult result =
+      rcua::testing::explore(opts, shared_slot_scenario);
+  ASSERT_TRUE(result.found)
+      << "the lost reservation needs two preemptions; bounded DFS must "
+         "reach it";
+}
+
+TEST(SchedEras, IbrNegativeControlSharedSlotScenario) {
+  // Unmutated, each reader owns its slot: no schedule loses a
+  // reservation.
+  ExploreOptions opts;
+  opts.mode = ExploreMode::kRandom;
+  opts.schedules = 2000;
+  opts.stop_on_violation = false;
+  const ExploreResult result =
+      rcua::testing::explore(opts, shared_slot_scenario);
+  EXPECT_FALSE(result.found) << result.message << "\n" << result.trace;
+  EXPECT_EQ(result.schedules_run,
+            rcua::testing::effective_schedule_budget(opts));
+
+  ExploreOptions dfs;
+  dfs.mode = ExploreMode::kDfs;
+  dfs.schedules = 200000;
+  dfs.preemption_bound = 3;
+  dfs.stop_on_violation = false;
+  const ExploreResult exhaustive =
+      rcua::testing::explore(dfs, shared_slot_scenario);
+  EXPECT_FALSE(exhaustive.found) << exhaustive.message << "\n"
+                                 << exhaustive.trace;
+  EXPECT_TRUE(exhaustive.exhausted)
+      << "expected to enumerate the full 3-preemption schedule tree, ran "
+      << exhaustive.schedules_run;
 }
