@@ -51,7 +51,6 @@
 #include "reclaim/qsbr.hpp"
 #include "reclaim/stall_monitor.hpp"
 #include "runtime/fault_plan.hpp"
-#include "runtime/thread_registry.hpp"
 
 namespace {
 
@@ -69,10 +68,10 @@ constexpr std::size_t kIntervalBound = 2;
 /// Full QSBR drain. Deferrals are spread across every thread that ran a
 /// publish body, and a checkpoint only reclaims the CALLER's list — so
 /// alternate main/worker checkpoint rounds first, then flush the
-/// remainder stranded on pool threads that have already exited (their
-/// parked records are invisible to every future checkpoint). The flush
-/// is shutdown-grade and only legal here because the laggard has been
-/// released and no reader is live.
+/// remainder left on the slots of pool threads that have already exited
+/// (only the next owner of such a slot's reader index would reclaim it).
+/// The flush is shutdown-grade and only legal here because the laggard
+/// has been released and no reader is live.
 void drain_qsbr(rt::Cluster& cluster, reclaim::Qsbr& qsbr) {
   for (int round = 0; round < 2; ++round) {
     qsbr.checkpoint();
@@ -112,7 +111,6 @@ CellResult run_cell(std::uint64_t stall_ns, double stall_prob,
   reclaim::StallMonitor monitor(/*budget_bytes=*/0);
   monitor.set_sink(nullptr);  // silent: the table reports totals
 
-  std::optional<rt::ThreadRegistry> registry;
   std::optional<reclaim::Qsbr> qsbr;
 
   typename Array::Options opts;
@@ -120,8 +118,7 @@ CellResult run_cell(std::uint64_t stall_ns, double stall_prob,
   opts.stall_policy.deadline_ns = 100 * 1000;  // defer, never block
   opts.stall_monitor = &monitor;
   if constexpr (Array::uses_qsbr) {
-    registry.emplace();
-    qsbr.emplace(*registry);
+    qsbr.emplace();
     opts.qsbr = &*qsbr;
   }
   Array arr(cluster, p.block_size, opts);
@@ -223,7 +220,6 @@ bool run_counters(const char* tag) {
   reclaim::StallMonitor monitor(/*budget_bytes=*/0);
   monitor.set_sink(nullptr);
 
-  std::optional<rt::ThreadRegistry> registry;
   std::optional<reclaim::Qsbr> qsbr;
 
   typename Array::Options opts;
@@ -232,8 +228,7 @@ bool run_counters(const char* tag) {
   opts.stall_policy.deadline_ns = 1;
   opts.stall_monitor = &monitor;
   if constexpr (Array::uses_qsbr) {
-    registry.emplace();
-    qsbr.emplace(*registry);
+    qsbr.emplace();
     opts.qsbr = &*qsbr;
   }
   Array arr(cluster, /*initial_capacity=*/64, opts);

@@ -59,15 +59,13 @@ void BM_EbrSynchronize(benchmark::State& state) {
 BENCHMARK(BM_EbrSynchronize);
 
 void BM_QsbrCheckpoint(benchmark::State& state) {
-  rcua::rt::ThreadRegistry registry;
-  rcua::reclaim::Qsbr qsbr(registry);
+  rcua::reclaim::Qsbr qsbr;
   for (auto _ : state) benchmark::DoNotOptimize(qsbr.checkpoint());
 }
 BENCHMARK(BM_QsbrCheckpoint);
 
 void BM_QsbrDeferAndReclaim(benchmark::State& state) {
-  rcua::rt::ThreadRegistry registry;
-  rcua::reclaim::Qsbr qsbr(registry);
+  rcua::reclaim::Qsbr qsbr;
   for (auto _ : state) {
     qsbr.defer_delete(new int(1));
     benchmark::DoNotOptimize(qsbr.checkpoint());

@@ -19,10 +19,6 @@ std::uint32_t hardware_threads() noexcept {
   return n == 0 ? 1u : static_cast<std::uint32_t>(n);
 }
 
-bool oversubscribed(std::uint32_t desired) noexcept {
-  return desired > hardware_threads();
-}
-
 namespace {
 
 /// Reader indices in use and free. Immortal: detached threads may still
@@ -32,6 +28,8 @@ struct ReaderIndexPool {
   std::vector<std::uint32_t> free;  // min-heap: lowest index first
   std::atomic<std::size_t> high_water{0};
   std::atomic<std::uint64_t> thread_ids[kMaxReaders] = {};
+  /// Bumped under `mu` when an index is taken and when it is returned.
+  std::atomic<std::uint64_t> generations[kMaxReaders] = {};
 };
 
 ReaderIndexPool& reader_pool() {
@@ -51,6 +49,7 @@ struct ReaderIndexOwner {
     detail::tl_reader_index_plus1 = 0;
     ReaderIndexPool& pool = reader_pool();
     std::lock_guard<std::mutex> guard(pool.mu);
+    pool.generations[v - 1].fetch_add(1, std::memory_order_release);
     pool.free.push_back(v - 1);
     std::push_heap(pool.free.begin(), pool.free.end(), std::greater<>());
   }
@@ -80,12 +79,19 @@ std::size_t detail::take_reader_index() {
     pool.thread_ids[index].store(
         static_cast<std::uint64_t>(::syscall(SYS_gettid)),
         std::memory_order_relaxed);
+    tl_reader_generation =
+        pool.generations[index].fetch_add(1, std::memory_order_release) + 1;
   }
   // A thread that reads again from a later thread_local destructor finds
   // the owner gone and keeps its new index for good.
   tl_reader_owner.armed = true;
   tl_reader_index_plus1 = static_cast<std::uint32_t>(index + 1);
   return index;
+}
+
+std::uint64_t reader_generation(std::size_t index) noexcept {
+  if (index >= kMaxReaders) return 0;
+  return reader_pool().generations[index].load(std::memory_order_acquire);
 }
 
 std::size_t reader_index_high_water() noexcept {

@@ -17,11 +17,6 @@ namespace rcua::plat {
 /// (respects the cpuset / affinity mask). Never returns 0.
 std::uint32_t hardware_threads() noexcept;
 
-/// True when the process is oversubscribed for `desired` runnable threads,
-/// i.e. desired exceeds the hardware thread count. Spin loops consult this
-/// to decide how aggressively to yield.
-bool oversubscribed(std::uint32_t desired) noexcept;
-
 /// TLS-free stripe selector for per-core counter banks: hashes the calling
 /// thread's identity (one TCB register read plus a mix, no thread_local
 /// slot and no syscall) into [0, num_stripes). A thread therefore always
@@ -44,6 +39,8 @@ namespace detail {
 /// The calling thread's reader index plus one; 0 until it takes one.
 /// Trivially destructible, so reading it is a plain TLS load.
 inline thread_local std::uint32_t tl_reader_index_plus1 = 0;
+/// The generation of the calling thread's reader index when it took it.
+inline thread_local std::uint64_t tl_reader_generation = 0;
 /// Slow path of reader_index(): takes the lowest free index.
 std::size_t take_reader_index();
 }  // namespace detail
@@ -57,6 +54,21 @@ inline std::size_t reader_index() {
   return v != 0 ? v - 1 : detail::take_reader_index();
 }
 
+/// The calling thread's reader generation: the generation its reader
+/// index had when the thread took it. The index pool bumps an index's
+/// generation when a thread takes it and again when the thread returns
+/// it, so it is odd, never 0, and matches reader_generation(index) only
+/// while this thread owns the index.
+inline std::uint64_t reader_generation() {
+  (void)reader_index();
+  return detail::tl_reader_generation;
+}
+
+/// The current generation of `index` (0 when it was never handed out).
+/// A slot that records its owner's reader_generation() can tell from it,
+/// without its owner's help, whether that owner still holds the index.
+[[nodiscard]] std::uint64_t reader_generation(std::size_t index) noexcept;
+
 /// One past the highest reader index handed out so far; it never
 /// shrinks. Bumped seq_cst before the new index is returned, so a scan
 /// that loads it after a seq_cst fence covers every index whose owner's
@@ -68,8 +80,9 @@ inline std::size_t reader_index() {
 [[nodiscard]] std::uint64_t reader_thread_id(std::size_t index) noexcept;
 
 /// One `Slot` per reader index, written only by the thread that owns the
-/// index: the per-thread state of every reclaimer whose readers announce
-/// themselves (EBR's counts, era reservations, hazard-pointer records).
+/// index: the per-thread state of every reclaimer that keeps any (EBR's
+/// counts, era reservations, hazard-pointer records, QSBR's observed
+/// epochs and defer lists).
 /// Slots are allocated in chunks of kChunkSlots the first time an index
 /// in the chunk asks for its slot, so a bank costs memory only for the
 /// indices that have used it. A slot outlives its owner: the next thread

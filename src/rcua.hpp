@@ -41,7 +41,6 @@
 #include "runtime/collectives.hpp"
 #include "runtime/global_lock.hpp"
 #include "runtime/this_task.hpp"
-#include "runtime/thread_registry.hpp"
 #include "sim/cost_model.hpp"
 #include "sim/resource.hpp"
 #include "sim/task_clock.hpp"

@@ -99,7 +99,8 @@ class QsbrDomain {
   void flush(const RetireSite&) noexcept {}
   void flush_unsafe(const RetireSite&) noexcept {}
   [[nodiscard]] Pending pending() const noexcept { return {}; }
-  /// No reader bank: every count is zero.
+  /// QSBR keeps no EBR read counters, so every count is zero; its
+  /// per-thread state is in the Qsbr domain's own bank.
   [[nodiscard]] Ebr::Stats stats() const noexcept { return {}; }
 
  private:

@@ -4,8 +4,9 @@
 #include <cstdint>
 
 #include "platform/align.hpp"
+#include "platform/spinlock.hpp"
+#include "platform/topology.hpp"
 #include "reclaim/retire_list.hpp"
-#include "runtime/thread_registry.hpp"
 
 namespace rcua::reclaim {
 
@@ -20,9 +21,17 @@ namespace rcua::reclaim {
 /// states — and the memory is pushed LIFO on the thread's own DeferList
 /// together with that *safe epoch*. At a `checkpoint()` the thread
 /// observes the current StateEpoch, computes the minimum observed epoch
-/// over every (active, non-parked) thread on the runtime's TLSList, and
-/// reclaims its own list's suffix with safe epoch <= that minimum
-/// (Lemmas 4 and 5).
+/// over every joined, non-parked thread, and reclaims its own list's
+/// suffix with safe epoch <= that minimum (Lemmas 4 and 5).
+///
+/// The paper's TLSList is the shared thread-owned bank (plat::ReaderBank):
+/// one Slot per reader index, found only through plat::reader_index(). A
+/// thread joins the domain on first participation by recording its reader
+/// generation in its slot; the slot gates the minimum only while that
+/// generation is its index's current one, so a thread that exits stops
+/// gating when the index pool takes its index back, and the next owner of
+/// the index gates nothing until it joins. The exited thread's deferrals
+/// pass to that next owner, whose checkpoints reclaim them.
 ///
 /// Contract inherited from the paper (§III-B):
 ///  * It is NOT safe to dereference QSBR-protected memory acquired before
@@ -32,17 +41,16 @@ namespace rcua::reclaim {
 ///    participants).
 ///  * StateEpoch overflow would be undefined behaviour; with a 64-bit
 ///    epoch this is unreachable, and debug builds assert on it.
-class Qsbr final : public rt::EpochDomain {
+class Qsbr {
  public:
-  /// Creates a domain on `registry` (the process-wide TLSList by
-  /// default). Destroying the domain flushes every thread's pending
-  /// deferrals for it — only destroy once all participants are quiescent.
-  explicit Qsbr(rt::ThreadRegistry& registry = rt::ThreadRegistry::global());
-  ~Qsbr() override;
+  /// Destroying the domain reclaims every thread's pending deferrals —
+  /// only destroy once all participants are quiescent.
+  Qsbr() = default;
   Qsbr(const Qsbr&) = delete;
   Qsbr& operator=(const Qsbr&) = delete;
 
-  /// The process-wide domain, as in the paper's runtime integration.
+  /// The process-wide domain, as in the paper's runtime integration; the
+  /// task pool's idle workers park in it.
   static Qsbr& global();
 
   struct Stats {
@@ -62,7 +70,7 @@ class Qsbr final : public rt::EpochDomain {
     kHookCheckpointEpochRead = 0,
     /// After the observation store, before the min scan (before line 6).
     kHookCheckpointObserved = 1,
-    /// On entry to park(), before the registry housekeeping runs.
+    /// On entry to park(), before the final housekeeping runs.
     kHookPark = 2,
     /// On entry to unpark(), before the thread becomes visible again.
     kHookUnpark = 3,
@@ -99,45 +107,40 @@ class Qsbr final : public rt::EpochDomain {
   /// participate from the start ("All threads act as participants"); a
   /// thread must be a participant BEFORE dereferencing protected data,
   /// otherwise reclaimers cannot see it. RCUArray's QSBR read path calls
-  /// this; after the first call it is a TLS load, a compare and a relaxed
-  /// load (DEBRA's thread-local per-op check).
+  /// this; once the thread has joined it is two TLS loads, a chunk load,
+  /// a relaxed load and a compare (DEBRA's thread-local per-op check).
   void ensure_participant() { participate(); }
 
-  /// Parking support: the calling thread is idle; do final housekeeping
-  /// and stop gating the safe-epoch minimum. (Delegates to the registry,
-  /// which parks the thread for *all* domains, as an idle thread is idle
-  /// everywhere.)
-  void park() {
-    if (test_hook != nullptr) test_hook(*this, kHookPark);
-    registry_.park_current_thread();
-  }
-  void unpark() {
-    if (test_hook != nullptr) test_hook(*this, kHookUnpark);
-    registry_.unpark_current_thread();
+  /// Parking support (the paper's idle threads): the calling thread is
+  /// idle in this domain; observe the newest state, reclaim what its own
+  /// list allows, and stop gating the minimum until unpark(). A thread
+  /// that never joined the domain has nothing to park.
+  void park();
+  /// Re-admits a parked thread, observing the current epoch before it
+  /// becomes visible. A participation while parked re-admits it too.
+  void unpark();
+
+  /// Number of deferrals pending on the calling thread's slot, including
+  /// any an exited previous owner of its reader index left there.
+  [[nodiscard]] std::size_t pending_on_this_thread() {
+    return bank_.mine().defer_list.size();
   }
 
-  /// Number of deferrals currently pending on the calling thread.
-  [[nodiscard]] std::size_t pending_on_this_thread();
-
-  /// Deferrals pending across EVERY record of this domain, including
-  /// those stranded on exited (parked) threads that no checkpoint will
-  /// ever visit again — the measured drain target for shutdown paths
-  /// (checkpoints reclaim the live threads' share; flush_unsafe() takes
-  /// the stranded remainder).
+  /// Deferrals pending on every slot of this domain — the measured drain
+  /// target for shutdown paths (checkpoints reclaim each slot's eligible
+  /// share; flush_unsafe() takes what no checkpoint will reach).
   [[nodiscard]] std::size_t pending_total() const {
     std::size_t n = 0;
-    for (const rt::ThreadRecord* r = registry_.head(); r != nullptr;
-         r = r->next) {
-      n += r->slots[slot_].defer_list.size();
-    }
+    bank_.for_each(
+        [&](std::size_t, const Slot& s) { n += s.defer_list.size(); });
     return n;
   }
 
   /// Reclaims every pending deferral of every thread. ONLY safe when no
   /// thread holds protected references (shutdown, test teardown).
-  void flush_unsafe() { registry_.flush_slot_unsafe(slot_); }
+  void flush_unsafe();
 
-  [[nodiscard]] std::uint64_t current_epoch() const noexcept override {
+  [[nodiscard]] std::uint64_t current_epoch() const noexcept {
     return state_epoch_.value.load(std::memory_order_acquire);
   }
 
@@ -147,19 +150,48 @@ class Qsbr final : public rt::EpochDomain {
                  reclaimed_.value.load(std::memory_order_relaxed)};
   }
 
-  [[nodiscard]] rt::ThreadRegistry& registry() noexcept { return registry_; }
-
  private:
-  /// This thread's slot, activated on first use.
-  rt::DomainSlot& participate() {
-    rt::DomainSlot& slot = registry_.local_record().slots[slot_];
-    if (!slot.active.load(std::memory_order_relaxed)) activate(slot);
+  /// Set in Slot::state while the owner is parked.
+  static constexpr std::uint64_t kParked = std::uint64_t{1} << 63;
+
+  /// One thread's state in this domain: the paper's thread-specific
+  /// metadata.
+  struct alignas(plat::kCacheLine) Slot {
+    /// The newest StateEpoch the owner promised quiescence up to.
+    std::atomic<std::uint64_t> observed_epoch{0};
+    /// The owner's reader generation while it participates, with kParked
+    /// set while it is parked. The slot gates the minimum only when this
+    /// equals its index's current generation.
+    std::atomic<std::uint64_t> state{0};
+    /// Owner-pushed LIFO of deferred reclamations, descending safe epoch
+    /// (Lemma 4). Only the owner pushes and pops; flush_unsafe() drains
+    /// every slot, so list access takes the (normally uncontended)
+    /// spinlock.
+    DeferList defer_list;
+    plat::Spinlock list_lock;
+  };
+
+  /// This thread's slot, joined on first use. The generation is read
+  /// first so that mine() reuses its reader-index load.
+  Slot& participate() {
+    const std::uint64_t gen = plat::reader_generation();
+    Slot& slot = bank_.mine();
+    if (slot.state.load(std::memory_order_relaxed) != gen) [[unlikely]] {
+      join(slot, gen);
+    }
     return slot;
   }
-  void activate(rt::DomainSlot& slot);
+  /// Publishes a current observation and `gen` (the caller's reader
+  /// generation) into `slot`.
+  void join(Slot& slot, std::uint64_t gen);
+  /// The min observed epoch over every joined, non-parked slot, capped at
+  /// `ceiling`; `live` counts the slots it took.
+  std::uint64_t min_observed_epoch(std::uint64_t ceiling,
+                                   std::uint64_t& live) const;
+  /// Pops and reclaims the caller's deferrals with safe epoch <= `min`.
+  static std::size_t reclaim_up_to(Slot& slot, std::uint64_t min);
 
-  rt::ThreadRegistry& registry_;
-  std::size_t slot_;
+  plat::ReaderBank<Slot> bank_;
   plat::CacheAligned<std::atomic<std::uint64_t>> state_epoch_{0ULL};
   plat::CacheAligned<std::atomic<std::uint64_t>> defers_{0ULL};
   plat::CacheAligned<std::atomic<std::uint64_t>> checkpoints_{0ULL};

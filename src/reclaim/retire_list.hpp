@@ -47,7 +47,7 @@ inline DeferNode* make_defer_node_fn(void (*fn)(void*), void* arg,
   return n;
 }
 
-/// Thread-owned defer list. Not thread-safe by design: each ThreadRecord
+/// Thread-owned defer list. Not thread-safe by design: each QSBR slot
 /// owns exactly one and only its thread touches it (the parallel-safety of
 /// QSBR reclamation in the paper comes precisely from this ownership).
 class DeferList {

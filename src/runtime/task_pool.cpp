@@ -1,9 +1,9 @@
 #include "runtime/task_pool.hpp"
 
+#include "reclaim/qsbr.hpp"
 #include "runtime/cluster.hpp"
 #include "runtime/fault_plan.hpp"
 #include "runtime/this_task.hpp"
-#include "runtime/thread_registry.hpp"
 
 namespace rcua::rt {
 
@@ -94,7 +94,6 @@ void TaskPool::run_overflow(std::uint32_t locale, Task task) {
 
 void TaskPool::worker_main(std::uint32_t locale, std::uint32_t worker_id) {
   LocaleScope scope(cluster_, locale, worker_id);
-  ThreadRegistry::global().local_record();  // register with the TLSList
   LocaleQueue& q = *queues_[locale];
   for (;;) {
     // Chaos hook: an injected kKillWorker fault makes this worker die as
@@ -119,9 +118,9 @@ void TaskPool::worker_main(std::uint32_t locale, std::uint32_t worker_id) {
       if (q.tasks.empty() && !q.stop) {
         // Going idle: park (final QSBR housekeeping + leave the minima).
         q.idle.fetch_add(1, std::memory_order_relaxed);
-        ThreadRegistry::global().park_current_thread();
+        reclaim::Qsbr::global().park();
         q.cv.wait(lock, [&] { return q.stop || !q.tasks.empty(); });
-        ThreadRegistry::global().unpark_current_thread();
+        reclaim::Qsbr::global().unpark();
         q.idle.fetch_sub(1, std::memory_order_relaxed);
       }
       if (q.tasks.empty()) {

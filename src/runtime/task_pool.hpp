@@ -20,9 +20,10 @@ class Cluster;
 /// sensitive code (privatization, comm counting) behaves as if the task
 /// were on that node.
 ///
-/// Idle workers *park* in the thread registry (flushing their QSBR defer
-/// lists and leaving every safe-epoch minimum), exactly the paper's
-/// park/unpark support, and unpark before running the next task.
+/// Idle workers *park* in `reclaim::Qsbr::global()` (reclaiming what
+/// their own defer lists allow and leaving its safe-epoch minimum),
+/// exactly the paper's park/unpark support, and unpark before running the
+/// next task.
 ///
 /// Oversubscription guard: if a task is submitted to a locale with no
 /// idle worker, the pool runs it on a temporary thread instead of

@@ -85,7 +85,7 @@ struct CostModel {
   /// (privatized instance, snapshot pointer, block table — three chains
   /// that the direct address computation of BlockDist does not have).
   double rcua_spine_miss_ns = 850.0;
-  /// QSBR checkpoint: scanning one TLSList record.
+  /// QSBR checkpoint: scanning one live participant's slot.
   double qsbr_checkpoint_per_thread_ns = 4.0;
   /// QSBR checkpoint fixed part (observing StateEpoch, list split).
   double qsbr_defer_ns = 50.0;

@@ -76,10 +76,12 @@ struct Mutations {
   /// Reader bank (plat::ReaderBank): hand every reader slot 0, in every
   /// bank that finds a thread's state by reader index. Each user assumes
   /// only the owner writes its slot: EBR's load-then-exchange increment
-  /// loses a count when two readers load before either exchanges, and an
+  /// loses a count when two readers load before either exchanges, an
   /// era or hazard-pointer reader that ends its section clears (or
-  /// restores) the reservation a second reader still relies on. Either
-  /// way a writer frees what a live reader holds.
+  /// restores) the reservation a second reader still relies on, and a
+  /// QSBR defer overwrites the observation another participant's
+  /// reference relies on. Each way a writer frees what a live reader
+  /// holds.
   bool shared_reader_slot = false;
   /// QSBR: checkpoint reclaims up to the *current* epoch instead of the
   /// minimum observed epoch over all participants (Algorithm 2 lines

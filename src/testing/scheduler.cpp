@@ -420,6 +420,7 @@ std::string format_trace(const std::vector<TraceEntry>& trace) {
 
 std::uint64_t effective_schedule_budget(const ExploreOptions& options) {
   if (std::getenv("RCUA_SCHED_SEED") != nullptr) return 1;
+  if (options.schedules == 1) return 1;  // an explicit replay
   if (const char* env = std::getenv("RCUA_SCHED_SCHEDULES")) {
     const std::uint64_t n = std::strtoull(env, nullptr, 0);
     if (n > 0) return n;
@@ -433,28 +434,25 @@ ExploreResult explore(const ExploreOptions& options,
   result.mode = options.mode;
 
   std::uint64_t base_seed = options.base_seed;
-  std::uint64_t schedules = options.schedules;
+  std::uint64_t schedules = effective_schedule_budget(options);
   int preemption_bound = options.preemption_bound;
   bool replay = false;
   // Nightly deep-exploration knobs (see the header): a wider budget, a
   // higher preemption bound, or a shifted seed window, all without
-  // recompiling the tests.
-  if (const char* env = std::getenv("RCUA_SCHED_SCHEDULES")) {
-    const std::uint64_t n = std::strtoull(env, nullptr, 0);
-    if (n > 0) schedules = n;
-  }
+  // recompiling the tests. An explicit replay (one schedule) keeps its
+  // own seed.
   if (const char* env = std::getenv("RCUA_SCHED_PREEMPTION_BOUND")) {
     const long b = std::strtol(env, nullptr, 0);
     if (b >= 0) preemption_bound = static_cast<int>(b);
   }
-  if (const char* env = std::getenv("RCUA_SCHED_BASE_SEED")) {
+  if (const char* env = std::getenv("RCUA_SCHED_BASE_SEED");
+      env != nullptr && options.schedules != 1) {
     base_seed = std::strtoull(env, nullptr, 0);
   }
   if (const char* env = std::getenv("RCUA_SCHED_SEED")) {
     // Replay exactly one seed (random mode). DFS is self-reproducing:
     // rerunning the test re-enumerates the identical schedule sequence.
     base_seed = std::strtoull(env, nullptr, 0);
-    schedules = 1;
     replay = options.mode == ExploreMode::kRandom;
   }
 

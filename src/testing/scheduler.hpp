@@ -177,7 +177,8 @@ struct ExploreOptions {
   /// Random: number of seeds tried. DFS: cap on enumerated schedules.
   std::uint64_t schedules = 2000;
   /// First seed of the random walk; seed i is base_seed + i. Overridden
-  /// by the RCUA_SCHED_SEED environment variable for replay.
+  /// by the RCUA_SCHED_SEED environment variable for replay, and by
+  /// RCUA_SCHED_BASE_SEED unless `schedules` is 1.
   std::uint64_t base_seed = 0x5eedba5e;
   int preemption_bound = 3;
   std::uint64_t max_steps = 200000;
@@ -211,15 +212,18 @@ struct ExploreResult {
 ///                                 without forcing single-seed replay)
 ///   RCUA_SCHED_SEED             — replay: forces exactly one schedule,
 ///                                 wins over all of the above
+/// An explicit replay (options.schedules == 1, a test re-running the seed
+/// an earlier exploration printed) ignores RCUA_SCHED_SCHEDULES and
+/// RCUA_SCHED_BASE_SEED, so it runs exactly its own seed.
 ExploreResult explore(const ExploreOptions& options,
                       const std::function<void(Scheduler&)>& scenario);
 
 /// The schedule budget explore() will actually run for `options` after
-/// the environment overrides above: RCUA_SCHED_SEED forces 1,
-/// RCUA_SCHED_SCHEDULES replaces the configured count, otherwise
-/// options.schedules. Tests asserting that a negative control consumed
-/// its whole budget compare ExploreResult::schedules_run against this
-/// instead of the literal, so the nightly deep-budget sweep does not
+/// the environment overrides above: RCUA_SCHED_SEED and an explicit
+/// replay force 1, RCUA_SCHED_SCHEDULES replaces the configured count,
+/// otherwise options.schedules. Tests asserting that a negative control
+/// consumed its whole budget compare ExploreResult::schedules_run against
+/// this instead of the literal, so the nightly deep-budget sweep does not
 /// break them. (DFS runs may still stop early with `exhausted` set.)
 [[nodiscard]] std::uint64_t effective_schedule_budget(
     const ExploreOptions& options);

@@ -14,7 +14,6 @@
 #include "reclaim/ebr.hpp"
 #include "reclaim/qsbr.hpp"
 #include "reclaim/stall_monitor.hpp"
-#include "runtime/thread_registry.hpp"
 
 namespace reclaim = rcua::reclaim;
 
@@ -155,8 +154,7 @@ void count_qsbr_phase(rcua::reclaim::Qsbr&, int phase) {
 
 TEST(FaultInjection, QsbrHookFiresAtCheckpointAndParkWindows) {
   for (auto& h : qsbr_phase_hits) h.store(0);
-  rcua::rt::ThreadRegistry registry;
-  reclaim::Qsbr qsbr(registry);
+  reclaim::Qsbr qsbr;
   qsbr.test_hook = &count_qsbr_phase;
 
   qsbr.checkpoint();
@@ -181,8 +179,7 @@ TEST(FaultInjection, QsbrHookCanMoveTheEpochInsideTheCheckpointWindow) {
   static std::atomic<bool> node_freed;
   fired.store(0);
   node_freed.store(false);
-  rcua::rt::ThreadRegistry registry;
-  reclaim::Qsbr qsbr(registry);
+  reclaim::Qsbr qsbr;
   qsbr.test_hook = [](reclaim::Qsbr& q, int phase) {
     if (phase != reclaim::Qsbr::kHookCheckpointEpochRead) return;
     if (fired.fetch_add(1) != 0) return;  // inject only once
@@ -199,13 +196,12 @@ TEST(FaultInjection, QsbrHookCanMoveTheEpochInsideTheCheckpointWindow) {
 
 TEST(FaultInjection, ParkWhileAnnouncedStallsTheDrainAndIsDiagnosed) {
   // The "park-while-announced" stall window: a thread parks (goes idle
-  // in the registry) while still ANNOUNCED in an EBR read-side section.
+  // in a QSBR domain) while still ANNOUNCED in an EBR read-side section.
   // Parking must not erase the announcement — the drain has to keep
   // waiting (safety) — and the deadline-bounded drain must name the
   // stuck reader's slot and thread for the watchdog.
   reclaim::Ebr ebr;
-  rcua::rt::ThreadRegistry registry;
-  reclaim::Qsbr qsbr(registry);
+  reclaim::Qsbr qsbr;
 
   std::atomic<bool> parked{false};
   std::atomic<bool> release{false};
@@ -214,6 +210,7 @@ TEST(FaultInjection, ParkWhileAnnouncedStallsTheDrainAndIsDiagnosed) {
   std::thread stuck([&] {
     stuck_index.store(rcua::plat::reader_index());
     stuck_tid.store(static_cast<std::uint64_t>(::syscall(SYS_gettid)));
+    qsbr.ensure_participant();
     reclaim::Ebr::ReadGuard guard(ebr);  // announced on its own slot
     qsbr.park();                         // ... then parks, still announced
     parked.store(true);

@@ -136,9 +136,7 @@ TEST_P(CheckpointCadence, AllDeferredEventuallyFreedNeverEarly) {
   const int cadence = GetParam();
   static std::atomic<int> freed{0};
   freed.store(0);
-
-  rt::ThreadRegistry registry;
-  rcua::reclaim::Qsbr qsbr(registry);
+  rcua::reclaim::Qsbr qsbr;
   struct Counted {
     ~Counted() { freed.fetch_add(1); }
   };

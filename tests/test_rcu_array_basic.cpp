@@ -220,8 +220,7 @@ TEST(RcuArrayEbr, ReadsGoThroughEpochProtocol) {
 }
 
 TEST(RcuArrayQsbr, ResizeDefersOldSpines) {
-  rt::ThreadRegistry reg;
-  rcua::reclaim::Qsbr qsbr(reg);
+  rcua::reclaim::Qsbr qsbr;
   rt::Cluster cluster({.num_locales = 2, .workers_per_locale = 2});
   RCUArray<std::uint64_t, QsbrPolicy> arr(cluster, 0,
                                           {.block_size = 64, .qsbr = &qsbr});
@@ -315,8 +314,7 @@ TYPED_TEST(RcuArrayAllPolicies, StructuralOpsPayFixedGracePeriods) {
   // reclaimer (EBR epochs; IBR/HE era advances, retires, frees, scans) or
   // the QSBR domain (deferrals), with no reader in flight.
   constexpr std::uint32_t kLocales = 4;
-  rt::ThreadRegistry registry;
-  rcua::reclaim::Qsbr qsbr(registry);
+  rcua::reclaim::Qsbr qsbr;
   rt::Cluster cluster({.num_locales = kLocales, .workers_per_locale = 1});
   typename TestFixture::Array::Options opts;
   opts.block_size = 64;

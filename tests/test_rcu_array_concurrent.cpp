@@ -180,8 +180,7 @@ TEST(RcuArrayEbrConc, ReadersNeverSeeTornCapacity) {
 
 TEST(RcuArrayQsbrConc, SpinesAccumulateUntilCheckpoint) {
   const auto base = rcua::Snapshot<std::uint64_t>::live_count();
-  rt::ThreadRegistry reg;
-  rcua::reclaim::Qsbr qsbr(reg);
+  rcua::reclaim::Qsbr qsbr;
   {
     rt::Cluster cluster({.num_locales = 1, .workers_per_locale = 2});
     RCUArray<std::uint64_t, QsbrPolicy> arr(cluster, 0,

@@ -25,7 +25,6 @@
 #include "reclaim/stall_monitor.hpp"
 #include "runtime/cluster.hpp"
 #include "runtime/fault_plan.hpp"
-#include "runtime/thread_registry.hpp"
 
 namespace rt = rcua::rt;
 namespace reclaim = rcua::reclaim;
@@ -461,8 +460,7 @@ TEST(EraContrast, EbrOverflowGrowsLinearlyUnderParkedReader) {
 }
 
 TEST(EraContrast, QsbrDeferralsGrowLinearlyUnderLaggardParticipant) {
-  rt::ThreadRegistry registry;
-  reclaim::Qsbr qsbr(registry);
+  reclaim::Qsbr qsbr;
   rt::Cluster cluster({.num_locales = 1, .workers_per_locale = 1});
   rcua::RCUArray<int, rcua::QsbrPolicy>::Options opts;
   opts.block_size = 64;
@@ -482,10 +480,10 @@ TEST(EraContrast, QsbrDeferralsGrowLinearlyUnderLaggardParticipant) {
   EXPECT_GE(qsbr.pending_total(), static_cast<std::size_t>(kResizes));
   // The laggard checkpoints, then the surviving workers checkpoint
   // (defer lists are per-thread). A pool worker that already exited
-  // leaves its deferrals stranded on a parked record no checkpoint
-  // will visit — flush_unsafe() takes that remainder (legal: no live
-  // readers) — so the robust drain is checkpoints plus a final flush,
-  // measured by pending_total().
+  // leaves its deferrals on its slot until the next owner of its reader
+  // index checkpoints — flush_unsafe() takes that remainder (legal: no
+  // live readers) — so the robust drain is checkpoints plus a final
+  // flush, measured by pending_total().
   qsbr.checkpoint();
   cluster.coforall_locales([&](std::uint32_t) { qsbr.checkpoint(); });
   qsbr.checkpoint();

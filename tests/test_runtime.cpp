@@ -4,15 +4,16 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "reclaim/qsbr.hpp"
 #include "runtime/cluster.hpp"
 #include "runtime/this_task.hpp"
-#include "runtime/thread_registry.hpp"
 #include "sim/cost_model.hpp"
 #include "sim/task_clock.hpp"
 
@@ -241,16 +242,40 @@ TEST(TaskPool, WorkerContextMatchesLocale) {
   EXPECT_TRUE(ok.load());
 }
 
-TEST(TaskPool, IdleWorkersParkInRegistry) {
-  const auto live_before = rt::ThreadRegistry::global().live_record_count();
+// Idle workers park in Qsbr::global(): once the pool's workers have joined
+// the domain and gone idle, none of them gates it, so the main thread's
+// checkpoints reclaim a deferral made after every worker last observed.
+TEST(TaskPool, IdleWorkersParkInGlobalQsbr) {
+  rcua::reclaim::Qsbr& qsbr = rcua::reclaim::Qsbr::global();
   rt::Cluster cluster({.num_locales = 2, .workers_per_locale = 2});
-  // Let workers reach their first park.
-  for (int i = 0; i < 100 && rt::ThreadRegistry::global().live_record_count() >
-                                 live_before;
-       ++i) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  // Once every worker waits for work, the tasks below queue to them
+  // instead of running on overflow threads.
+  while ((cluster.pool().idle_workers(0) < 2 ||
+          cluster.pool().idle_workers(1) < 2) &&
+         std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  EXPECT_LE(rt::ThreadRegistry::global().live_record_count(), live_before);
+  // All four tasks run at once, so each joins on its own worker.
+  std::atomic<int> started{0};
+  std::atomic<int> on_workers{0};
+  cluster.coforall_tasks(2, [&](std::uint32_t, std::uint32_t) {
+    qsbr.ensure_participant();
+    if (rt::this_task().worker_id != ~0u) on_workers.fetch_add(1);
+    started.fetch_add(1);
+    while (started.load() < 4) std::this_thread::yield();
+  });
+  EXPECT_EQ(on_workers.load(), 4);
+
+  static std::atomic<bool> freed;
+  freed.store(false);
+  qsbr.defer_fn([](void*) { freed.store(true); }, nullptr);
+  while (!freed.load() && std::chrono::steady_clock::now() < deadline) {
+    qsbr.checkpoint();
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_TRUE(freed.load()) << "an idle worker still gates Qsbr::global()";
 }
 
 TEST(Locale, AllocationAccounting) {

@@ -24,7 +24,6 @@
 #include "reclaim/qsbr.hpp"
 #include "reclaim/stall_monitor.hpp"
 #include "runtime/cluster.hpp"
-#include "runtime/thread_registry.hpp"
 #include "testing/scheduler.hpp"
 
 namespace {
@@ -217,8 +216,7 @@ TEST(SchedRcuArray, Lemma6UnderQsbrPolicy) {
         struct State {
           explicit State(rcua::rt::Cluster& c)
               : arr(c, 0, {.block_size = kBlock, .qsbr = &qsbr}) {}
-          rcua::rt::ThreadRegistry registry;
-          rcua::reclaim::Qsbr qsbr{registry};
+          rcua::reclaim::Qsbr qsbr;
           RCUArray<int, QsbrPolicy> arr;
           std::atomic<bool> ready{false};
         };
@@ -264,8 +262,7 @@ TEST(SchedRcuArray, RemoveDefersBlockReclamationUnderQsbr) {
         struct State {
           explicit State(rcua::rt::Cluster& c)
               : arr(c, 0, {.block_size = kBlock, .qsbr = &qsbr}) {}
-          rcua::rt::ThreadRegistry registry;
-          rcua::reclaim::Qsbr qsbr{registry};
+          rcua::reclaim::Qsbr qsbr;
           RCUArray<int, QsbrPolicy> arr;
           std::atomic<bool> ready{false};
           std::atomic<bool> ref_taken{false};

@@ -11,6 +11,10 @@
 // design) and drives remote traffic through AsyncComm, whose
 // comm.get/comm.put/comm.async.issue/comm.async.complete events carry
 // schedule-dependent interleavings — precisely what must replay.
+//
+// The replay itself must hold under the nightly tier's environment
+// overrides: a test that re-runs a printed seed explores exactly that
+// seed, whatever RCUA_SCHED_BASE_SEED and RCUA_SCHED_SCHEDULES say.
 
 #include <gtest/gtest.h>
 
@@ -18,6 +22,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
+#include <optional>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -32,6 +37,7 @@ namespace {
 
 using rcua::testing::ExploreMode;
 using rcua::testing::ExploreOptions;
+using rcua::testing::ExploreResult;
 using rcua::testing::Scheduler;
 
 namespace sim = rcua::sim;
@@ -131,6 +137,70 @@ TEST(SchedTrace, SameSeedProducesIdenticalVirtualTimeTraces) {
   EXPECT_EQ(other.size(), first.size())
       << "same scenario, same op count — only order/timing may move";
   rcua::obs::trace_reset();
+}
+
+/// Sets (or, with nullopt, unsets) an environment variable for one scope
+/// and restores its previous value on exit.
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, std::optional<std::string> value)
+      : name_(name) {
+    if (const char* old = std::getenv(name)) saved_ = old;
+    if (value) {
+      setenv(name, value->c_str(), 1);
+    } else {
+      unsetenv(name);
+    }
+  }
+  ~ScopedEnv() {
+    if (saved_) {
+      setenv(name_, saved_->c_str(), 1);
+    } else {
+      unsetenv(name_);
+    }
+  }
+  ScopedEnv(const ScopedEnv&) = delete;
+  ScopedEnv& operator=(const ScopedEnv&) = delete;
+
+ private:
+  const char* name_;
+  std::optional<std::string> saved_;
+};
+
+/// Violates on every schedule, so a result's seed is the first it ran.
+void always_violates(Scheduler& sched) {
+  sched.spawn("t", [] {
+    rcua::testing::sched_point("test.before_violation");
+    rcua::testing::sched_violation("always");
+  });
+}
+
+TEST(SchedReplay, ExplicitReplayIgnoresNightlyBudgetAndBaseSeed) {
+  const ScopedEnv no_seed("RCUA_SCHED_SEED", std::nullopt);
+  const ScopedEnv base("RCUA_SCHED_BASE_SEED", "12345");
+  const ScopedEnv budget("RCUA_SCHED_SCHEDULES", "20000");
+
+  // An exploration still takes both overrides.
+  ExploreOptions sweep;
+  sweep.mode = ExploreMode::kRandom;
+  sweep.schedules = 10;
+  sweep.quiet = true;
+  EXPECT_EQ(rcua::testing::effective_schedule_budget(sweep), 20000u);
+  const ExploreResult first = rcua::testing::explore(sweep, always_violates);
+  ASSERT_TRUE(first.found);
+  EXPECT_EQ(first.seed, 12345u);
+
+  // A replay of another seed runs that seed alone.
+  ExploreOptions replay;
+  replay.mode = ExploreMode::kRandom;
+  replay.schedules = 1;
+  replay.base_seed = 777;
+  replay.quiet = true;
+  EXPECT_EQ(rcua::testing::effective_schedule_budget(replay), 1u);
+  const ExploreResult again = rcua::testing::explore(replay, always_violates);
+  ASSERT_TRUE(again.found);
+  EXPECT_EQ(again.seed, 777u);
+  EXPECT_EQ(again.schedules_run, 1u);
 }
 
 }  // namespace

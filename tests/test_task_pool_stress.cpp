@@ -9,7 +9,6 @@
 
 #include "runtime/cluster.hpp"
 #include "runtime/this_task.hpp"
-#include "runtime/thread_registry.hpp"
 #include "reclaim/qsbr.hpp"
 
 namespace rt = rcua::rt;
