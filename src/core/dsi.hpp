@@ -70,17 +70,18 @@ class DsiArray {
   }
 
   /// The index ranges [first, last) of `locale`'s locally-owned elements,
-  /// in ascending order — Chapel's localSubdomain.
+  /// in ascending order — Chapel's localSubdomain. Each block's actual
+  /// owner decides, as in owner_of: a regrow after a shrink does not
+  /// restart the round-robin at locale 0.
   [[nodiscard]] std::vector<std::pair<std::size_t, std::size_t>>
   local_indices(std::uint32_t locale) const {
     std::vector<std::pair<std::size_t, std::size_t>> ranges;
     const std::size_t bs = arr_.block_size();
     const std::size_t n = size();
-    const std::uint32_t locales = cluster().num_locales();
-    for (std::size_t start = static_cast<std::size_t>(locale) * bs;
-         start < n;
-         start += static_cast<std::size_t>(locales) * bs) {
-      ranges.emplace_back(start, std::min(start + bs, n));
+    for (std::size_t start = 0; start < n; start += bs) {
+      if (owner_of(start) == locale) {
+        ranges.emplace_back(start, std::min(start + bs, n));
+      }
     }
     return ranges;
   }

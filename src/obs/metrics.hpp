@@ -90,8 +90,6 @@ class Counter {
   void reset() noexcept;
 
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
-  [[nodiscard]] std::size_t stripes() const noexcept { return stripes_; }
-  [[nodiscard]] Agg agg() const noexcept { return agg_; }
 
  private:
   using Cell = plat::CacheAligned<std::atomic<std::uint64_t>>;
@@ -244,10 +242,6 @@ class Registry {
 
   /// Zeroes every metric (counters, gauges, histogram buckets).
   void reset();
-
-  [[nodiscard]] std::size_t default_stripes() const noexcept {
-    return default_stripes_;
-  }
 
  private:
   std::size_t default_stripes_;

@@ -52,7 +52,8 @@
 // The two schemes differ only in what a reservation holds:
 //
 //  * **IBR** (`kPinLower = true`): the slot holds a real interval — the
-//    lower bound is pinned at the section's first protect and only the
+//    lower bound is pinned by the section's first protect to return
+//    (its retries republish it, since they hold nothing yet) and only the
 //    upper bound advances. A section that protects across several era
 //    bumps keeps every object it could have seen covered.
 //  * **Hazard eras** (`kPinLower = false`): the slot holds a single era
@@ -211,7 +212,7 @@ class BasicEraReclaimer {
     /// its own, e.g. the blocks under an RCUArray spine — stays
     /// unreclaimed until the guard dies. May be called more than once
     /// per section; under IBR the reservation's lower bound stays pinned
-    /// at the first protect.
+    /// at the era the first protect returned under.
     template <typename P>
     [[nodiscard]] P* protect(const std::atomic<P*>& src) {
 #if defined(RCUA_SCHED_TEST) && RCUA_SCHED_TEST
@@ -224,6 +225,7 @@ class BasicEraReclaimer {
           P* p = src.load(std::memory_order_seq_cst);
           RCUA_SCHED_POINT("era.protect.load_unreserved");
           publish(dom_.era_.value.load(std::memory_order_seq_cst));
+          published_ = true;
           count_stat(/*retry=*/false);
           return p;
         }
@@ -249,6 +251,7 @@ class BasicEraReclaimer {
             }
           }
 #endif
+          published_ = true;
           count_stat(/*retry=*/false);
           return p;
         }
@@ -259,15 +262,17 @@ class BasicEraReclaimer {
 
    private:
     /// Publishes the reservation [lower, e]. The lower bound is the era
-    /// of the section's first publish under IBR and `e` itself under
-    /// hazard eras; a section nested in another on this domain keeps the
-    /// outer section's, so everything the outer one protects stays
-    /// covered. seq_cst stores: the reverify load must not pass them.
+    /// of the section's first successful protect under IBR and `e`
+    /// itself under hazard eras; a section nested in another on this
+    /// domain keeps the outer section's, so everything the outer one
+    /// protects stays covered. Until a protect returns, the section holds
+    /// nothing, so a retry of its first protect republishes the lower
+    /// bound too (DESIGN.md §13). seq_cst stores: the reverify load must
+    /// not pass them.
     void publish(std::uint64_t e) noexcept {
       if (outer_.lower == kIdleEra && !(Shape::kPinLower && published_)) {
         slot_.lower.store(e, std::memory_order_seq_cst);
       }
-      published_ = true;
       slot_.upper.store(e, std::memory_order_seq_cst);
       sim::charge(sim::CostModel::get().atomic_rmw_ns);
     }
@@ -285,6 +290,8 @@ class BasicEraReclaimer {
     Slot& slot_;
     /// The reservation to restore: an enclosing section's, or idle.
     const Reservation outer_;
+    /// Set once a protect has returned a pointer: from then on IBR keeps
+    /// the lower bound.
     bool published_ = false;
   };
 
@@ -578,7 +585,8 @@ class BasicEraReclaimer {
 };
 
 /// Interval-based reclamation: reservations are [entry era, current era]
-/// intervals; the lower bound pins at the section's first protect.
+/// intervals; the lower bound pins at the section's first protect to
+/// return.
 using Ibr = BasicEraReclaimer<IbrReservations>;
 /// Hazard eras: reservations are a single (republished) era value.
 using HazardEras = BasicEraReclaimer<HazardEraReservations>;

@@ -82,13 +82,12 @@ class Qsbr {
   /// state no older than the one this call creates.
   template <typename T>
   void defer_delete(T* obj) {
-    defer(new DeferNode{nullptr, 0, [](void* p) { delete static_cast<T*>(p); },
-                        obj});
+    defer(make_defer_node(obj, /*safe_epoch=*/0));
   }
 
   /// QSBR_Defer with an arbitrary (function, argument) reclamation.
   void defer_fn(void (*fn)(void*), void* arg) {
-    defer(new DeferNode{nullptr, 0, fn, arg});
+    defer(make_defer_node_fn(fn, arg, /*safe_epoch=*/0));
   }
 
   /// Core defer: takes ownership of `node`, stamps its safe epoch

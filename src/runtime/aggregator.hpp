@@ -165,11 +165,6 @@ class Aggregator {
   [[nodiscard]] std::size_t pending_weight(std::uint32_t dst) const {
     return buffers_[dst].weight;
   }
-  [[nodiscard]] std::size_t pending_destinations() const {
-    std::size_t n = 0;
-    for (const Buffer& b : buffers_) n += b.ops.empty() ? 0 : 1;
-    return n;
-  }
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
   /// The async session (nullptr in sync mode) — window/in-flight/stat

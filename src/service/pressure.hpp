@@ -102,8 +102,7 @@ class PressureMonitor {
         options_.imbalance_ratio * static_cast<double>(cold_bytes)) {
       return std::nullopt;
     }
-    // First shard homed on the hot locale, by the CALLING locale's
-    // mapping — a stale route here only delays rebalance by one tick.
+    // First shard the placement table homes on the hot locale.
     for (std::size_t s = 0; s < coll_.shard_count(); ++s) {
       if (coll_.home_of(s) == hot) {
         return Decision{s, hot, cold, false};

@@ -14,16 +14,14 @@
 #include "core/rcu_array.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "service/shard_map.hpp"
 #include "util/env.hpp"
 
 namespace rcua::svc {
 
 /// The elastic sharded-service layer (DESIGN.md §14): key ranges map
-/// onto RCUArray-backed shards, with the shard-mapping table itself an
-/// RCU-published snapshot (ShardMap). A ShardedCollection is a drop-in
-/// backend for the containers (same constructor shape and method subset
-/// as RCUArray), so DistVector / DistHashMap / DistIdTable become shard
+/// onto RCUArray-backed shards. A ShardedCollection is a drop-in backend
+/// for the containers (same constructor shape and method subset as
+/// RCUArray), so DistVector / DistHashMap / DistIdTable become shard
 /// clients by swapping one template argument.
 ///
 /// Layout: global block g lives in shard `g % shard_count` at local
@@ -32,22 +30,24 @@ namespace rcua::svc {
 /// Each shard is an RCUArray pinned to a single home locale
 /// (Options::home_locale), which is what makes live migration a
 /// wholesale move: `migrate(shard, dst)` copies the shard's blocks to
-/// `dst` through the §10 async comm path (RCUArray::rehome), publishes a
-/// new ShardMap, and retires the old table through the configured
-/// Reclaimer policy once its readers drain. Routing an element op is
-/// block-cyclic arithmetic (its routed_remote count reads the target
-/// shard's own home), so a sharded element op pays exactly one read
-/// section: the shard's.
-/// The ShardMap stays the RCU-published placement table behind home_of,
-/// map_version, remap and the PressureMonitor; its entries are locale
-/// ids (values), not pointers, so stale reads are safe (see ShardMap).
+/// `dst` through the §10 async comm path (RCUArray::rehome), then records
+/// `dst` in the placement table. Routing an element op is block-cyclic
+/// arithmetic (its routed_remote count reads the target shard's own
+/// home), so a sharded element op pays exactly one read section: the
+/// shard's.
 ///
-/// Ordering rule (§14): migrate -> invalidate -> drain. rehome() owns
-/// copy-before-publish and the BlockCache invalidation interlock; the
-/// map publication here follows the same resize-style protocol as a
-/// spine swap. The remap lock serializes migrations against structural
-/// growth (resize_add), which is the serialization the rehome copy
-/// phase's concurrency contract requires.
+/// Placement (home_of, map_version, the PressureMonitor) is a plain
+/// table owned by the collection: one relaxed atomic locale id per shard
+/// and a version, written only under the remap lock. No element op reads
+/// it and its entries are values, so it needs no RCU publication: a
+/// concurrent reader sees the old or the new locale id, never freed
+/// memory.
+///
+/// Ordering rule (§14): migrate -> invalidate -> drain, all inside
+/// rehome(), which owns copy-before-publish and the BlockCache
+/// invalidation interlock. The remap lock serializes migrations against
+/// structural growth (resize_add), which is the serialization the rehome
+/// copy phase's concurrency contract requires.
 template <typename T, typename Policy = QsbrPolicy>
 class ShardedCollection {
  public:
@@ -75,7 +75,6 @@ class ShardedCollection {
       : cluster_(cluster),
         block_size_(options.block_size),
         shard_count_(resolve_shard_count(options.shard_count, cluster)),
-        pid_(cluster.privatization().create()),
         routed_(cluster.comm().registry().counter("rcua.service.routed",
                                                   cluster.num_locales())),
         routed_remote_(cluster.comm().registry().counter(
@@ -88,43 +87,25 @@ class ShardedCollection {
         migrated_blocks_(cluster.comm().registry().counter(
             "rcua.service.migrated_blocks")),
         migrated_bytes_(cluster.comm().registry().counter(
-            "rcua.service.migrated_bytes")) {
+            "rcua.service.migrated_bytes")),
+        home_(shard_count_) {
     if (block_size_ == 0) throw std::invalid_argument("block_size == 0");
     if (shard_count_ == 0) throw std::invalid_argument("shard_count == 0");
-    // Initial placement: shard s homed on locale s % num_locales — the
-    // balanced block-cyclic start the PressureMonitor perturbs from.
-    std::vector<std::uint32_t> home(shard_count_);
-    for (std::size_t s = 0; s < shard_count_; ++s) {
-      home[s] = static_cast<std::uint32_t>(s % cluster.num_locales());
-    }
     shards_.reserve(shard_count_);
     for (std::size_t s = 0; s < shard_count_; ++s) {
+      // Initial placement: shard s homed on locale s % num_locales — the
+      // balanced block-cyclic start the PressureMonitor perturbs from.
+      const auto home = static_cast<std::uint32_t>(s % cluster.num_locales());
+      home_[s].store(home, std::memory_order_relaxed);
       typename Backend::Options shard_opts;
       shard_opts.block_size = block_size_;
       shard_opts.qsbr = options.qsbr;
       shard_opts.cache_capacity_bytes = options.cache_capacity_bytes;
-      shard_opts.home_locale = home[s];
+      shard_opts.home_locale = home;
       shards_.push_back(std::make_unique<Backend>(cluster, /*capacity=*/0,
                                                   shard_opts));
     }
-    reclaim::Qsbr& qsbr =
-        options.qsbr != nullptr ? *options.qsbr : reclaim::Qsbr::global();
-    cluster_.coforall_locales([&](std::uint32_t l) {
-      auto* p = new PerLocale(qsbr);
-      p->map.store(new ShardMap(home), std::memory_order_relaxed);
-      cluster_.privatization().set(pid_, l, p);
-    });
     if (initial_capacity > 0) resize_add(initial_capacity);
-  }
-
-  ~ShardedCollection() {
-    // Same contract as RCUArray: external quiescence at destruction.
-    for (std::uint32_t l = 0; l < cluster_.num_locales(); ++l) {
-      PerLocale* p = &priv_at(l);
-      delete p->map.load(std::memory_order_acquire);
-      delete p;
-    }
-    cluster_.privatization().destroy(pid_);
   }
 
   ShardedCollection(const ShardedCollection&) = delete;
@@ -219,16 +200,14 @@ class ShardedCollection {
 
   /// Moves shard `shard` to locale `dst`: block copy + spine swap via
   /// RCUArray::rehome (which owns copy-before-publish, the BlockCache
-  /// invalidation interlock, and the reader drain), then the ShardMap
-  /// publication below. Moving a shard to the home its blocks and its
-  /// mapping already name is a no-op: nothing is copied, published or
-  /// counted. Returns false when
-  /// a FaultPlan kKillLocale fault rolled the copy back — the old
-  /// mapping stays live and no element was lost or duplicated.
+  /// invalidation interlock, and the reader drain), then records `dst` in
+  /// the placement table. Moving a shard to the home its blocks and the
+  /// table already name is a no-op: nothing is copied, recorded or
+  /// counted. Returns false when a FaultPlan kKillLocale fault rolled the
+  /// copy back — the old placement stays and no element was lost or
+  /// duplicated.
   bool migrate(std::size_t shard, std::uint32_t dst) {
-    if (shard >= shard_count_) {
-      throw std::invalid_argument("migrate: shard out of range");
-    }
+    check_shard(shard, "migrate");
     obs::TraceSpan span("svc.migrate", "service", dst);
     std::lock_guard<std::mutex> guard(remap_mu_);
     Backend& b = *shards_[shard];
@@ -238,23 +217,21 @@ class ShardedCollection {
       migration_rollbacks_.add();
       return false;
     }
-    publish_map(shard, dst);
+    set_home(shard, dst);
     migrations_.add();
     migrated_blocks_.add(blocks);
     migrated_bytes_.add(blocks * block_size_ * sizeof(T));
     return true;
   }
 
-  /// Publishes a new ShardMap with shard -> dst WITHOUT moving blocks —
-  /// the pure remap (a resize-style publication of the mapping table).
-  /// migrate() calls this after the copy lands; it is public so tests
-  /// can exercise remap-concurrent-with-lookup in isolation.
+  /// Records shard -> dst in the placement table WITHOUT moving blocks:
+  /// the pure remap, which migrate() also performs once the copy lands.
+  /// Element routing follows the blocks, not the table, so after a pure
+  /// remap home_of(shard) and shard(shard).home_locale() disagree.
   void remap(std::size_t shard, std::uint32_t dst) {
-    if (shard >= shard_count_) {
-      throw std::invalid_argument("remap: shard out of range");
-    }
+    check_shard(shard, "remap");
     std::lock_guard<std::mutex> guard(remap_mu_);
-    publish_map(shard, dst);
+    set_home(shard, dst);
   }
 
   // -- Introspection -----------------------------------------------------
@@ -277,14 +254,17 @@ class ShardedCollection {
   }
   /// The underlying shard (tests, PressureMonitor).
   [[nodiscard]] Backend& shard(std::size_t s) { return *shards_[s]; }
-  /// Shard `s`'s home in the calling locale's current mapping (an RCU
-  /// read of the privatized table).
-  [[nodiscard]] std::uint32_t home_of(std::size_t s) {
-    return read_map([&](const ShardMap& m) { return m.home(s); });
+  /// Shard `s`'s home in the placement table: where the last migrate()
+  /// moved it or the last remap() pointed it. Throws
+  /// std::invalid_argument for s >= shard_count().
+  [[nodiscard]] std::uint32_t home_of(std::size_t s) const {
+    check_shard(s, "home_of");
+    return home_[s].load(std::memory_order_relaxed);
   }
-  /// Version of the calling locale's current mapping table.
-  [[nodiscard]] std::uint64_t map_version() {
-    return read_map([](const ShardMap& m) { return m.version(); });
+  /// Placement-table version: 0 at construction, +1 per remap or
+  /// completed migration.
+  [[nodiscard]] std::uint64_t map_version() const noexcept {
+    return map_version_.load(std::memory_order_relaxed);
   }
   [[nodiscard]] std::uint64_t migrations() const noexcept {
     return migrations_.value();
@@ -309,13 +289,6 @@ class ShardedCollection {
   [[nodiscard]] rt::Cluster& cluster() noexcept { return cluster_; }
 
  private:
-  struct alignas(plat::kCacheLine) PerLocale {
-    explicit PerLocale(reclaim::Qsbr& qsbr) : reclaimer(qsbr) {}
-    std::atomic<ShardMap*> map{nullptr};
-    /// The mapping table's own reclaimer, same policy as the spines'.
-    Policy reclaimer;
-  };
-
   struct Route {
     std::size_t shard;
     std::size_t local;
@@ -328,31 +301,18 @@ class ShardedCollection {
         util::env_u64("RCUA_SHARD_COUNT", cluster.num_locales()));
   }
 
-  [[nodiscard]] PerLocale& priv() const { return priv_at(cluster_.here()); }
-  [[nodiscard]] PerLocale& priv_at(std::uint32_t locale) const {
-    auto* p =
-        static_cast<PerLocale*>(cluster_.privatization().get(pid_, locale));
-    assert(p != nullptr);
-    return *p;
-  }
-
-  /// The RCU read of the mapping table: pins the calling locale's table
-  /// under the policy's read-side protocol, runs `fn` against it, and
-  /// releases. `fn` must not escape pointers into the table — locale ids
-  /// are values, copy them out.
-  template <typename F>
-  auto read_map(F&& fn) {
-    PerLocale& p = priv();
-    reclaim::ReadSection<Policy> section(p.reclaimer);
-    return fn(*section.pin(p.map));
+  void check_shard(std::size_t s, const char* op) const {
+    if (s >= shard_count_) {
+      throw std::invalid_argument(std::string(op) + ": shard out of range");
+    }
   }
 
   /// Block-cyclic routing + the routing metrics: one routed count per
   /// element op, routed_remote when the target shard's blocks live off
   /// the calling locale. The home comes from the shard itself, not the
-  /// ShardMap, so routing opens no read section: the op goes to
-  /// shards_[shard] whatever the map says, and after a pure remap the
-  /// counter follows the blocks rather than the table.
+  /// placement table: the op goes to shards_[shard] whatever the table
+  /// says, and after a pure remap the counter follows the blocks rather
+  /// than the table.
   Route route(std::size_t i) {
     const std::size_t g = i / block_size_;
     const std::size_t shard = g % shard_count_;
@@ -387,30 +347,18 @@ class ShardedCollection {
     }
   }
 
-  /// The resize-style mapping publication: per locale, clone the table
-  /// with the shard re-homed, swap, and free the old table after that
-  /// locale's blocking drain (QSBR: defer it). Blocking under every
-  /// policy, like resize_remove: tables are a few dozen bytes and remaps
-  /// are rare, so a bounded wait beats threading the overflow machinery
-  /// through a second object type. Caller holds remap_mu_.
-  void publish_map(std::size_t shard, std::uint32_t dst) {
-    cluster_.coforall_locales([&](std::uint32_t l) {
-      PerLocale& p = priv_at(l);
-      ShardMap* old = p.map.load(std::memory_order_relaxed);
-      ShardMap* fresh = ShardMap::clone_set(*old, shard, dst);
-      RCUA_SCHED_POINT("svc.remap.publish");
-      p.map.store(fresh, std::memory_order_release);
-      RCUA_SCHED_POINT("svc.remap.published");
-      obs::trace_instant("svc.remap.publish", "service", l);
-      p.reclaimer.drain(old);
-    });
+  /// The placement write: two relaxed stores, serialized by remap_mu_
+  /// (the caller holds it).
+  void set_home(std::size_t shard, std::uint32_t dst) {
+    home_[shard].store(dst, std::memory_order_relaxed);
+    map_version_.store(map_version_.load(std::memory_order_relaxed) + 1,
+                       std::memory_order_relaxed);
     remaps_.add();
   }
 
   rt::Cluster& cluster_;
   std::size_t block_size_;
   std::size_t shard_count_;
-  int pid_;
   std::vector<std::unique_ptr<Backend>> shards_;
   std::atomic<std::size_t> total_blocks_{0};
   /// Serializes migrations, remaps and collection-level growth.
@@ -422,6 +370,10 @@ class ShardedCollection {
   obs::Counter& migration_rollbacks_;
   obs::Counter& migrated_blocks_;
   obs::Counter& migrated_bytes_;
+  /// Placement: shard -> home locale, written only under remap_mu_.
+  /// Declared after the fields route() reads, which it never touches.
+  std::vector<std::atomic<std::uint32_t>> home_;
+  std::atomic<std::uint64_t> map_version_{0};
 };
 
 }  // namespace rcua::svc

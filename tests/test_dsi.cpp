@@ -75,17 +75,27 @@ TYPED_TEST(DsiTyped, OwnerMatchesBlockCyclicLayout) {
 
 TYPED_TEST(DsiTyped, LocalIndicesCoverDomainExactlyOnce) {
   rt::Cluster cluster({.num_locales = 3, .workers_per_locale = 2});
-  typename TestFixture::Array arr(cluster, 200, {.block_size = 32});
-  std::vector<int> covered(200, 0);
-  for (std::uint32_t l = 0; l < 3; ++l) {
-    for (const auto& [lo, hi] : arr.local_indices(l)) {
-      for (std::size_t i = lo; i < hi; ++i) {
-        ++covered[i];
-        EXPECT_EQ(arr.owner_of(i), l);
+  auto expect_exact_cover = [&](typename TestFixture::Array& arr) {
+    std::vector<int> covered(arr.size(), 0);
+    for (std::uint32_t l = 0; l < 3; ++l) {
+      for (const auto& [lo, hi] : arr.local_indices(l)) {
+        for (std::size_t i = lo; i < hi; ++i) {
+          ++covered[i];
+          EXPECT_EQ(arr.owner_of(i), l);
+        }
       }
     }
-  }
-  for (int c : covered) EXPECT_EQ(c, 1);
+    for (int c : covered) EXPECT_EQ(c, 1);
+  };
+  typename TestFixture::Array arr(cluster, 200, {.block_size = 32});
+  expect_exact_cover(arr);
+  // A shrink keeps the round-robin cursor, so the regrown block 2 lands
+  // on locale 0, not on 2 % 3.
+  typename TestFixture::Array regrown(cluster, 0, {.block_size = 4});
+  regrown.resize(12);
+  regrown.resize(8);
+  regrown.resize(12);
+  expect_exact_cover(regrown);
   drain_qsbr();
 }
 

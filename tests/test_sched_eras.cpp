@@ -20,7 +20,8 @@
 // and bounded DFS), the unmutated protocol must survive the same budget
 // clean, and — since each mutation is compiled only into its own shape's
 // protect() — running a mutation against the *other* scheme must find
-// nothing.
+// nothing. One more DFS pins the bounded-memory side: a held IBR reader
+// whose first protect retried still pins at most two retired objects.
 
 #include <gtest/gtest.h>
 
@@ -75,15 +76,18 @@ void reader_once(Arena<Dom>& a) {
 /// object under its own [birth, retire] tags (era bump + scan are inside
 /// retire, cadence 1).
 template <typename Dom>
+void writer_round(Arena<Dom>& a, std::size_t r) {
+  std::atomic<bool>* old = a.current.load(std::memory_order_seq_cst);
+  const std::uint64_t fresh_birth = a.dom.current_era();
+  rcua::testing::sched_point("test.writer.publish");
+  a.current.store(&a.freed[r], std::memory_order_seq_cst);
+  a.dom.retire(&flag_free, old, /*bytes=*/1,
+               std::exchange(a.live_birth, fresh_birth));
+}
+
+template <typename Dom>
 void writer_rounds(Arena<Dom>& a, std::size_t rounds) {
-  for (std::size_t r = 1; r <= rounds; ++r) {
-    std::atomic<bool>* old = a.current.load(std::memory_order_seq_cst);
-    const std::uint64_t fresh_birth = a.dom.current_era();
-    rcua::testing::sched_point("test.writer.publish");
-    a.current.store(&a.freed[r], std::memory_order_seq_cst);
-    a.dom.retire(&flag_free, old, /*bytes=*/1,
-                 std::exchange(a.live_birth, fresh_birth));
-  }
+  for (std::size_t r = 1; r <= rounds; ++r) writer_round(a, r);
 }
 
 template <typename Dom>
@@ -256,6 +260,54 @@ TEST(SchedEras, MutationsDoNotLeakAcrossShapes) {
         rcua::testing::explore(opts, two_round_scenario<rcua::reclaim::Ibr>);
     EXPECT_FALSE(result.found) << result.message << "\n" << result.trace;
   }
+}
+
+// -- IBR: a retried first protect does not widen the reservation -------
+
+namespace {
+/// One IBR reader protects and then holds its section while the writer
+/// retires a train of six objects. Each object lives two consecutive
+/// eras and shares the later one with its successor, so a point
+/// reservation blocks at most two of them (DESIGN.md §13). A
+/// retire that lands between the reader's first publish and its
+/// reverify makes the first protect retry; if the retry kept the
+/// discarded attempt's lower bound, the slot would hold a two-era
+/// interval and pin a third object.
+void held_reader_train_scenario(Scheduler& sched) {
+  auto a = std::make_shared<Arena<rcua::reclaim::Ibr>>();
+  auto retired = std::make_shared<std::atomic<bool>>(false);
+  sched.spawn("reader", [a, retired] {
+    rcua::reclaim::Ibr::ReadGuard guard(a->dom);
+    std::atomic<bool>* p = guard.protect(a->current);
+    rcua::testing::sched_await("test.reader.hold",
+                               [retired] { return retired->load(); });
+    if (p->load(std::memory_order_seq_cst)) {
+      rcua::testing::sched_violation(
+          "reader dereferenced an era-reclaimed object");
+    }
+  });
+  sched.spawn("writer", [a, retired] {
+    for (std::size_t r = 1; r <= 6; ++r) {
+      writer_round(*a, r);
+      if (a->dom.pending_objects() > 2) {
+        rcua::testing::sched_violation(
+            "one held IBR reservation pinned more than two retired objects");
+      }
+    }
+    retired->store(true);
+  });
+}
+}  // namespace
+
+TEST(SchedEras, IbrRetriedProtectPinsAtMostTwoDfs) {
+  ExploreOptions opts;
+  opts.mode = ExploreMode::kDfs;
+  opts.schedules = 200000;
+  opts.preemption_bound = 2;
+  opts.stop_on_violation = false;
+  const ExploreResult result =
+      rcua::testing::explore(opts, held_reader_train_scenario);
+  EXPECT_FALSE(result.found) << result.message << "\n" << result.trace;
 }
 
 TEST(SchedEras, TwoReadersAcrossSlotsStaySafe) {

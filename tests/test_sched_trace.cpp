@@ -30,6 +30,7 @@
 #include "obs/trace.hpp"
 #include "runtime/cluster.hpp"
 #include "runtime/comm.hpp"
+#include "scoped_env.hpp"
 #include "sim/task_clock.hpp"
 #include "testing/scheduler.hpp"
 
@@ -139,33 +140,7 @@ TEST(SchedTrace, SameSeedProducesIdenticalVirtualTimeTraces) {
   rcua::obs::trace_reset();
 }
 
-/// Sets (or, with nullopt, unsets) an environment variable for one scope
-/// and restores its previous value on exit.
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, std::optional<std::string> value)
-      : name_(name) {
-    if (const char* old = std::getenv(name)) saved_ = old;
-    if (value) {
-      setenv(name, value->c_str(), 1);
-    } else {
-      unsetenv(name);
-    }
-  }
-  ~ScopedEnv() {
-    if (saved_) {
-      setenv(name_, saved_->c_str(), 1);
-    } else {
-      unsetenv(name_);
-    }
-  }
-  ScopedEnv(const ScopedEnv&) = delete;
-  ScopedEnv& operator=(const ScopedEnv&) = delete;
-
- private:
-  const char* name_;
-  std::optional<std::string> saved_;
-};
+using rcua::test::ScopedEnv;
 
 /// Violates on every schedule, so a result's seed is the first it ran.
 void always_violates(Scheduler& sched) {

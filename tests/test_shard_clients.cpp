@@ -2,7 +2,7 @@
 // policies the service layer ships as defaults): DistVector,
 // DistHashMap and DistIdTable with Backend = svc::ShardedCollection
 // must agree with their sequential semantics while the backend remaps
-// its routing table and live-migrates shards underneath them — the
+// its placement table and live-migrates shards underneath them — the
 // same contract the test_rcu_array_* matrix pins for the plain array.
 //
 // Writes are quiesced during migrations (RCUArray::rehome's
@@ -13,6 +13,8 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstdlib>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -50,7 +52,11 @@ void drain_qsbr() { rcua::reclaim::Qsbr::global().flush_unsafe(); }
 TYPED_TEST(ShardClients, DistVectorAgreesOnShardedBackend) {
   rt::Cluster cluster({.num_locales = 2, .workers_per_locale = 2});
   typename TestFixture::Vector vec(cluster, {.block_size = 64});
-  EXPECT_EQ(vec.backing().shard_count(), cluster.num_locales());
+  // The documented default: RCUA_SHARD_COUNT when set, else one shard
+  // per locale.
+  const char* env = std::getenv("RCUA_SHARD_COUNT");
+  EXPECT_EQ(vec.backing().shard_count(),
+            env != nullptr ? std::stoull(env) : cluster.num_locales());
   for (std::uint64_t i = 0; i < 500; ++i) {
     EXPECT_EQ(vec.push_back(i * 2 + 1), i);
   }
@@ -184,12 +190,11 @@ TYPED_TEST(ShardClients, DistHashMapAgreementUnderConcurrentRemap) {
   for (std::uint64_t k = 0; k < kWarm; ++k) map.insert(k, k + 7);
 
   // Two lookup threads and one inserter (disjoint keys) race a stream
-  // of remap publications. Slot accesses route by arithmetic and the
-  // shard's own home, not through the mapping table, so two more threads
-  // read the table itself (home_of / map_version, one per locale's copy)
-  // across the same stream: the remap-concurrent-with-lookup scenario of
-  // DESIGN.md §14, which keeps a live reader on every table the remaps
-  // reclaim.
+  // of remaps. Slot accesses route by arithmetic and the shard's own
+  // home, not through the placement table, so two more threads (one per
+  // locale) read the table itself (home_of / map_version) across the
+  // same stream: the remap-concurrent-with-lookup scenario of DESIGN.md
+  // §14.
   auto& coll = map.backing();
   std::atomic<bool> stop{false};
   std::atomic<std::uint64_t> mismatches{0};

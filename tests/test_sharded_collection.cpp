@@ -1,6 +1,6 @@
 // Functional tests for the sharded service layer (DESIGN.md §14):
-// block-cyclic routing, growth dealt across shards, RCU-published
-// mapping-table remaps, live migration through RCUArray::rehome, the
+// block-cyclic routing, growth dealt across shards, placement-table
+// remaps, live migration through RCUArray::rehome, the
 // PressureMonitor rebalancing policy, and the chaos scenario — a
 // FaultPlan kills the destination locale mid-migration and the move
 // must roll back with no lost or duplicated elements.
@@ -8,11 +8,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
+#include <optional>
 #include <vector>
 
 #include "runtime/cluster.hpp"
 #include "runtime/fault_plan.hpp"
+#include "scoped_env.hpp"
 #include "service/pressure.hpp"
 #include "service/sharded_collection.hpp"
 #include "util/env.hpp"
@@ -23,6 +24,7 @@ using rcua::IbrPolicy;
 using rcua::QsbrPolicy;
 namespace rt = rcua::rt;
 namespace svc = rcua::svc;
+using rcua::test::ScopedEnv;
 
 namespace {
 
@@ -41,11 +43,14 @@ void drain_qsbr() { rcua::reclaim::Qsbr::global().flush_unsafe(); }
 }  // namespace
 
 TYPED_TEST(ShardedTyped, ConstructionAndInitialPlacement) {
-  const std::uint64_t maps_before = svc::ShardMap::live_count();
+  rt::Cluster cluster({.num_locales = 2, .workers_per_locale = 2});
+  const std::uint32_t pids_before = cluster.privatization().live_pids();
   {
-    rt::Cluster cluster({.num_locales = 2, .workers_per_locale = 2});
     typename TestFixture::Coll coll(cluster, 0,
                                     {.block_size = 64, .shard_count = 4});
+    // One privatized RCUArray per shard and nothing else: placement is
+    // a plain table owned by the collection.
+    EXPECT_EQ(cluster.privatization().live_pids(), pids_before + 4);
     EXPECT_EQ(coll.shard_count(), 4u);
     EXPECT_EQ(coll.block_size(), 64u);
     EXPECT_EQ(coll.capacity(), 0u);
@@ -57,10 +62,8 @@ TYPED_TEST(ShardedTyped, ConstructionAndInitialPlacement) {
       EXPECT_EQ(coll.shard(s).home_locale(), s % 2);
     }
   }
+  EXPECT_EQ(cluster.privatization().live_pids(), pids_before);
   drain_qsbr();
-  // The mapping tables are the Snapshot::live_count analog: one table
-  // per locale, all reclaimed by scope exit.
-  EXPECT_EQ(svc::ShardMap::live_count(), maps_before);
 }
 
 TYPED_TEST(ShardedTyped, InvalidOptionsThrow) {
@@ -72,15 +75,15 @@ TYPED_TEST(ShardedTyped, InvalidOptionsThrow) {
 TYPED_TEST(ShardedTyped, ShardCountDefaultsFromEnv) {
   rt::Cluster cluster({.num_locales = 2, .workers_per_locale = 1});
   {
+    const ScopedEnv unset("RCUA_SHARD_COUNT", std::nullopt);
     typename TestFixture::Coll coll(cluster);
     EXPECT_EQ(coll.shard_count(), cluster.num_locales());
   }
-  ::setenv("RCUA_SHARD_COUNT", "16", /*overwrite=*/1);
   {
+    const ScopedEnv sixteen("RCUA_SHARD_COUNT", "16");
     typename TestFixture::Coll coll(cluster);
     EXPECT_EQ(coll.shard_count(), 16u);
   }
-  ::unsetenv("RCUA_SHARD_COUNT");
   drain_qsbr();
 }
 
@@ -153,7 +156,7 @@ TYPED_TEST(ShardedTyped, RoutingCountsElementOps) {
 }
 
 // routed_remote counts element ops whose target shard's blocks live off
-// the calling locale (the shard's own home, not the ShardMap). With the
+// the calling locale (the shard's own home, not home_of). With the
 // cache off every such op is exactly one GET or PUT, so a single-element
 // read/write mix from every locale must give routed_remote == gets +
 // puts, before and after a migration. A pure remap moves no blocks, so
@@ -224,26 +227,24 @@ TYPED_TEST(ShardedTyped, RoutedRemoteFollowsTheBlocks) {
 }
 
 TYPED_TEST(ShardedTyped, RemapPublishesNewMappingTable) {
-  const std::uint64_t maps_before = svc::ShardMap::live_count();
-  {
-    rt::Cluster cluster({.num_locales = 2, .workers_per_locale = 2});
-    typename TestFixture::Coll coll(cluster, 4 * 32,
-                                    {.block_size = 32, .shard_count = 2});
-    for (std::size_t i = 0; i < coll.capacity(); ++i) coll.write(i, i + 9);
-    ASSERT_EQ(coll.home_of(0), 0u);
-    coll.remap(0, 1);
-    EXPECT_EQ(coll.home_of(0), 1u);
-    EXPECT_EQ(coll.map_version(), 1u);
-    EXPECT_EQ(coll.remaps(), 1u);
-    // A pure remap moves no data: every element still reads through the
-    // new route (stale or fresh, the route resolves the same blocks).
-    for (std::size_t i = 0; i < coll.capacity(); ++i) {
-      EXPECT_EQ(coll.read(i), i + 9);
-    }
-    EXPECT_THROW(coll.remap(2, 0), std::invalid_argument);
+  rt::Cluster cluster({.num_locales = 2, .workers_per_locale = 2});
+  typename TestFixture::Coll coll(cluster, 4 * 32,
+                                  {.block_size = 32, .shard_count = 2});
+  for (std::size_t i = 0; i < coll.capacity(); ++i) coll.write(i, i + 9);
+  ASSERT_EQ(coll.home_of(0), 0u);
+  coll.remap(0, 1);
+  EXPECT_EQ(coll.home_of(0), 1u);
+  EXPECT_EQ(coll.map_version(), 1u);
+  EXPECT_EQ(coll.remaps(), 1u);
+  // A pure remap moves no data: every element still reads through the
+  // same route, which follows the blocks, not the table.
+  for (std::size_t i = 0; i < coll.capacity(); ++i) {
+    EXPECT_EQ(coll.read(i), i + 9);
   }
+  EXPECT_THROW(coll.remap(2, 0), std::invalid_argument);
+  EXPECT_THROW((void)coll.home_of(coll.shard_count()),
+               std::invalid_argument);
   drain_qsbr();
-  EXPECT_EQ(svc::ShardMap::live_count(), maps_before);
 }
 
 TYPED_TEST(ShardedTyped, MigratePreservesEveryElement) {
@@ -338,7 +339,7 @@ TYPED_TEST(ShardedTyped, PressureMonitorRebalancesHotLocale) {
 
 // The ISSUE's chaos acceptance scenario: a FaultPlan kills the
 // destination locale mid-migration; the move must roll back — old
-// mapping intact, every element present exactly once — and a retry
+// placement intact, every element present exactly once — and a retry
 // (the fault exhausted) must complete. RCUA_CHAOS_SEED rotates the
 // plan seed in CI.
 TEST(ShardedChaos, LocaleKillMidMigrationRollsBackWithoutLoss) {
@@ -361,7 +362,7 @@ TEST(ShardedChaos, LocaleKillMidMigrationRollsBackWithoutLoss) {
 
   EXPECT_FALSE(coll.migrate(0, 1)) << "seed " << seed;
 
-  // Rolled back: the old mapping is live, nothing was published.
+  // Rolled back: the old placement stands, nothing was recorded.
   EXPECT_EQ(coll.home_of(0), 0u);
   EXPECT_EQ(coll.shard(0).home_locale(), 0u);
   EXPECT_EQ(coll.map_version(), 0u);
