@@ -82,7 +82,8 @@ class HazardArray {
     }
     next_locale_ = loc;
     Snapshot<T>* old = snapshot_.load(std::memory_order_relaxed);
-    Snapshot<T>* fresh = Snapshot<T>::clone_append(*old, new_blocks);
+    Snapshot<T>* fresh =
+        Snapshot<T>::successor(*old, old->num_blocks(), new_blocks);
     snapshot_.store(fresh, std::memory_order_release);
     domain_->retire(old);  // freed once no hazard slot protects it
   }

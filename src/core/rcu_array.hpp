@@ -141,10 +141,9 @@ class RCUArray {
   }
 
   ~RCUArray() {
-    // Contract: no concurrent operations. Locale 0's snapshot holds the
-    // complete block set (resizes only append, replicated everywhere).
-    std::vector<Block<T>*> blocks =
-        priv_at(0).global_snapshot.load(std::memory_order_acquire)->blocks();
+    // Contract: no concurrent operations, so locale 0's spine holds the
+    // complete block set, as every locale's does.
+    const std::vector<Block<T>*> blocks = spine0().blocks();
     for (std::uint32_t l = 0; l < cluster_.num_locales(); ++l) {
       PerLocale* p = &priv_at(l);
       // External quiescence means every deferred spine is freeable now.
@@ -237,6 +236,7 @@ class RCUArray {
     std::vector<Block<T>*> new_blocks;  // line 9
     new_blocks.reserve(nblocks);
     write_lock_.lock();  // line 10
+    const std::size_t keep = spine0().num_blocks();
     const std::uint32_t here = cluster_.here();
     std::uint32_t loc = priv_at(here).next_locale_id;  // line 11
     // Allocate and distribute new blocks (lines 12-16), pipelined: each
@@ -252,14 +252,7 @@ class RCUArray {
       const std::uint32_t home = home_locale();
       const bool pinned = home != Options::kNoHomeLocale;
       for (std::size_t k = 0; k < nblocks; ++k) {
-        const std::uint32_t target = pinned ? home : loc;
-        pending.push_back(
-            async.execute(target, /*weight=*/0, [this, target]() {
-              Block<T>* b =
-                  new Block<T>(cluster_.locale(target), block_size_);
-              sim::charge(sim::CostModel::get().alloc_block_ns);
-              return b;
-            }));
+        pending.push_back(allocate_on(async, pinned ? home : loc));
         if (!pinned) loc = (loc + 1) % cluster_.num_locales();
       }
       for (auto& f : pending) new_blocks.push_back(f.get());
@@ -284,21 +277,10 @@ class RCUArray {
           RCUA_SCHED_POINT("rcua.resize.broadcast_dropped");
           return;  // injected lost broadcast: this locale missed the swap
         }
-        PerLocale& p = priv_at(l);
-        const reclaim::RetireSite site = retire_site(l);
-        p.reclaimer.flush(site);  // opportunistic retry of deferred spines
-        Snapshot<T>* old =
-            p.global_snapshot.load(std::memory_order_relaxed);
-        Snapshot<T>* fresh = Snapshot<T>::clone_append(*old, new_blocks);
-        RCUA_SCHED_POINT("rcua.resize.publish");
-        // RCU_Write (Algorithm 1 lines 1-8; QSBR lines 21-25): the
-        // clone/λ already ran, so publish and retire the old spine.
-        p.global_snapshot.store(fresh, std::memory_order_release);
-        RCUA_SCHED_POINT("rcua.resize.published");
-        obs::trace_instant("rcua.resize.publish", "rcua", l);
-        p.reclaimer.retire_spine(old, spine_bytes(*old), site,
-                                 /*drain_follows=*/false);
-        p.next_locale_id = final_loc;  // line 28
+        // Every block stays, so no drain follows.
+        publish_spine(l, keep, new_blocks, /*drain_follows=*/false,
+                      "rcua.resize.publish", "rcua.resize.published");
+        priv_at(l).next_locale_id = final_loc;  // line 28
         done[l].store(true, std::memory_order_release);
       });
       bool all_published = true;
@@ -325,36 +307,14 @@ class RCUArray {
     if (remove_blocks == 0) return;
     obs::TraceSpan resize_span("rcua.resize_remove", "rcua", remove_blocks);
     write_lock_.lock();
-    Snapshot<T>* current =
-        priv_at(0).global_snapshot.load(std::memory_order_acquire);
-    const std::size_t old_blocks = current->num_blocks();
+    const std::vector<Block<T>*>& current = spine0().blocks();
     const std::size_t keep =
-        remove_blocks >= old_blocks ? 0 : old_blocks - remove_blocks;
-    // The blocks being dropped (identical in every locale's spine).
-    std::vector<Block<T>*> dropped(current->blocks().begin() +
-                                       static_cast<std::ptrdiff_t>(keep),
-                                   current->blocks().end());
+        remove_blocks >= current.size() ? 0 : current.size() - remove_blocks;
+    // The blocks being dropped, copied before the publish retires
+    // `current`'s spine.
+    const std::vector<Block<T>*> dropped(
+        current.begin() + static_cast<std::ptrdiff_t>(keep), current.end());
     cluster_.coforall_locales([&](std::uint32_t l) {
-      PerLocale& p = priv_at(l);
-      const reclaim::RetireSite site = retire_site(l);
-      p.reclaimer.flush(site);  // opportunistic retry of deferred spines
-      Snapshot<T>* old = p.global_snapshot.load(std::memory_order_relaxed);
-      Snapshot<T>* fresh = Snapshot<T>::clone_truncate(*old, keep);
-      RCUA_SCHED_POINT("rcua.resize.publish");
-      p.global_snapshot.store(fresh, std::memory_order_release);
-      RCUA_SCHED_POINT("rcua.resize.published");
-      obs::trace_instant("rcua.resize.publish", "rcua", l);
-      if (p.cache->enabled()) {
-        // Eviction interlock (DESIGN.md §11): drop this locale's cached
-        // copies of the dropped blocks BEFORE the reclamation below can
-        // free them — the drain-before-release rule extended to cache
-        // entries. Any fill still in flight for a dropped block drains
-        // inside its reader's pinned section, which the blocking drain /
-        // QSBR checkpoint below waits out; after that the stale
-        // version tag turns every surviving entry into a lazy miss, but
-        // the ledger must not carry "live" bytes for freed blocks.
-        p.cache->invalidate_tail(array_id(), keep);
-      }
       // Unlike resize_add, this drain stays BLOCKING even under a
       // non-blocking stall policy: the dropped blocks freed below are
       // shared by every locale's spine, so their reclamation needs every
@@ -362,10 +322,11 @@ class RCUArray {
       // the EBR overflow list nor the era list can cover them (DESIGN.md
       // §8/§13). A stalled reader therefore delays resize_remove (an
       // extension path), never resize_add.
-      Snapshot<T>* held = p.reclaimer.retire_spine(
-          old, spine_bytes(*old), site, /*drain_follows=*/true);
-      p.reclaimer.drain(held, "rcua.resize.epoch_bumped",
-                        "rcua.resize.retire_spine");
+      Snapshot<T>* held =
+          publish_spine(l, keep, {}, /*drain_follows=*/true,
+                        "rcua.resize.publish", "rcua.resize.published");
+      priv_at(l).reclaimer.drain(held, "rcua.resize.epoch_bumped",
+                                 "rcua.resize.retire_spine");
     });
     // Every locale has swapped and drained; no snapshot reaches the
     // dropped blocks.
@@ -387,11 +348,11 @@ class RCUArray {
   ///      destination death (FaultPlan kKillLocale, consulted between
   ///      block copies) rolls back by freeing them and returning false
   ///      with the array untouched.
-  ///   2. PUBLISH: every copy completion has drained; each locale swaps
-  ///      in a clone_replace spine and invalidates its BlockCache
-  ///      entries for this array (the §11 eviction interlock — cached
-  ///      copies of replaced blocks must leave the ledger before the
-  ///      frees below).
+  ///   2. PUBLISH: every copy completion has drained; each locale
+  ///      publishes the successor spine holding the replacements and
+  ///      drops its BlockCache entries for this array (the §11 eviction
+  ///      interlock — cached copies of replaced blocks must leave the
+  ///      ledger before the frees below).
   ///   3. DRAIN + RECLAIM: wait out every locale's readers of the old
   ///      block mapping (blocking, like resize_remove: the replaced
   ///      blocks are shared by every locale's old spine), then free the
@@ -410,12 +371,13 @@ class RCUArray {
   /// because resize recycles blocks, and rehome reclaims the replaced
   /// blocks once readers drain — a reference obtained before the drain
   /// and dereferenced after it reads freed memory. Don't hold element
-  /// references across a migration of this array. Element WRITES
-  /// concurrent with the copy phase may land in a replaced block after
-  /// its contents were copied and be lost — structural writers must
-  /// serialize against migration (ShardedCollection's remap lock does)
-  /// or tolerate last-writer-wins. Returns true when the migration
-  /// published, false on a fault-injected rollback.
+  /// references across a migration of this array. Element WRITES that
+  /// race the copy phase can be LOST: a store that lands in a source
+  /// block after that block was copied is not in its replacement, and
+  /// nothing gates element writers against a migration yet (only
+  /// structural ops serialize against it, on the write lock). Returns
+  /// true when the migration published, false on a fault-injected
+  /// rollback.
   bool rehome(std::uint32_t dst) {
     if (dst >= cluster_.num_locales()) {
       throw std::invalid_argument("rehome: dst locale out of range");
@@ -423,9 +385,7 @@ class RCUArray {
     obs::TraceSpan span("rcua.rehome", "rcua", dst);
     write_lock_.lock();
     const std::uint32_t here = cluster_.here();
-    Snapshot<T>* cur =
-        priv_at(0).global_snapshot.load(std::memory_order_acquire);
-    const std::vector<Block<T>*> old_blocks = cur->blocks();
+    const std::vector<Block<T>*> old_blocks = spine0().blocks();
     // Indices (and blocks) living somewhere other than `dst`; blocks
     // already homed there are kept in place (nothing to copy or free).
     std::vector<std::size_t> moved;
@@ -449,11 +409,7 @@ class RCUArray {
       std::vector<rt::future<Block<T>*>> allocs;
       allocs.reserve(moved.size());
       for (std::size_t k = 0; k < moved.size(); ++k) {
-        allocs.push_back(async.execute(dst, /*weight=*/0, [this, dst]() {
-          Block<T>* b = new Block<T>(cluster_.locale(dst), block_size_);
-          sim::charge(sim::CostModel::get().alloc_block_ns);
-          return b;
-        }));
+        allocs.push_back(allocate_on(async, dst));
       }
       for (std::size_t k = 0; k < moved.size(); ++k) {
         fresh[moved[k]] = allocs[k].get();
@@ -516,24 +472,12 @@ class RCUArray {
     // What each locale's drain below still has to free.
     std::vector<Snapshot<T>*> retired(cluster_.num_locales(), nullptr);
     cluster_.coforall_locales([&](std::uint32_t l) {
-      PerLocale& p = priv_at(l);
-      const reclaim::RetireSite site = retire_site(l);
-      p.reclaimer.flush(site);
-      Snapshot<T>* old = p.global_snapshot.load(std::memory_order_relaxed);
-      Snapshot<T>* nw = Snapshot<T>::clone_replace(*old, fresh);
-      RCUA_SCHED_POINT("rcua.rehome.publish");
-      p.global_snapshot.store(nw, std::memory_order_release);
-      RCUA_SCHED_POINT("rcua.rehome.published");
-      retired[l] = p.reclaimer.retire_spine(old, spine_bytes(*old), site,
-                                            /*drain_follows=*/true);
-      obs::trace_instant("rcua.rehome.publish", "rcua", l);
-      if (p.cache->enabled()) {
-        // Eviction interlock (§11, extended to migration): every cached
-        // copy of this array leaves the ledger before the frees below —
-        // replaced blocks change identity per index, and surviving
-        // entries would only ever be version-stale lazy misses.
-        p.cache->invalidate_tail(array_id(), 0);
-      }
+      // The whole table is new, so every cached copy of this array goes:
+      // replaced blocks change identity per index, and surviving entries
+      // would only ever be version-stale lazy misses.
+      retired[l] =
+          publish_spine(l, /*keep=*/0, fresh, /*drain_follows=*/true,
+                        "rcua.rehome.publish", "rcua.rehome.published");
     });
     if (RCUA_SCHED_MUT(migrate_publish_before_copy_complete)) {
       // MUTATION (sched harness only): the replacement spine is already
@@ -897,13 +841,56 @@ class RCUArray {
   /// served from the block cache), copy the value out, or store into it.
   enum class Access { kIndex, kRead, kWrite };
 
-  [[nodiscard]] static std::size_t spine_bytes(
-      const Snapshot<T>& s) noexcept {
-    return sizeof(Snapshot<T>) + s.num_blocks() * sizeof(Block<T>*);
-  }
-
   [[nodiscard]] reclaim::RetireSite retire_site(std::uint32_t l) {
     return {cluster_.locale(l), *monitor_, stall_policy_, stalled_spines_};
+  }
+
+  /// Locale 0's spine. Every locale's spine holds the same block table,
+  /// so under the write lock (or the destructor's quiescence) this is the
+  /// array's table.
+  [[nodiscard]] const Snapshot<T>& spine0() const {
+    return *priv_at(0).global_snapshot.load(std::memory_order_acquire);
+  }
+
+  /// Allocates one block on `target` through `async` (Algorithm 3's
+  /// `on Locales[locId]`): the allocation site of resize_add and rehome.
+  rt::future<Block<T>*> allocate_on(rt::AsyncComm& async,
+                                    std::uint32_t target) {
+    return async.execute(target, /*weight=*/0, [this, target]() {
+      Block<T>* b = new Block<T>(cluster_.locale(target), block_size_);
+      sim::charge(sim::CostModel::get().alloc_block_ns);
+      return b;
+    });
+  }
+
+  /// RCU_Write of one structural op on locale `l` (Algorithm 3 lines
+  /// 18-27), the only place a replacement spine is published: retries the
+  /// locale's deferred spines, publishes the successor keeping the first
+  /// `keep` blocks and appending `tail`, and retires the old spine.
+  /// Returns what a following blocking drain must free (`drain_follows`),
+  /// or nullptr. The caller frees blocks from `keep` on only after that
+  /// drain, so this locale's cached copies of them go first (the §11
+  /// eviction interlock; a fill in flight completes in its reader's
+  /// pinned section, which the drain waits out).
+  Snapshot<T>* publish_spine(std::uint32_t l, std::size_t keep,
+                             std::span<Block<T>* const> tail,
+                             bool drain_follows, const char* publish,
+                             [[maybe_unused]] const char* published) {
+    PerLocale& p = priv_at(l);
+    const reclaim::RetireSite site = retire_site(l);
+    p.reclaimer.flush(site);  // opportunistic retry of deferred spines
+    Snapshot<T>* old = p.global_snapshot.load(std::memory_order_relaxed);
+    Snapshot<T>* fresh = Snapshot<T>::successor(*old, keep, tail);
+    RCUA_SCHED_POINT(publish);
+    p.global_snapshot.store(fresh, std::memory_order_release);
+    RCUA_SCHED_POINT(published);
+    obs::trace_instant(publish, "rcua", l);
+    if (drain_follows && p.cache->enabled()) {
+      p.cache->invalidate_tail(array_id(), keep);
+    }
+    const std::size_t bytes =
+        sizeof(Snapshot<T>) + old->num_blocks() * sizeof(Block<T>*);
+    return p.reclaimer.retire_spine(old, bytes, site, drain_follows);
   }
 
   template <typename F>

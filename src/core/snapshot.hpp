@@ -1,6 +1,7 @@
 #pragma once
 
 #include <atomic>
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -18,7 +19,7 @@ namespace rcua {
 /// only — the *blocks* the spine points at are mutable shared storage,
 /// recycled from snapshot to snapshot.
 ///
-/// The clone used by every resize (Figure 1) produces a longer spine
+/// The successor resize_add publishes (Figure 1) is a longer spine
 /// sharing all existing block pointers: s' = (b1..bN, bN+1..bM), making s
 /// a subsequence of s' — which is exactly why updates through references
 /// obtained from s remain visible in s' (Lemma 6), and why reclaiming a
@@ -33,7 +34,7 @@ class Snapshot {
   }
 
   /// Monotonic per-array version stamp: 0 for the construction-time empty
-  /// spine, +1 on every clone (i.e. every published resize). The stamp is
+  /// spine, +1 on every successor (every published structural op). It is
   /// the coherence tag of the per-locale block cache (DESIGN.md §11): a
   /// cached block copy is tagged with the version pinned at fill time, and
   /// any entry tagged older than the pinned version is treated as a miss.
@@ -47,52 +48,24 @@ class Snapshot {
   Snapshot(const Snapshot&) = delete;
   Snapshot& operator=(const Snapshot&) = delete;
 
-  /// Clones `old`, recycling every block pointer, and appends
-  /// `new_blocks`. Charges the spine-copy cost.
-  static Snapshot* clone_append(const Snapshot& old,
-                                std::span<Block<T>* const> new_blocks) {
+  /// The spine that replaces `old` in a structural op: `old`'s first
+  /// `keep` blocks, recycled, then `tail`; version + 1, charged one pointer
+  /// copy per block of the new spine. resize_add keeps every block and
+  /// appends, so `old` is a prefix (Lemma 6); resize_remove keeps a
+  /// prefix; rehome keeps none and passes the whole table with the moved
+  /// blocks replaced, so its publisher must copy their contents first and
+  /// drain `old`'s readers before freeing the replaced blocks.
+  static Snapshot* successor(const Snapshot& old, std::size_t keep,
+                             std::span<Block<T>* const> tail) {
+    assert(keep <= old.blocks_.size());
     auto* s = new Snapshot;
     s->version_ = old.version_ + 1;
-    s->blocks_.reserve(old.blocks_.size() + new_blocks.size());
-    s->blocks_.insert(s->blocks_.end(), old.blocks_.begin(), old.blocks_.end());
-    s->blocks_.insert(s->blocks_.end(), new_blocks.begin(), new_blocks.end());
-    sim::charge(sim::CostModel::get().spine_copy_ns_per_block *
-                static_cast<double>(s->blocks_.size()));
-    RCUA_SCHED_POINT("snapshot.cloned");
-    return s;
-  }
-
-  /// Clones `old` with the SAME block count but every pointer replaced by
-  /// `blocks` — the shard-migration publication (DESIGN.md §14): the new
-  /// spine is *not* a superset of the old one (unlike clone_append), so
-  /// the publisher must copy the element contents into the replacement
-  /// blocks BEFORE publishing and drain the old spine's readers before
-  /// freeing the replaced blocks. RCUArray::rehome owns that ordering.
-  static Snapshot* clone_replace(const Snapshot& old,
-                                 std::vector<Block<T>*> blocks) {
-    assert(blocks.size() == old.blocks_.size());
-    auto* s = new Snapshot;
-    s->version_ = old.version_ + 1;
-    s->blocks_ = std::move(blocks);
-    sim::charge(sim::CostModel::get().spine_copy_ns_per_block *
-                static_cast<double>(s->blocks_.size()));
-    RCUA_SCHED_POINT("snapshot.cloned");
-    return s;
-  }
-
-  /// Clones `old` truncated to its first `keep_blocks` blocks (recycling
-  /// the kept pointers). Used by the shrink extension.
-  static Snapshot* clone_truncate(const Snapshot& old,
-                                  std::size_t keep_blocks) {
-    auto* s = new Snapshot;
-    s->version_ = old.version_ + 1;
-    keep_blocks = keep_blocks < old.blocks_.size() ? keep_blocks
-                                                   : old.blocks_.size();
+    s->blocks_.reserve(keep + tail.size());
     s->blocks_.assign(old.blocks_.begin(),
-                      old.blocks_.begin() +
-                          static_cast<std::ptrdiff_t>(keep_blocks));
+                      old.blocks_.begin() + static_cast<std::ptrdiff_t>(keep));
+    s->blocks_.insert(s->blocks_.end(), tail.begin(), tail.end());
     sim::charge(sim::CostModel::get().spine_copy_ns_per_block *
-                static_cast<double>(keep_blocks));
+                static_cast<double>(s->blocks_.size()));
     RCUA_SCHED_POINT("snapshot.cloned");
     return s;
   }

@@ -6,6 +6,7 @@
 
 #include "obs/health.hpp"
 #include "obs/trace.hpp"
+#include "platform/backoff.hpp"
 #include "sim/cost_model.hpp"
 #include "sim/task_clock.hpp"
 #include "testing/sched_point.hpp"
@@ -50,15 +51,21 @@ std::uint64_t Qsbr::min_observed_epoch(std::uint64_t ceiling,
   return min;
 }
 
-std::size_t Qsbr::reclaim_up_to(Slot& slot, std::uint64_t min) {
-  DeferNode* chain;
-  {
-    std::lock_guard<plat::Spinlock> list_guard(slot.list_lock);
-    chain = slot.defer_list.pop_less_equal(min);
-  }
+DeferNode* Qsbr::pop_up_to(Slot& slot, std::uint64_t min) {
+  std::lock_guard<plat::Spinlock> list_guard(slot.list_lock);
+  DeferNode* chain = slot.defer_list.pop_less_equal(min);
+  // Counted under the lock, so a flush_unsafe() that finds the list
+  // without this chain also finds the chain in flight.
+  if (chain != nullptr) slot.in_flight.fetch_add(1, std::memory_order_relaxed);
+  return chain;
+}
+
+std::size_t Qsbr::reclaim_popped(Slot& slot, DeferNode* chain) {
+  if (chain == nullptr) return 0;
   std::size_t freed = 0;
   for (DeferNode* n = chain; n != nullptr; n = n->next) ++freed;
   DeferList::reclaim_chain(chain);
+  slot.in_flight.fetch_sub(1, std::memory_order_release);
   return freed;
 }
 
@@ -105,7 +112,7 @@ std::size_t Qsbr::checkpoint() {
   // observed — the health signal for a laggard pinning reclamation.
   obs::health::epoch_lag().update_max(e - min);
   // Split the DeferList where safe epoch <= min and reclaim (lines 9-13).
-  const std::size_t freed = reclaim_up_to(slot, min);
+  const std::size_t freed = reclaim_popped(slot, pop_up_to(slot, min));
 
   checkpoints_.value.fetch_add(1, std::memory_order_relaxed);
   reclaimed_.value.fetch_add(freed, std::memory_order_relaxed);
@@ -125,7 +132,9 @@ void Qsbr::park() {
   const std::uint64_t e = current_epoch();
   slot.observed_epoch.store(e, std::memory_order_release);
   std::uint64_t live = 0;
-  reclaim_up_to(slot, min_observed_epoch(e, live));
+  DeferNode* chain = pop_up_to(slot, min_observed_epoch(e, live));
+  if (test_hook != nullptr) test_hook(*this, kHookParkPopped);
+  reclaim_popped(slot, chain);
   RCUA_SCHED_POINT("qsbr.park.final");
   slot.state.store(gen | kParked, std::memory_order_release);
 }
@@ -150,6 +159,14 @@ void Qsbr::flush_unsafe() {
       chain = s.defer_list.pop_all();
     }
     DeferList::reclaim_chain(chain);
+    // Then wait out any chain a park or checkpoint popped and still runs.
+    // Testing first keeps a flush on a scheduled task from yielding to
+    // the harness when nothing is in flight.
+    if (s.in_flight.load(std::memory_order_acquire) != 0) {
+      plat::wait_until("qsbr.flush.in_flight", [&s] {
+        return s.in_flight.load(std::memory_order_acquire) == 0;
+      });
+    }
   });
 }
 

@@ -74,6 +74,9 @@ class Qsbr {
     kHookPark = 2,
     /// On entry to unpark(), before the thread becomes visible again.
     kHookUnpark = 3,
+    /// In park(), after its eligible deferrals were popped and before
+    /// they run: the window flush_unsafe() has to wait out.
+    kHookParkPopped = 4,
   };
   using TestHook = void (*)(Qsbr&, int phase);
   TestHook test_hook = nullptr;
@@ -135,8 +138,11 @@ class Qsbr {
     return n;
   }
 
-  /// Reclaims every pending deferral of every thread. ONLY safe when no
-  /// thread holds protected references (shutdown, test teardown).
+  /// Reclaims every pending deferral of every thread, including chains a
+  /// concurrent park() or checkpoint() has popped but not yet run: it
+  /// returns only after their callbacks did. ONLY safe when no thread
+  /// holds protected references (shutdown, test teardown), and never from
+  /// a deferred callback.
   void flush_unsafe();
 
   [[nodiscard]] std::uint64_t current_epoch() const noexcept {
@@ -168,6 +174,8 @@ class Qsbr {
     /// spinlock.
     DeferList defer_list;
     plat::Spinlock list_lock;
+    /// Chains popped off defer_list whose callbacks are still running.
+    std::atomic<std::uint32_t> in_flight{0};
   };
 
   /// This thread's slot, joined on first use. The generation is read
@@ -187,8 +195,11 @@ class Qsbr {
   /// `ceiling`; `live` counts the slots it took.
   std::uint64_t min_observed_epoch(std::uint64_t ceiling,
                                    std::uint64_t& live) const;
-  /// Pops and reclaims the caller's deferrals with safe epoch <= `min`.
-  static std::size_t reclaim_up_to(Slot& slot, std::uint64_t min);
+  /// Pops the caller's deferrals with safe epoch <= `min`. A non-empty
+  /// chain counts as in flight until reclaim_popped() has run it.
+  static DeferNode* pop_up_to(Slot& slot, std::uint64_t min);
+  /// Runs a chain pop_up_to() returned; returns the objects reclaimed.
+  static std::size_t reclaim_popped(Slot& slot, DeferNode* chain);
 
   plat::ReaderBank<Slot> bank_;
   plat::CacheAligned<std::atomic<std::uint64_t>> state_epoch_{0ULL};

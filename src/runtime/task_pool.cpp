@@ -117,8 +117,12 @@ void TaskPool::worker_main(std::uint32_t locale, std::uint32_t worker_id) {
       std::unique_lock<std::mutex> lock(q.mu);
       if (q.tasks.empty() && !q.stop) {
         // Going idle: park (final QSBR housekeeping + leave the minima).
+        // Parking runs deferred callbacks, which may submit work here, so
+        // it runs unlocked; the wait's predicate sees a task queued since.
         q.idle.fetch_add(1, std::memory_order_relaxed);
+        lock.unlock();
         reclaim::Qsbr::global().park();
+        lock.lock();
         q.cv.wait(lock, [&] { return q.stop || !q.tasks.empty(); });
         reclaim::Qsbr::global().unpark();
         q.idle.fetch_sub(1, std::memory_order_relaxed);

@@ -6,8 +6,10 @@
 
 #include <atomic>
 #include <cstdint>
+#include <latch>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "reclaim/ebr.hpp"
@@ -186,10 +188,15 @@ TEST(EbrStress, NoUseAfterFreeUnderConcurrentWrites) {
   std::atomic<bool> stop{false};
   std::atomic<std::uint64_t> violations{0};
   std::atomic<std::uint64_t> reads{0};
+  constexpr int kReaders = 4;
+  // The writer starts only once every reader has completed a read, so its
+  // rounds always race real read sections.
+  std::latch all_read(kReaders);
 
   std::vector<std::thread> readers;
-  for (int t = 0; t < 4; ++t) {
+  for (int t = 0; t < kReaders; ++t) {
     readers.emplace_back([&] {
+      bool first = true;
       while (!stop.load(std::memory_order_relaxed)) {
         ebr.read([&] {
           Canary* c = snapshot.load(std::memory_order_acquire);
@@ -198,9 +205,11 @@ TEST(EbrStress, NoUseAfterFreeUnderConcurrentWrites) {
           }
           reads.fetch_add(1, std::memory_order_relaxed);
         });
+        if (std::exchange(first, false)) all_read.count_down();
       }
     });
   }
+  all_read.wait();
 
   // Writer: copy-update-publish-drain-delete, 300 times.
   for (int i = 0; i < 300; ++i) {

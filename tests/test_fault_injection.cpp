@@ -145,7 +145,7 @@ TEST(FaultInjection, OverflowPlusInjectedRacesStayBalanced) {
 // -- QSBR checkpoint/park hooks (the EBR-style windows, Algorithm 2) ----
 
 namespace {
-std::atomic<int> qsbr_phase_hits[4];
+std::atomic<int> qsbr_phase_hits[5];
 
 void count_qsbr_phase(rcua::reclaim::Qsbr&, int phase) {
   qsbr_phase_hits[phase].fetch_add(1, std::memory_order_relaxed);
@@ -165,6 +165,7 @@ TEST(FaultInjection, QsbrHookFiresAtCheckpointAndParkWindows) {
   qsbr.park();
   qsbr.unpark();
   EXPECT_EQ(qsbr_phase_hits[reclaim::Qsbr::kHookPark].load(), 1);
+  EXPECT_EQ(qsbr_phase_hits[reclaim::Qsbr::kHookParkPopped].load(), 1);
   EXPECT_EQ(qsbr_phase_hits[reclaim::Qsbr::kHookUnpark].load(), 1);
 }
 

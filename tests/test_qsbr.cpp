@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -253,6 +254,44 @@ TEST(Qsbr, FlushUnsafeReclaimsAll) {
   qsbr.flush_unsafe();
   EXPECT_EQ(destroyed.load(), 6);
   EXPECT_EQ(qsbr.pending_total(), 0u);
+}
+
+// flush_unsafe() also waits out a chain that a parking thread popped but
+// has not run yet: a pool worker can park while the caller flushes, and
+// the caller then reads state the popped callbacks still change.
+TEST(Qsbr, FlushUnsafeWaitsForAChainParkPopped) {
+  static std::atomic<int> step;
+  static std::atomic<bool> ran;
+  step.store(0);
+  ran.store(false);
+  reclaim::Qsbr qsbr;
+  qsbr.test_hook = [](reclaim::Qsbr&, int phase) {
+    if (phase != reclaim::Qsbr::kHookParkPopped) return;
+    step.store(1);  // popped: hold the chain until released
+    while (step.load() != 2) std::this_thread::yield();
+  };
+  std::thread parker([&] {
+    qsbr.defer_fn([](void*) { ran.store(true); }, nullptr);
+    qsbr.park();  // sole participant: its deferral is popped
+    qsbr.unpark();
+  });
+  while (step.load() != 1) std::this_thread::yield();
+
+  std::atomic<bool> flushed{false};
+  bool ran_at_return = false;
+  std::thread flusher([&] {
+    qsbr.flush_unsafe();
+    ran_at_return = ran.load();
+    flushed.store(true);
+  });
+  // Time for a flush that does not wait to return while the chain is held.
+  for (int i = 0; i < 50 && !flushed.load(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  step.store(2);
+  parker.join();
+  flusher.join();
+  EXPECT_TRUE(ran_at_return) << "flush_unsafe returned before the callback";
 }
 
 TEST(Qsbr, DomainDestructionFlushes) {

@@ -360,3 +360,47 @@ TYPED_TEST(RcuArrayAllPolicies, StructuralOpsPayFixedGracePeriods) {
   }
   qsbr.flush_unsafe();
 }
+
+TYPED_TEST(RcuArrayAllPolicies, StructuralOpsDropTheCachedCopiesTheyReplace) {
+  // The eviction interlock of the one spine publication (DESIGN.md §11):
+  // resize_add frees no block and drops no cached copy, resize_remove
+  // drops the copies at or past the kept prefix, and rehome drops every
+  // copy of the array. Each locale's byte ledger balances after each op.
+  constexpr std::uint32_t kLocales = 2;
+  constexpr std::size_t kBlock = 64;
+  rcua::reclaim::Qsbr qsbr;
+  rt::Cluster cluster({.num_locales = kLocales, .workers_per_locale = 1});
+  typename TestFixture::Array::Options opts;
+  opts.block_size = kBlock;
+  opts.qsbr = &qsbr;
+  opts.cache_capacity_bytes = std::size_t{1} << 20;
+  typename TestFixture::Array arr(cluster, 8 * kBlock, opts);
+  // Round-robin placement: locale 0 caches blocks 1, 3, 5 and 7, and
+  // locale 1 caches blocks 0, 2, 4 and 6.
+  for (std::uint32_t l = 0; l < kLocales; ++l) {
+    cluster.on(l, [&] {
+      for (std::size_t b = 0; b < 8; ++b) (void)arr.read(b * kBlock);
+    });
+  }
+  // Cached copies per locale after resize_add (9 blocks), resize_remove
+  // (6 blocks kept: blocks 6 and 7 go) and rehome.
+  const std::size_t entries[3] = {4, 3, 0};
+  for (int op = 0; op < 3; ++op) {
+    if (op == 0) {
+      arr.resize_add(kBlock);
+    } else if (op == 1) {
+      arr.resize_remove(3 * kBlock);
+    } else {
+      ASSERT_TRUE(arr.rehome(1));
+    }
+    for (std::uint32_t l = 0; l < kLocales; ++l) {
+      EXPECT_EQ(arr.cache_entries_at(l), entries[op])
+          << "op " << op << " locale " << l;
+      const auto cs = arr.cache_stats_at(l);
+      EXPECT_EQ(cs.inserted_bytes,
+                cs.evicted_bytes + arr.cache_bytes_used_at(l))
+          << "op " << op << " locale " << l;
+    }
+  }
+  qsbr.flush_unsafe();
+}

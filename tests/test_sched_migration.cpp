@@ -73,7 +73,7 @@ struct State {
   /// drops below this exactly when the source block is freed.
   std::atomic<std::uint64_t> fill_bytes{0};
   /// Snapshot version the fill ran under (the pre-migration spine);
-  /// rehome's clone_replace publishes fill_version + 1.
+  /// rehome's successor spine carries fill_version + 1.
   std::uint64_t fill_version = 0;
   std::atomic<bool> migrated{false};
   std::atomic<std::size_t> visited{0};

@@ -62,8 +62,7 @@ TEST(Snapshot, CloneAppendRecyclesBlocks) {
   for (int i = 0; i < 3; ++i) set.blocks.push_back(new Block<int>(loc, 4));
 
   Snapshot<int> s({set.blocks[0], set.blocks[1]});
-  Snapshot<int>* s2 = Snapshot<int>::clone_append(
-      s, std::span<Block<int>* const>(&set.blocks[2], 1));
+  Snapshot<int>* s2 = Snapshot<int>::successor(s, 2, {&set.blocks[2], 1});
   ASSERT_EQ(s2->num_blocks(), 3u);
   // Lemma 6 shape: s is a prefix of s2, block pointers identical.
   EXPECT_TRUE(s2->has_prefix(s));
@@ -82,8 +81,8 @@ TEST(Snapshot, UpdateThroughOldSpineVisibleInNewSpine) {
   set.blocks.push_back(new Block<int>(loc, 4));
 
   Snapshot<int> old_spine({set.blocks[0]});
-  Snapshot<int>* new_spine = Snapshot<int>::clone_append(
-      old_spine, std::span<Block<int>* const>(&set.blocks[1], 1));
+  Snapshot<int>* new_spine =
+      Snapshot<int>::successor(old_spine, 1, {&set.blocks[1], 1});
 
   (*old_spine.block(0))[2] = 99;  // update via the OLD spine
   EXPECT_EQ((*new_spine->block(0))[2], 99);
@@ -124,21 +123,40 @@ TEST(Snapshot, CapacityIsBlocksTimesBlockSize) {
   EXPECT_EQ(s.capacity(), 40u);
 }
 
+// Every structural op publishes one successor: append (resize_add),
+// truncate (resize_remove) and replace (rehome) each pay one pointer copy
+// per block of the NEW spine and stamp the old version + 1.
 TEST(Snapshot, CloneChargesSpineCopy) {
   rcua::sim::CostModelOverride save;
   rcua::sim::CostModel::mutable_instance().spine_copy_ns_per_block = 10;
 
   rt::Locale loc(0);
   BlockSet set;
-  for (int i = 0; i < 4; ++i) set.blocks.push_back(new Block<int>(loc, 4));
-  Snapshot<int> s({set.blocks[0], set.blocks[1], set.blocks[2]});
-
-  rcua::sim::TaskClock clock;
-  {
-    rcua::sim::ClockScope scope(clock);
-    Snapshot<int>* s2 = Snapshot<int>::clone_append(
-        s, std::span<Block<int>* const>(&set.blocks[3], 1));
+  for (int i = 0; i < 6; ++i) set.blocks.push_back(new Block<int>(loc, 4));
+  Block<int>* const* b = set.blocks.data();
+  Snapshot<int> empty;
+  Snapshot<int>* s = Snapshot<int>::successor(empty, 0, {b, 3});  // version 1
+  struct Shape {
+    std::size_t keep;
+    std::vector<Block<int>*> tail;
+    std::vector<Block<int>*> spine;
+  };
+  const Shape shapes[] = {
+      {3, {b[3]}, {b[0], b[1], b[2], b[3]}},        // append
+      {1, {}, {b[0]}},                              // truncate
+      {0, {b[0], b[4], b[5]}, {b[0], b[4], b[5]}},  // replace
+  };
+  for (const Shape& shape : shapes) {
+    rcua::sim::TaskClock clock;
+    Snapshot<int>* s2 = nullptr;
+    {
+      rcua::sim::ClockScope scope(clock);
+      s2 = Snapshot<int>::successor(*s, shape.keep, shape.tail);
+    }
+    EXPECT_EQ(s2->blocks(), shape.spine) << shape.keep;
+    EXPECT_EQ(clock.vtime_ns, 10 * shape.spine.size()) << shape.keep;
+    EXPECT_EQ(s2->version(), s->version() + 1) << shape.keep;
     delete s2;
   }
-  EXPECT_EQ(clock.vtime_ns, 40u);  // 4 pointers copied
+  delete s;
 }
