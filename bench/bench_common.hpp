@@ -321,8 +321,7 @@ double run_indexing(const Params& p, std::uint64_t num_locales,
       });
 
   // Machine-readable reclaimer counters for the bench-json pipeline
-  // (scripts/run_benchmarks.py). reads/retries are nonzero only in
-  // -DRCUA_STATS=ON builds; epoch_advances is always live.
+  // (scripts/run_benchmarks.py).
   constexpr bool kHasEbrStats = requires {
     requires !Impl::type::uses_qsbr;
     arr->ebr_stats_at(0u);

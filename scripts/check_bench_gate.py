@@ -10,11 +10,6 @@ compares a fresh bench-json artifact against the committed baseline
 a changed GET count is a protocol change, intended or not, and must be
 acknowledged by refreshing the baseline in the same commit.
 
-Both runs must come from the same build configuration: bench_stat
-`reads` are only live in -DRCUA_STATS=ON builds (CI's bench-smoke job),
-so the gate refuses to compare runs whose meta.read_stats_live differ
-instead of reporting every `reads` counter as drift.
-
 Genuinely nondeterministic signals are not load-bearing:
   - EBR read retries depend on thread interleaving; they only fail the
     gate on a blow-up (>10x baseline and >1000 absolute), which in
@@ -221,20 +216,6 @@ def main():
           f"(rev {baseline['meta'].get('git_rev', '?')[:12]})")
     print(f"[bench-gate] current  {current_path} "
           f"(rev {current['meta'].get('git_rev', '?')[:12]})")
-
-    base_live = baseline["meta"].get("read_stats_live")
-    cur_live = current["meta"].get("read_stats_live")
-    if base_live != cur_live:
-        print(
-            f"[bench-gate] FAIL: read_stats_live differs (baseline "
-            f"{base_live}, current {cur_live}): the runs come from "
-            f"different RCUA_STATS build configurations, so their "
-            f"bench_stat reads are not comparable. Rebuild with the "
-            f"baseline's configuration (CI's bench-smoke job uses "
-            f"-DRCUA_STATS=ON) or refresh the baseline from one.",
-            file=sys.stderr,
-        )
-        return 1
 
     base_env = baseline["meta"].get("env", {})
     cur_env = current["meta"].get("env", {})

@@ -3,9 +3,8 @@
 
 Each bench binary prints an aligned table for humans, a `csv:` block for
 tools, and (for the EBR-policy arrays) machine-readable `bench_stat`
-lines carrying the reclaimer counters (reads / retries / epoch_advances;
-the read-side counters are live only in -DRCUA_STATS=ON builds). This
-script runs a configurable set of binaries, parses all three, adds the
+lines carrying the reclaimer counters (reads / retries / epoch_advances).
+This script runs a configurable set of binaries, parses all three, adds the
 google-benchmark micro suite in native JSON, and writes everything plus
 run metadata (git revision, host, RCUA_* environment) to one JSON file.
 
@@ -228,14 +227,6 @@ def main():
             except json.JSONDecodeError:
                 micro = {"error": "unparseable output", "returncode": code}
 
-    # Read-side counters are only live in -DRCUA_STATS=ON builds; record
-    # whether this run's numbers include them.
-    stats_live = any(
-        s["reads"] > 0
-        for r in results.values()
-        for s in r.get("bench_stats", [])
-    )
-
     doc = {
         "meta": {
             "timestamp": time.strftime("%Y%m%dT%H%M%S"),
@@ -246,7 +237,6 @@ def main():
             "machine": platform.machine(),
             "system": platform.platform(),
             "cpus": os.cpu_count(),
-            "read_stats_live": stats_live,
             "env": {k: v for k, v in env.items() if k.startswith("RCUA_")},
         },
         "results": results,

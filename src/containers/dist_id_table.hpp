@@ -3,6 +3,8 @@
 #include <atomic>
 #include <cstddef>
 #include <mutex>
+#include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -65,8 +67,9 @@ class DistIdTable {
 
   /// Reference to the value behind `id`. Parallel-safe with allocate /
   /// growth (waits out the bounded replication gap if this locale's
-  /// replica lags the growth that created `id`). The caller must not use
-  /// an id it has released. NOT safe concurrent with a live migration of
+  /// replica lags the growth that created `id`). Throws std::out_of_range
+  /// for an id never allocated (`id >= high_water()`). The caller must not
+  /// use an id it has released. NOT safe concurrent with a live migration of
   /// the sharded backend — the reference escapes the read-side section,
   /// which rehome's reclamation does not cover (use read() for lookups
   /// that may race a migration).
@@ -104,9 +107,14 @@ class DistIdTable {
   [[nodiscard]] Backend<V, Policy>& backing() noexcept { return arr_; }
 
  private:
-  /// `id` was handed out after the growth that created it completed;
-  /// wait for this locale's replica to catch up.
+  /// `id` was handed out, so the growth that covers it is done or under
+  /// way; wait for this locale's replica to catch up. An id never handed
+  /// out has no growth coming, so it throws instead of waiting forever.
   void wait_replicated(std::size_t id) {
+    if (id >= high_water()) {
+      throw std::out_of_range("DistIdTable: id " + std::to_string(id) +
+                              " was never allocated");
+    }
     plat::wait_until("dist_id_table.replicated",
                      [&] { return arr_.capacity() > id; });
   }

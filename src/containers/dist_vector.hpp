@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <mutex>
 #include <span>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -119,7 +120,12 @@ class DistVector {
   /// Reference to element `i` (valid across growth). Parallel-safe: if a
   /// racing grower published index `i` (via size()) before this locale's
   /// snapshot replica caught up, waits out the bounded replication gap.
+  /// Throws std::out_of_range for an index no push_back has reserved,
+  /// which no growth would ever cover.
   T& operator[](std::size_t i) {
+    if (i >= reserved_->load(std::memory_order_relaxed)) {
+      throw std::out_of_range("DistVector::operator[] beyond reservations");
+    }
     wait_replicated(i + 1);
     return arr_.index(i);
   }

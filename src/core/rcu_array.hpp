@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -45,8 +44,8 @@ namespace rcua {
 /// resize via Read-Copy-Update over immutable snapshots of the block
 /// table; blocks are distributed round-robin across the cluster's
 /// locales, and the metadata (snapshot pointer, epoch state,
-/// NextLocaleId) is privatized per locale so the access path is entirely
-/// node-local.
+/// NextLocaleId) is privatized: the array keeps one copy per locale,
+/// built on that locale, so the access path is entirely node-local.
 ///
 /// Key relaxations inherited from the paper:
 ///  * `index()` returns a *reference* so updates cost the same as reads
@@ -122,7 +121,7 @@ class RCUArray {
                             : options.cache_capacity_bytes),
         home_locale_(options.home_locale),
         write_lock_(cluster, /*owner_locale=*/0),
-        pid_(cluster.privatization().create()) {
+        locales_(cluster.num_locales()) {
     if (block_size_ == 0) throw std::invalid_argument("block_size == 0");
     if (options.home_locale != Options::kNoHomeLocale &&
         options.home_locale >= cluster.num_locales()) {
@@ -131,11 +130,8 @@ class RCUArray {
     reclaim::Qsbr& qsbr =
         options.qsbr != nullptr ? *options.qsbr : reclaim::Qsbr::global();
     cluster_.coforall_locales([&](std::uint32_t l) {
-      auto* p = new PerLocale(qsbr);
-      p->global_snapshot.store(new Snapshot<T>(), std::memory_order_relaxed);
-      p->cache = std::make_unique<rt::BlockCache>(cluster_.comm(), l,
-                                                  cache_capacity_);
-      cluster_.privatization().set(pid_, l, p);
+      locales_[l] = std::make_unique<PerLocale>(qsbr, cluster_.comm(), l,
+                                                cache_capacity_);
     });
     if (initial_capacity > 0) resize_add(initial_capacity);
   }
@@ -145,13 +141,11 @@ class RCUArray {
     // complete block set, as every locale's does.
     const std::vector<Block<T>*> blocks = spine0().blocks();
     for (std::uint32_t l = 0; l < cluster_.num_locales(); ++l) {
-      PerLocale* p = &priv_at(l);
+      PerLocale& p = priv_at(l);
       // External quiescence means every deferred spine is freeable now.
-      p->reclaimer.flush_unsafe(retire_site(l));
-      delete p->global_snapshot.load(std::memory_order_acquire);
-      delete p;
+      p.reclaimer.flush_unsafe(retire_site(l));
+      delete p.global_snapshot.load(std::memory_order_acquire);
     }
-    cluster_.privatization().destroy(pid_);
     for (Block<T>* b : blocks) {
       cluster_.locale(b->owner()).note_free(b->capacity() * sizeof(T));
       delete b;
@@ -350,9 +344,9 @@ class RCUArray {
   ///      with the array untouched.
   ///   2. PUBLISH: every copy completion has drained; each locale
   ///      publishes the successor spine holding the replacements and
-  ///      drops its BlockCache entries for this array (the §11 eviction
-  ///      interlock — cached copies of replaced blocks must leave the
-  ///      ledger before the frees below).
+  ///      drops its BlockCache entries (the §11 eviction interlock —
+  ///      cached copies of replaced blocks must leave the ledger before
+  ///      the frees below).
   ///   3. DRAIN + RECLAIM: wait out every locale's readers of the old
   ///      block mapping (blocking, like resize_remove: the replaced
   ///      blocks are shared by every locale's old spine), then free the
@@ -472,7 +466,7 @@ class RCUArray {
     // What each locale's drain below still has to free.
     std::vector<Snapshot<T>*> retired(cluster_.num_locales(), nullptr);
     cluster_.coforall_locales([&](std::uint32_t l) {
-      // The whole table is new, so every cached copy of this array goes:
+      // The whole table is new, so every cached block copy goes:
       // replaced blocks change identity per index, and surviving entries
       // would only ever be version-stale lazy misses.
       retired[l] =
@@ -761,13 +755,13 @@ class RCUArray {
   }
   [[nodiscard]] rt::BlockCache::Stats cache_stats_at(
       std::uint32_t locale) const {
-    return priv_at(locale).cache->stats();
+    return priv_at(locale).cache.stats();
   }
   [[nodiscard]] std::size_t cache_bytes_used_at(std::uint32_t locale) const {
-    return priv_at(locale).cache->bytes_used();
+    return priv_at(locale).cache.bytes_used();
   }
   [[nodiscard]] std::size_t cache_entries_at(std::uint32_t locale) const {
-    return priv_at(locale).cache->entries();
+    return priv_at(locale).cache.entries();
   }
   [[nodiscard]] std::uint64_t resize_count() const noexcept {
     return resizes_.load(std::memory_order_relaxed);
@@ -776,9 +770,7 @@ class RCUArray {
   [[nodiscard]] rt::GlobalLock& write_lock() noexcept { return write_lock_; }
 
   /// Stats of locale `locale`'s reclaimer: epoch or era counters, all
-  /// zero under QSBR (no per-locale reader state). `reads`/`read_retries`
-  /// require a -DRCUA_STATS=ON build (zero otherwise); `epoch_advances`
-  /// is always live.
+  /// zero under QSBR (no per-locale reader state).
   [[nodiscard]] auto ebr_stats_at(std::uint32_t locale) const {
     return priv_at(locale).reclaimer.stats();
   }
@@ -826,15 +818,19 @@ class RCUArray {
  private:
   /// The privatized per-locale copy (Listing 1's RCUArrayMetaData).
   struct alignas(plat::kCacheLine) PerLocale {
-    explicit PerLocale(reclaim::Qsbr& qsbr) : reclaimer(qsbr) {}
-    std::atomic<Snapshot<T>*> global_snapshot{nullptr};
+    PerLocale(reclaim::Qsbr& qsbr, rt::CommLayer& comm, std::uint32_t l,
+              std::size_t cache_capacity)
+        : reclaimer(qsbr), cache(comm, l, cache_capacity) {}
+    std::atomic<Snapshot<T>*> global_snapshot{new Snapshot<T>()};
     /// This locale's reclaimer: what the spine's read sections and
     /// retirements run against (reclaim/policy.hpp).
     Policy reclaimer;
     std::uint32_t next_locale_id = 0;
-    /// Per-locale remote-block cache (DESIGN.md §11); constructed with
-    /// the array, disabled when capacity is 0.
-    std::unique_ptr<rt::BlockCache> cache;
+    /// This locale's cache of this array's remote blocks (DESIGN.md
+    /// §11), disabled when capacity is 0. On its own cache line: a
+    /// lookup's lock must not share one with the spine pointer that
+    /// every element op on this locale loads.
+    alignas(plat::kCacheLine) rt::BlockCache cache;
   };
 
   /// What an element op does with its slot: hand out the reference (never
@@ -885,9 +881,7 @@ class RCUArray {
     p.global_snapshot.store(fresh, std::memory_order_release);
     RCUA_SCHED_POINT(published);
     obs::trace_instant(publish, "rcua", l);
-    if (drain_follows && p.cache->enabled()) {
-      p.cache->invalidate_tail(array_id(), keep);
-    }
+    if (drain_follows && p.cache.enabled()) p.cache.invalidate_tail(keep);
     const std::size_t bytes =
         sizeof(Snapshot<T>) + old->num_blocks() * sizeof(Block<T>*);
     return p.reclaimer.retire_spine(old, bytes, site, drain_follows);
@@ -921,11 +915,7 @@ class RCUArray {
     return priv_at(cluster_.here());
   }
   [[nodiscard]] PerLocale& priv_at(std::uint32_t locale) const {
-    // chpl_getPrivatizedCopy(PID)
-    auto* p = static_cast<PerLocale*>(
-        cluster_.privatization().get(pid_, locale));
-    assert(p != nullptr);
-    return *p;
+    return *locales_[locale];  // chpl_getPrivatizedCopy
   }
 
   /// Shared engine of bulk_read/bulk_write/for_each_block. Resolves the
@@ -995,8 +985,7 @@ class RCUArray {
         if (use_cache && owner != here) {
           sim::charge(m.cache_lookup_ns);
           const std::uint64_t gen = b->generation();
-          if (auto cached =
-                  p.cache->lookup(array_id(), bidx, pinned_version, gen)) {
+          if (auto cached = p.cache.lookup(bidx, pinned_version, gen)) {
             // Hit: serve the span inline from the node-local copy. The
             // const_cast is sound because is_write is false — span_fn
             // only reads through the pointer (bulk_read/for_each_block
@@ -1052,8 +1041,8 @@ class RCUArray {
       // exist.
       for (BlockFill& f : fills) {
         const std::uint64_t fill_gen = f.done.get();
-        p.cache->insert(array_id(), f.bidx, pinned_version, fill_gen, f.buf,
-                        block_size_ * sizeof(T));
+        p.cache.insert(f.bidx, pinned_version, fill_gen, f.buf,
+                       block_size_ * sizeof(T));
         sim::charge(m.cache_copy_ns_per_elem * static_cast<double>(f.len));
         span_fn(f.base, reinterpret_cast<T*>(f.buf.get()) + f.off, f.len);
       }
@@ -1121,12 +1110,6 @@ class RCUArray {
 
   // -- Block cache machinery (DESIGN.md §11) ---------------------------
 
-  /// Cache key namespace: one id per array instance (pids are unique for
-  /// the cluster's lifetime, and per-locale caches die with the array).
-  [[nodiscard]] std::uint64_t array_id() const noexcept {
-    return static_cast<std::uint64_t>(static_cast<std::uint32_t>(pid_));
-  }
-
   /// One in-flight whole-block cache fill. The future resolves — at
   /// completion, which always lands inside the filler's pinned section —
   /// to the write generation sampled immediately BEFORE the copy, so a
@@ -1157,7 +1140,7 @@ class RCUArray {
     f.buf = std::shared_ptr<std::byte[]>(new std::byte[n * sizeof(T)]);
     T* dst = reinterpret_cast<T*>(f.buf.get());
     Block<T>* bp = &b;
-    p.cache->note_fill();
+    p.cache.note_fill();
     f.done = async.execute(
         b.owner(), /*weight=*/n, [bp, dst, n]() -> std::uint64_t {
           RCUA_SCHED_POINT("rcua.cache.fill_copy");
@@ -1188,13 +1171,12 @@ class RCUArray {
                                                   std::uint64_t version) {
     const auto& m = sim::CostModel::get();
     sim::charge(m.cache_lookup_ns);
-    auto cached = p.cache->lookup(array_id(), bidx, version, b.generation());
+    auto cached = p.cache.lookup(bidx, version, b.generation());
     if (cached == nullptr) {
       rt::AsyncComm async(cluster_.comm(), cluster_.here());
       BlockFill f = issue_fill(async, p, b, bidx);
       const std::uint64_t fill_gen = f.done.get();
-      p.cache->insert(array_id(), bidx, version, fill_gen, f.buf,
-                      block_size_ * sizeof(T));
+      p.cache.insert(bidx, version, fill_gen, f.buf, block_size_ * sizeof(T));
       cached = f.buf;
     }
     sim::charge(m.cache_copy_ns_per_elem);
@@ -1215,7 +1197,8 @@ class RCUArray {
   std::size_t cache_capacity_;
   std::atomic<std::uint32_t> home_locale_;
   rt::GlobalLock write_lock_;
-  int pid_;
+  /// One privatized copy per locale, indexed by locale id.
+  std::vector<std::unique_ptr<PerLocale>> locales_;
   std::atomic<std::uint64_t> resizes_{0};
   std::atomic<std::uint64_t> broadcast_retries_{0};
   std::atomic<std::uint64_t> stalled_spines_{0};

@@ -6,7 +6,7 @@
 ///   platform/ — alignment, backoff, locks, RNG, timing
 ///   sim/      — virtual-time cluster performance model
 ///   runtime/  — the Chapel-like substrate: cluster, locales, tasking,
-///               privatization, comm, TLSList, cluster-wide lock
+///               comm, block cache, cluster-wide lock
 ///   reclaim/  — EBR (paper Algorithm 1), QSBR (Algorithm 2), hazard ptrs
 ///   core/     — RCUArray (Algorithm 3), Snapshot/Block, RcuCell
 ///   baselines/— UnsafeArray (ChapelArray), SyncArray, RwlockArray,

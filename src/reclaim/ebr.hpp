@@ -18,12 +18,6 @@
 #include "sim/task_clock.hpp"
 #include "testing/sched_point.hpp"
 
-#if defined(RCUA_STATS) && RCUA_STATS
-#define RCUA_EBR_STATS 1
-#else
-#define RCUA_EBR_STATS 0
-#endif
-
 namespace rcua::reclaim {
 
 /// Outcome of a drain (BasicEbr::wait_for_readers). Only a deadline-
@@ -43,14 +37,12 @@ struct DrainResult {
   std::uint64_t stuck_readers = 0;
 };
 
-/// One reader slot: a count of open sections per epoch parity, on its
-/// own cache line.
+/// One reader slot: a count of open sections per epoch parity and its
+/// read/retry counters, on its own cache line.
 struct alignas(plat::kCacheLine) ReaderSlot {
   std::atomic<std::uint64_t> count[2] = {};
-#if RCUA_EBR_STATS
   std::atomic<std::uint64_t> reads{0};
   std::atomic<std::uint64_t> retries{0};
-#endif
 };
 
 /// Reader-bank layouts (the A/B knob for the ablation bench).
@@ -151,16 +143,14 @@ class BasicEbr {
   BasicEbr& operator=(const BasicEbr&) = delete;
 
   /// Observability counters. `reads` and `read_retries` are kept in the
-  /// reader slots and only when the library is built with -DRCUA_STATS=ON
-  /// (by default they compile out of the hot path entirely and report 0).
-  /// `epoch_advances` is write-side and always maintained.
+  /// reader slots, next to the count each section entry writes anyway;
+  /// `epoch_advances` is write-side.
   struct Stats {
     std::uint64_t reads = 0;
     std::uint64_t read_retries = 0;
     std::uint64_t epoch_advances = 0;
   };
 
-  static constexpr bool kStatsEnabled = RCUA_EBR_STATS != 0;
   static constexpr bool kOwnedLayout = Layout::kOwned;
 
   /// Test-only fault injection: when non-null, invoked at the read-side
@@ -332,12 +322,10 @@ class BasicEbr {
 
   [[nodiscard]] Stats stats() const noexcept {
     Stats s;
-#if RCUA_EBR_STATS
     bank_.for_each([&](std::size_t, const ReaderSlot& r) {
       s.reads += r.reads.load(std::memory_order_relaxed);
       s.read_retries += r.retries.load(std::memory_order_relaxed);
     });
-#endif
     s.epoch_advances = epoch_advances_.value.load(std::memory_order_relaxed);
     return s;
   }
@@ -424,17 +412,12 @@ class BasicEbr {
   }
 
   void count_stat(ReaderSlot& slot, bool retry) noexcept {
-#if RCUA_EBR_STATS
     std::atomic<std::uint64_t>& c = retry ? slot.retries : slot.reads;
     if constexpr (Layout::kOwned) {
       c.store(c.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
     } else {
       c.fetch_add(1, std::memory_order_relaxed);
     }
-#else
-    (void)slot;
-    (void)retry;
-#endif
   }
 
   // GlobalEpoch on its own cache line, then the reader bank.

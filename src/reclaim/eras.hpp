@@ -99,12 +99,6 @@
 #include "sim/task_clock.hpp"
 #include "testing/sched_point.hpp"
 
-#if defined(RCUA_STATS) && RCUA_STATS
-#define RCUA_ERA_STATS 1
-#else
-#define RCUA_ERA_STATS 0
-#endif
-
 namespace rcua::reclaim {
 
 /// Outcome of one retire()/scan(): what was freed, what stays blocked,
@@ -145,7 +139,6 @@ class BasicEraReclaimer {
  public:
   /// Sentinel era meaning "slot holds no reservation".
   static constexpr std::uint64_t kIdleEra = UINT64_MAX;
-  static constexpr bool kStatsEnabled = RCUA_ERA_STATS != 0;
   static constexpr bool kPinLower = Shape::kPinLower;
 
   BasicEraReclaimer() : BasicEraReclaimer(0) {}
@@ -159,8 +152,7 @@ class BasicEraReclaimer {
   ~BasicEraReclaimer() { flush_unsafe(); }
 
   /// Observability counters. `reads`/`read_retries` are kept in the
-  /// reader slots and only under -DRCUA_STATS=ON (compiled out by
-  /// default); everything else is write-side and always live.
+  /// reader slots; everything else is write-side.
   /// `epoch_advances` counts era-clock advances — named for drop-in
   /// compatibility with BasicEbr::Stats (bench_stat lines).
   struct Stats {
@@ -278,12 +270,8 @@ class BasicEraReclaimer {
     }
 
     void count_stat(bool retry) noexcept {
-#if RCUA_ERA_STATS
       std::atomic<std::uint64_t>& c = retry ? slot_.retries : slot_.reads;
       c.store(c.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
-#else
-      (void)retry;
-#endif
     }
 
     BasicEraReclaimer& dom_;
@@ -505,12 +493,10 @@ class BasicEraReclaimer {
 
   [[nodiscard]] Stats stats() const noexcept {
     Stats s;
-#if RCUA_ERA_STATS
     bank_.for_each([&](std::size_t, const Slot& r) {
       s.reads += r.reads.load(std::memory_order_relaxed);
       s.read_retries += r.retries.load(std::memory_order_relaxed);
     });
-#endif
     s.epoch_advances = era_advances_.value.load(std::memory_order_relaxed);
     s.era_scans = scans_.value.load(std::memory_order_relaxed);
     s.retired = retired_.value.load(std::memory_order_relaxed);
@@ -528,10 +514,8 @@ class BasicEraReclaimer {
   struct alignas(plat::kCacheLine) Slot {
     std::atomic<std::uint64_t> lower{kIdleEra};
     std::atomic<std::uint64_t> upper{kIdleEra};
-#if RCUA_ERA_STATS
     std::atomic<std::uint64_t> reads{0};
     std::atomic<std::uint64_t> retries{0};
-#endif
   };
   struct Retired {
     void (*deleter)(void*);

@@ -16,14 +16,14 @@ std::size_t BlockCache::capacity_from_env() noexcept {
 }
 
 std::shared_ptr<const std::byte[]> BlockCache::lookup(
-    std::uint64_t array_id, std::uint64_t block_index,
-    std::uint64_t pinned_version, std::uint64_t generation) {
+    std::uint64_t block_index, std::uint64_t pinned_version,
+    std::uint64_t generation) {
   // Sched points sit OUTSIDE the lock: the deterministic scheduler may
   // park a task at a point, and parking while holding mu_ would wedge
   // every other task on this locale's cache.
   RCUA_SCHED_POINT("cache.lookup");
   std::lock_guard<std::mutex> guard(mu_);
-  auto it = map_.find(Key{array_id, block_index});
+  auto it = map_.find(block_index);
   if (it == map_.end()) {
     ++stats_.misses;
     comm_.note_cache_miss(locale_);
@@ -49,15 +49,14 @@ std::shared_ptr<const std::byte[]> BlockCache::lookup(
   return it->second.data;
 }
 
-void BlockCache::insert(std::uint64_t array_id, std::uint64_t block_index,
-                        std::uint64_t version, std::uint64_t generation,
+void BlockCache::insert(std::uint64_t block_index, std::uint64_t version,
+                        std::uint64_t generation,
                         std::shared_ptr<const std::byte[]> data,
                         std::size_t bytes) {
   RCUA_SCHED_POINT("cache.insert");
   std::lock_guard<std::mutex> guard(mu_);
   if (bytes > capacity_) return;  // can never fit; do not thrash the LRU
-  const Key key{array_id, block_index};
-  if (auto it = map_.find(key); it != map_.end()) {
+  if (auto it = map_.find(block_index); it != map_.end()) {
     // A concurrent task on this locale filled the same block first (or a
     // stale entry lingers). Replace it: this fill's tags are current.
     evict_locked(it);
@@ -65,9 +64,9 @@ void BlockCache::insert(std::uint64_t array_id, std::uint64_t block_index,
   while (used_ + bytes > capacity_ && !lru_.empty()) {
     evict_locked(map_.find(lru_.back()));
   }
-  lru_.push_front(key);
-  map_.emplace(key, Entry{version, generation, bytes, std::move(data),
-                          lru_.begin()});
+  lru_.push_front(block_index);
+  map_.emplace(block_index, Entry{version, generation, bytes, std::move(data),
+                                  lru_.begin()});
   used_ += bytes;
   stats_.inserted_bytes += bytes;
 }
@@ -78,14 +77,12 @@ void BlockCache::note_fill() {
   comm_.note_cache_fill(locale_);
 }
 
-std::size_t BlockCache::invalidate_tail(std::uint64_t array_id,
-                                        std::uint64_t first_block) {
+std::size_t BlockCache::invalidate_tail(std::uint64_t first_block) {
   RCUA_SCHED_POINT("cache.invalidate");
   std::lock_guard<std::mutex> guard(mu_);
   std::size_t dropped = 0;
   for (auto it = map_.begin(); it != map_.end();) {
-    if (it->first.array_id == array_id &&
-        it->first.block_index >= first_block) {
+    if (it->first >= first_block) {
       auto victim = it++;
       evict_locked(victim);
       ++dropped;
@@ -111,8 +108,7 @@ BlockCache::Stats BlockCache::stats() const {
   return stats_;
 }
 
-void BlockCache::evict_locked(
-    std::unordered_map<Key, Entry, KeyHash>::iterator it) {
+void BlockCache::evict_locked(Map::iterator it) {
   used_ -= it->second.bytes;
   stats_.evicted_bytes += it->second.bytes;
   ++stats_.evictions;

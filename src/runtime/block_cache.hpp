@@ -11,12 +11,13 @@ namespace rcua::rt {
 
 class CommLayer;
 
-/// Per-locale, capacity-bounded cache of REMOTE block contents (the
-/// caching lever of the ROADMAP's four scaling levers; locale-local
-/// caching of remote global-view state per Dewan & Jenkins,
-/// arXiv:2112.00068). Entries are whole-block byte copies keyed by
-/// (array id, block index) and tagged with two coherence stamps sampled
-/// at fill time under the filler's pinned snapshot:
+/// One array's capacity-bounded cache of REMOTE block contents on one
+/// locale (the caching lever of the ROADMAP's four scaling levers;
+/// locale-local caching of remote global-view state per Dewan & Jenkins,
+/// arXiv:2112.00068). Each RCUArray per-locale copy owns one, so entries
+/// are keyed by block index alone. Entries are whole-block byte copies
+/// tagged with two coherence stamps sampled at fill time under the
+/// filler's pinned snapshot:
 ///
 ///  * the snapshot VERSION pinned when the fill happened — any resize
 ///    publishes a new version, so an entry tagged older than the pinned
@@ -30,12 +31,13 @@ class CommLayer;
 /// happens, so the deterministic comm counters stay an exact function of
 /// the workload (DESIGN.md §11 has the full coherence argument).
 ///
-/// Thread safety: one instance is shared by every task on its locale; all
-/// operations take an internal lock. lookup() hands back SHARED ownership
-/// of the entry bytes, so a concurrent eviction can never free a copy out
-/// from under a reader serving from it. Capacity 0 disables the cache
-/// (enabled() == false); callers must not consult a disabled cache, which
-/// keeps the cache-off access path bit-identical to the uncached one.
+/// Thread safety: one instance is shared by every task on its locale that
+/// accesses its array; all operations take an internal lock. lookup()
+/// hands back SHARED ownership of the entry bytes, so a concurrent
+/// eviction can never free a copy out from under a reader serving from
+/// it. Capacity 0 disables the cache (enabled() == false); callers must
+/// not consult a disabled cache, which keeps the cache-off access path
+/// bit-identical to the uncached one.
 ///
 /// The cache never touches Block/Snapshot types: callers copy element
 /// data in and out (with whatever per-element atomicity their T needs)
@@ -73,13 +75,13 @@ class BlockCache {
     return capacity_;
   }
 
-  /// Returns the entry's bytes when (array_id, block_index) is present
-  /// AND its tags match the caller's pinned snapshot version and the
-  /// block's current write generation; nullptr otherwise. A tag mismatch
-  /// lazily evicts the stale entry. Counts one hit or one miss.
+  /// Returns the entry's bytes when `block_index` is present AND its
+  /// tags match the caller's pinned snapshot version and the block's
+  /// current write generation; nullptr otherwise. A tag mismatch lazily
+  /// evicts the stale entry. Counts one hit or one miss.
   [[nodiscard]] std::shared_ptr<const std::byte[]> lookup(
-      std::uint64_t array_id, std::uint64_t block_index,
-      std::uint64_t pinned_version, std::uint64_t generation);
+      std::uint64_t block_index, std::uint64_t pinned_version,
+      std::uint64_t generation);
 
   /// Inserts a freshly filled whole-block copy under the filler's pinned
   /// version and the generation sampled BEFORE the copy. Evicts LRU
@@ -87,58 +89,44 @@ class BlockCache {
   /// dropped without evicting anything. Entries only ever appear here,
   /// complete — a fill that dies mid-flight (exception unwind, cancelled
   /// async op) simply never inserts, so no partial-block entry can exist.
-  void insert(std::uint64_t array_id, std::uint64_t block_index,
-              std::uint64_t version, std::uint64_t generation,
-              std::shared_ptr<const std::byte[]> data, std::size_t bytes);
+  void insert(std::uint64_t block_index, std::uint64_t version,
+              std::uint64_t generation, std::shared_ptr<const std::byte[]> data,
+              std::size_t bytes);
 
   /// Counts one block fill (the remote fetch itself is issued and charged
   /// by the caller through AsyncComm).
   void note_fill();
 
-  /// Drops every entry of `array_id` with block_index >= first_block.
-  /// Called by resize_remove BEFORE the dropped blocks are freed: the
+  /// Drops every entry with block_index >= first_block. Called by
+  /// resize_remove and rehome BEFORE the dropped blocks are freed: the
   /// eviction interlock that extends the drain-before-release rule to
   /// cached copies (DESIGN.md §11). Returns entries dropped.
-  std::size_t invalidate_tail(std::uint64_t array_id,
-                              std::uint64_t first_block);
+  std::size_t invalidate_tail(std::uint64_t first_block);
 
   [[nodiscard]] std::size_t bytes_used() const;
   [[nodiscard]] std::size_t entries() const;
   [[nodiscard]] Stats stats() const;
 
  private:
-  struct Key {
-    std::uint64_t array_id;
-    std::uint64_t block_index;
-    bool operator==(const Key&) const = default;
-  };
-  struct KeyHash {
-    std::size_t operator()(const Key& k) const noexcept {
-      // splitmix-style combine; good enough for a per-locale map.
-      std::uint64_t x = k.array_id * 0x9E3779B97F4A7C15ull ^ k.block_index;
-      x ^= x >> 30;
-      x *= 0xBF58476D1CE4E5B9ull;
-      x ^= x >> 27;
-      return static_cast<std::size_t>(x);
-    }
-  };
   struct Entry {
     std::uint64_t version;
     std::uint64_t generation;
     std::size_t bytes;
     std::shared_ptr<const std::byte[]> data;
-    std::list<Key>::iterator lru_it;  ///< position in lru_ (front = MRU)
+    /// Position in lru_ (front = MRU).
+    std::list<std::uint64_t>::iterator lru_it;
   };
+  using Map = std::unordered_map<std::uint64_t, Entry>;
 
   /// Drops `it`'s entry, accounting it as one eviction. Lock held.
-  void evict_locked(std::unordered_map<Key, Entry, KeyHash>::iterator it);
+  void evict_locked(Map::iterator it);
 
   CommLayer& comm_;
   std::uint32_t locale_;
   std::size_t capacity_;
   mutable std::mutex mu_;
-  std::unordered_map<Key, Entry, KeyHash> map_;
-  std::list<Key> lru_;
+  Map map_;  ///< keyed by block index
+  std::list<std::uint64_t> lru_;
   std::size_t used_ = 0;
   Stats stats_;
 };

@@ -26,17 +26,12 @@ const ClusterConfig& validated(const ClusterConfig& config) {
         "ClusterConfig: workers_per_locale == 0 (each locale needs at "
         "least one worker)");
   }
-  if (config.max_pids == 0) {
-    throw std::invalid_argument(
-        "ClusterConfig: max_pids == 0 (privatization needs PID slots)");
-  }
   return config;
 }
 }  // namespace
 
 Cluster::Cluster(ClusterConfig config)
-    : comm_(validated(config).num_locales),
-      priv_(config.num_locales, config.max_pids) {
+    : comm_(validated(config).num_locales) {
   locales_.reserve(config.num_locales);
   for (std::uint32_t l = 0; l < config.num_locales; ++l) {
     locales_.push_back(std::make_unique<Locale>(l));

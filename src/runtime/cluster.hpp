@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "runtime/comm.hpp"
-#include "runtime/privatization.hpp"
 #include "runtime/task_pool.hpp"
 #include "runtime/this_task.hpp"
 
@@ -53,17 +52,17 @@ class Locale {
 struct ClusterConfig {
   std::uint32_t num_locales = 4;
   std::uint32_t workers_per_locale = 2;
-  std::uint32_t max_pids = PrivatizationRegistry::kDefaultMaxPids;
 };
 
 class FaultPlan;
 
 /// The simulated cluster: the substrate standing in for Chapel's multi-
-/// locale execution. Owns the locales, the communication layer, the
-/// privatization registry and the tasking layer, and provides the
-/// Chapel-shaped control constructs the paper's Algorithm 3 uses:
-/// `on` (run on a locale), `coforall_locales` (one task per locale, join),
-/// and `coforall_tasks` (a task team per locale, join).
+/// locale execution. Owns the locales, the communication layer and the
+/// tasking layer, and provides the Chapel-shaped control constructs the
+/// paper's Algorithm 3 uses: `on` (run on a locale), `coforall_locales`
+/// (one task per locale, join), and `coforall_tasks` (a task team per
+/// locale, join). A privatized structure keeps its per-locale copies
+/// itself (RCUArray's PerLocale), indexed by locale id.
 class Cluster {
  public:
   /// Throws std::invalid_argument on a degenerate config
@@ -80,9 +79,6 @@ class Cluster {
     return *locales_[id];
   }
   [[nodiscard]] CommLayer& comm() noexcept { return comm_; }
-  [[nodiscard]] PrivatizationRegistry& privatization() noexcept {
-    return priv_;
-  }
   [[nodiscard]] TaskPool& pool() noexcept { return *pool_; }
 
   /// The locale the calling task runs on — locale 0 for threads outside
@@ -125,7 +121,6 @@ class Cluster {
  private:
   std::vector<std::unique_ptr<Locale>> locales_;
   CommLayer comm_;
-  PrivatizationRegistry priv_;
   std::unique_ptr<TaskPool> pool_;
   std::atomic<FaultPlan*> fault_plan_{nullptr};
 };

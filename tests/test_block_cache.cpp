@@ -12,6 +12,10 @@
 //     inserted bytes (ledger invariant), and entries never exceed what
 //     fits,
 //   * agreement with the cache off under a concurrently growing array,
+//   * two arrays caching the same block indices on one cluster keep
+//     their own copies, and a structural op of one leaves the other's
+//     entries alone (each array owns its caches, so the key is the block
+//     index alone),
 //   * hot-set reads with the cache on are >= 5x faster in virtual time
 //     than the uncached remote path (the tentpole acceptance number).
 
@@ -287,6 +291,61 @@ TEST(BlockCache, AgreesWithCacheOffUnderConcurrentResizeAdd) {
     EXPECT_EQ(cs.inserted_bytes,
               cs.evicted_bytes + arr.cache_bytes_used_at(l));
   }
+  rcua::reclaim::Qsbr::global().flush_unsafe();
+}
+
+TEST(BlockCache, ArraysSharingBlockIndicesKeepTheirOwnCopies) {
+  rt::Cluster cluster({.num_locales = 2, .workers_per_locale = 1});
+  constexpr std::size_t kElems = 8 * kBlock;
+  using Arr = RCUArray<std::uint64_t, QsbrPolicy>;
+  const Arr::Options opts{.block_size = kBlock,
+                          .cache_capacity_bytes = 1u << 20};
+  Arr a(cluster, kElems, opts);
+  Arr b(cluster, kElems, opts);
+  fill_pattern(a, kElems);
+  std::vector<std::uint64_t> inverted(kElems);
+  for (std::size_t i = 0; i < kElems; ++i) inverted[i] = ~pattern(i);
+  b.bulk_write(0, std::span<const std::uint64_t>(inverted));
+
+  // Every element of the first `elems` from both locales, twice: the
+  // first pass fills each locale's remote blocks, the second hits them.
+  const auto expect_own_values = [&](const char* when, std::size_t elems) {
+    for (std::uint32_t l = 0; l < 2; ++l) {
+      cluster.on(l, [&] {
+        for (int pass = 0; pass < 2; ++pass) {
+          for (std::size_t i = 0; i < elems; ++i) {
+            ASSERT_EQ(a.read(i), pattern(i)) << when << " locale " << l;
+            ASSERT_EQ(b.read(i), ~pattern(i)) << when << " locale " << l;
+          }
+        }
+      });
+    }
+  };
+  expect_own_values("initial", kElems);
+  // Round-robin placement: locale 0 caches blocks 1, 3, 5 and 7 of each
+  // array, locale 1 blocks 0, 2, 4 and 6.
+  for (std::uint32_t l = 0; l < 2; ++l) {
+    EXPECT_EQ(a.cache_entries_at(l), 4u);
+    EXPECT_EQ(b.cache_entries_at(l), 4u);
+    EXPECT_GT(a.cache_stats_at(l).hits, 0u);
+    EXPECT_GT(b.cache_stats_at(l).hits, 0u);
+  }
+
+  // Keeping 5 blocks drops a's copies of blocks 5, 6 and 7 only.
+  a.resize_remove(3 * kBlock);
+  EXPECT_EQ(a.cache_entries_at(0), 2u);
+  EXPECT_EQ(a.cache_entries_at(1), 3u);
+  EXPECT_EQ(b.cache_entries_at(0), 4u);
+  EXPECT_EQ(b.cache_entries_at(1), 4u);
+  expect_own_values("after resize_remove", 5 * kBlock);
+
+  // rehome replaces b's whole table, so every copy of b goes, none of a.
+  ASSERT_TRUE(b.rehome(1));
+  EXPECT_EQ(b.cache_entries_at(0), 0u);
+  EXPECT_EQ(b.cache_entries_at(1), 0u);
+  EXPECT_EQ(a.cache_entries_at(0), 2u);
+  EXPECT_EQ(a.cache_entries_at(1), 3u);
+  expect_own_values("after rehome", 5 * kBlock);
   rcua::reclaim::Qsbr::global().flush_unsafe();
 }
 

@@ -51,6 +51,18 @@ TEST(DistVector, AtThrowsPastSize) {
   drain_qsbr();
 }
 
+TEST(DistVector, IndexNeverReservedThrows) {
+  rt::Cluster cluster({.num_locales = 1, .workers_per_locale = 2});
+  DistVector<std::uint64_t> vec(cluster, {.block_size = 8});
+  vec.push_back(1);
+  EXPECT_EQ(vec[0], 1u);
+  // No push_back reserved these indices, so no growth will ever cover
+  // index 1000: it must throw rather than wait.
+  EXPECT_THROW((void)vec[1], std::out_of_range);
+  EXPECT_THROW((void)vec[1000], std::out_of_range);
+  drain_qsbr();
+}
+
 TEST(DistVector, ConcurrentPushersReserveDistinctSlots) {
   rt::Cluster cluster({.num_locales = 2, .workers_per_locale = 4});
   DistVector<std::uint64_t> vec(cluster, {.block_size = 32});
@@ -106,6 +118,26 @@ TEST(DistIdTable, GrowsBeyondInitialBlocks) {
   }
   EXPECT_EQ(table.high_water(), 200u);
   EXPECT_GE(table.capacity(), 200u);
+  drain_qsbr();
+}
+
+// An id never allocated has no growth coming to cover it: get() and
+// read() throw instead of waiting for capacity past it.
+TEST(DistIdTable, GetNeverAllocatedThrows) {
+  rt::Cluster cluster({.num_locales = 1, .workers_per_locale = 2});
+  DistIdTable<std::uint64_t> table(cluster, {.block_size = 64});
+  EXPECT_EQ(table.get(table.allocate(7)), 7u);
+  EXPECT_THROW((void)table.get(1), std::out_of_range);
+  EXPECT_THROW((void)table.get(1000), std::out_of_range);
+  drain_qsbr();
+}
+
+TEST(DistIdTable, ReadNeverAllocatedThrows) {
+  rt::Cluster cluster({.num_locales = 1, .workers_per_locale = 2});
+  DistIdTable<std::uint64_t> table(cluster, {.block_size = 64});
+  EXPECT_EQ(table.read(table.allocate(7)), 7u);
+  EXPECT_THROW((void)table.read(1), std::out_of_range);
+  EXPECT_THROW((void)table.read(1000), std::out_of_range);
   drain_qsbr();
 }
 

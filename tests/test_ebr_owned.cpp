@@ -308,13 +308,7 @@ TEST(OwnedEbr, StatsAggregateAcrossSlots) {
     });
   }
   for (auto& t : readers) t.join();
-  if constexpr (reclaim::Ebr::kStatsEnabled) {
-    EXPECT_EQ(ebr.stats().reads, 20u);
-  } else {
-    // Default build: the per-read counters compile out of the hot path.
-    EXPECT_EQ(ebr.stats().reads, 0u);
-  }
-  // Write-side counters stay on in every build.
+  EXPECT_EQ(ebr.stats().reads, 20u);
   ebr.synchronize();
   EXPECT_EQ(ebr.stats().epoch_advances, 1u);
 }

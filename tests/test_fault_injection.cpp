@@ -58,9 +58,7 @@ TEST(FaultInjection, EpochAdvanceBeforeIncrementForcesRetry) {
   // The phase-0 hook fires once per announce attempt: exactly one
   // injected advance forces exactly one retry, so two attempts ran.
   EXPECT_EQ(fire_count.load(), 2);
-  if constexpr (reclaim::Ebr::kStatsEnabled) {
-    EXPECT_EQ(ebr.stats().read_retries, 1u);
-  }
+  EXPECT_EQ(ebr.stats().read_retries, 1u);
   // The aborted record was undone: both counters drained.
   EXPECT_EQ(ebr.readers_at(0), 0u);
   EXPECT_EQ(ebr.readers_at(1), 0u);
@@ -75,9 +73,7 @@ TEST(FaultInjection, EpochAdvanceAfterIncrementForcesRetry) {
   const int result = ebr.read([] { return 7; });
   EXPECT_EQ(result, 7);
   EXPECT_GE(fire_count.load(), 2);  // at least one retried attempt
-  if constexpr (reclaim::Ebr::kStatsEnabled) {
-    EXPECT_GE(ebr.stats().read_retries, 1u);
-  }
+  EXPECT_GE(ebr.stats().read_retries, 1u);
   EXPECT_EQ(ebr.readers_at(0), 0u);
   EXPECT_EQ(ebr.readers_at(1), 0u);
 }
@@ -91,9 +87,7 @@ TEST(FaultInjection, ReaderSurvivesManyConsecutiveRetries) {
   const int result = ebr.read([] { return 1; });
   EXPECT_EQ(result, 1);
   EXPECT_GE(fire_count.load(), 26);  // 25 injected advances -> 25 retries
-  if constexpr (reclaim::Ebr::kStatsEnabled) {
-    EXPECT_GE(ebr.stats().read_retries, 25u);
-  }
+  EXPECT_GE(ebr.stats().read_retries, 25u);
   EXPECT_EQ(ebr.readers_at(0), 0u);
   EXPECT_EQ(ebr.readers_at(1), 0u);
 }
@@ -137,9 +131,7 @@ TEST(FaultInjection, OverflowPlusInjectedRacesStayBalanced) {
   // Every third phase-0 fire injected an advance and forced a retried
   // attempt, so the hook fired more often than the 100 requested reads.
   EXPECT_GT(local_fires.load(), 100);
-  if constexpr (reclaim::BasicEbr<std::uint8_t>::kStatsEnabled) {
-    EXPECT_GT(ebr.stats().read_retries, 0u);
-  }
+  EXPECT_GT(ebr.stats().read_retries, 0u);
 }
 
 // -- QSBR checkpoint/park hooks (the EBR-style windows, Algorithm 2) ----

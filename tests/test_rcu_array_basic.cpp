@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <set>
 #include <vector>
 
@@ -210,13 +211,27 @@ TEST(RcuArrayEbr, ReadsGoThroughEpochProtocol) {
   rt::Cluster cluster({.num_locales = 1, .workers_per_locale = 2});
   RCUArray<std::uint64_t, EbrPolicy> arr(cluster, 64, {.block_size = 64});
   for (int i = 0; i < 10; ++i) arr.read(0);
-  if constexpr (rcua::reclaim::Ebr::kStatsEnabled) {
-    EXPECT_GE(arr.ebr_stats_at(0).reads, 10u);
-  } else {
-    // Stats compiled out (default): the per-read counters are zero, but
-    // the stats shape stays available so callers need no ifdefs.
-    EXPECT_EQ(arr.ebr_stats_at(0).reads, 0u);
+  EXPECT_GE(arr.ebr_stats_at(0).reads, 10u);
+}
+
+TEST(RcuArrayQsbr, MoreThan4096ArraysLiveOnOneCluster) {
+  // Each array keeps its own per-locale copies, so nothing caps how many
+  // arrays one cluster holds.
+  constexpr std::size_t kArrays = 4097;
+  rt::Cluster cluster({.num_locales = 2, .workers_per_locale = 1});
+  std::vector<std::unique_ptr<RCUArray<std::uint64_t>>> arrays;
+  arrays.reserve(kArrays);
+  for (std::size_t a = 0; a < kArrays; ++a) {
+    arrays.push_back(std::make_unique<RCUArray<std::uint64_t>>(
+        cluster, 0, RCUArray<std::uint64_t>::Options{.block_size = 8}));
   }
+  for (std::size_t a : {std::size_t{0}, kArrays - 1}) {
+    arrays[a]->resize_add(16);
+    arrays[a]->write(9, a);
+    EXPECT_EQ(arrays[a]->read(9), a);
+  }
+  arrays.clear();
+  rcua::reclaim::Qsbr::global().flush_unsafe();
 }
 
 TEST(RcuArrayQsbr, ResizeDefersOldSpines) {

@@ -49,12 +49,6 @@ TEST(Cluster, RejectsZeroWorkersPerLocale) {
                std::invalid_argument);
 }
 
-TEST(Cluster, RejectsZeroMaxPids) {
-  rt::ClusterConfig config;
-  config.max_pids = 0;
-  EXPECT_THROW(rt::Cluster{config}, std::invalid_argument);
-}
-
 TEST(Cluster, ValidationErrorNamesTheField) {
   try {
     rt::Cluster cluster({.num_locales = 0, .workers_per_locale = 1});
