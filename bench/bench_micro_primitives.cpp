@@ -93,15 +93,6 @@ void BM_Spinlock(benchmark::State& state) {
 }
 BENCHMARK(BM_Spinlock);
 
-void BM_TicketLock(benchmark::State& state) {
-  rcua::plat::TicketLock lock;
-  for (auto _ : state) {
-    lock.lock();
-    lock.unlock();
-  }
-}
-BENCHMARK(BM_TicketLock);
-
 void BM_Xoshiro(benchmark::State& state) {
   rcua::plat::Xoshiro256 rng(42);
   for (auto _ : state) benchmark::DoNotOptimize(rng.next_below(1 << 20));

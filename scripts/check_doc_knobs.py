@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Fail when the docs name an RCUA_* identifier that no code uses.
+"""Check the RCUA_* inventory between the docs and the code, both ways.
 
 Every `RCUA_*` identifier named in README.md, TESTING.md or DESIGN.md (an
 environment knob, a CMake option, a macro) must be referenced by the code
@@ -7,6 +7,12 @@ of at least one tracked file outside tests/: src/, bench/, examples/,
 perfbench/, scripts/, .github/ or a CMake file. A name that only tests
 still mention is a knob the library no longer reads, and documenting it
 misleads.
+
+The other way round, every environment knob the library reads must be
+documented: each `"RCUA_..."` string literal in the code under src/ (the
+name passed to env_u64, getenv and friends, wherever the call breaks its
+line) must appear by name in at least one of the three docs. The script
+prints how many knobs src/ reads.
 
 Only code counts as a use: Markdown files are skipped, C++ files are read
 with their `//` and `/* */` comments removed, and CMake, Python, shell and
@@ -27,6 +33,8 @@ import sys
 DOCS = ("README.md", "TESTING.md", "DESIGN.md")
 CODE_DIRS = ("src/", "bench/", "examples/", "perfbench/", "scripts/", ".github/")
 NAME = re.compile(r"RCUA_[A-Z0-9_]*[A-Z0-9](?:_\*)?")
+# A whole string literal that is one RCUA_* name: an environment knob.
+KNOB_LITERAL = re.compile(r'"(RCUA_[A-Z0-9_]*[A-Z0-9])"')
 CPP_SUFFIXES = (".cpp", ".hpp", ".h", ".cc")
 HASH_COMMENT_SUFFIXES = (".cmake", ".py", ".sh", ".yml", ".yaml")
 
@@ -111,18 +119,24 @@ def main():
         ).stdout.strip()
     )
     used = set()
+    knobs = set()
     for path in tracked_code_files(root):
         try:
-            used.update(NAME.findall(code_text(path)))
+            text = code_text(path)
         except (IsADirectoryError, FileNotFoundError):
             continue
+        used.update(NAME.findall(text))
+        if path.relative_to(root).parts[0] == "src":
+            knobs.update(KNOB_LITERAL.findall(text))
 
     dead = []
+    documented = set()
     for doc in DOCS:
         for lineno, line in enumerate(
             (root / doc).read_text().splitlines(), start=1
         ):
             for name in NAME.findall(line):
+                documented.add(name)
                 if name.endswith("_*"):
                     prefix = name[:-1]
                     ok = any(u.startswith(prefix) for u in used)
@@ -130,13 +144,21 @@ def main():
                     ok = name in used
                 if not ok:
                     dead.append(f"{doc}:{lineno}: {name}")
+    undocumented = sorted(knobs - documented)
 
     if dead:
         print("documented RCUA_* names that no code outside tests/ uses:")
         for d in dead:
             print("  " + d)
+    if undocumented:
+        print("RCUA_* knobs src/ reads that no doc of " + ", ".join(DOCS) +
+              " names:")
+        for k in undocumented:
+            print("  " + k)
+    if dead or undocumented:
         return 1
-    print("check_doc_knobs: every documented RCUA_* name is referenced")
+    print(f"check_doc_knobs: src/ reads {len(knobs)} RCUA_* knobs, all "
+          "documented; every documented RCUA_* name is referenced")
     return 0
 
 

@@ -6,7 +6,6 @@
 #include <mutex>
 
 #include "core/rcu_array.hpp"
-#include "platform/backoff.hpp"
 
 namespace rcua::cont {
 
@@ -43,14 +42,18 @@ class DistBitset {
     return (old & mask) != 0;
   }
 
-  /// Clears bit `i` (must have been set, so its word exists); returns the
-  /// previous value. Waits out the replication gap if this locale's
-  /// replica lags the growth that created the word.
+  /// Clears bit `i`; returns the previous value. When this locale's
+  /// replica lacks the bit's word, clear takes the growth lock: once it
+  /// holds it no growth is in flight, so every replica has published,
+  /// and a word still missing was never set.
   bool clear(std::size_t i) {
-    plat::wait_until("dist_bitset.replicated",
-                     [&] { return words_.capacity() > i / 64; });
+    const std::size_t word = i / 64;
+    if (words_.capacity() <= word) {
+      std::lock_guard<std::mutex> guard(grow_mu_);
+      if (words_.capacity() <= word) return false;
+    }
     const std::uint64_t mask = 1ULL << (i % 64);
-    const std::uint64_t old = words_.index(i / 64).fetch_and(
+    const std::uint64_t old = words_.index(word).fetch_and(
         ~mask, std::memory_order_acq_rel);
     return (old & mask) != 0;
   }

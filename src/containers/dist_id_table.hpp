@@ -72,7 +72,9 @@ class DistIdTable {
   /// use an id it has released. NOT safe concurrent with a live migration of
   /// the sharded backend — the reference escapes the read-side section,
   /// which rehome's reclamation does not cover (use read() for lookups
-  /// that may race a migration).
+  /// that may race a migration). A store through the reference leaves
+  /// block-cache copies stale: with the cache on, read() on another
+  /// locale may keep the old value (RCUArray::index).
   V& get(std::size_t id) {
     wait_replicated(id);
     return arr_.index(id);

@@ -121,7 +121,9 @@ class DistVector {
   /// racing grower published index `i` (via size()) before this locale's
   /// snapshot replica caught up, waits out the bounded replication gap.
   /// Throws std::out_of_range for an index no push_back has reserved,
-  /// which no growth would ever cover.
+  /// which no growth would ever cover. A store through the reference
+  /// leaves block-cache copies stale: with the cache on, read() on
+  /// another locale may keep the old value (RCUArray::index).
   T& operator[](std::size_t i) {
     if (i >= reserved_->load(std::memory_order_relaxed)) {
       throw std::out_of_range("DistVector::operator[] beyond reservations");

@@ -109,7 +109,8 @@ class DsiArray {
   /// fn(global_index, T&) for every logical element; one task per locale,
   /// each visiting only locally-owned blocks (Chapel's forall over a
   /// distributed domain). The iteration space is the logical size at
-  /// entry.
+  /// entry. `fn` may write the element: with the cache on, each visited
+  /// block's generation is bumped afterwards (DESIGN.md §11).
   template <typename F>
   void forall(F&& fn) {
     const std::size_t n = size();
@@ -121,6 +122,7 @@ class DsiArray {
       for (std::size_t i = 0; i < limit; ++i) {
         fn(base + i, blk[i]);
       }
+      if (arr_.cache_enabled()) blk.bump_generation();
     });
   }
 

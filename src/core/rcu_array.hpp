@@ -1,30 +1,28 @@
 #pragma once
 
-#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "core/bulk.hpp"
 #include "core/snapshot.hpp"
 #include "obs/trace.hpp"
 #include "platform/align.hpp"
 #include "platform/atomics.hpp"
 #include "platform/backoff.hpp"
 #include "reclaim/policy.hpp"
-#include "runtime/aggregator.hpp"
 #include "runtime/block_cache.hpp"
 #include "runtime/cluster.hpp"
 #include "runtime/fault_plan.hpp"
 #include "runtime/global_lock.hpp"
+#include "runtime/read_through.hpp"
 #include "runtime/this_task.hpp"
 #include "sim/cost_model.hpp"
 #include "sim/task_clock.hpp"
@@ -72,12 +70,11 @@ class RCUArray {
     std::size_t block_size = 1024;
     /// QSBR domain; defaults to the process-wide one. Ignored under EBR.
     reclaim::Qsbr* qsbr = nullptr;
-    /// Deadline for the EBR spine drain in resize. The default is
-    /// env-configured and blocking (deadline 0) — the paper's behaviour —
-    /// unless RCUA_STALL_DEADLINE_NS is set. With a deadline, a resize
+    /// Deadline for the EBR spine drain in resize. The default blocks
+    /// (deadline 0), the paper's behaviour. With a deadline, a resize
     /// whose readers stall defers the old spine onto a per-locale
     /// overflow retire list instead of blocking.
-    reclaim::StallPolicy stall_policy = reclaim::StallPolicy::from_env();
+    reclaim::StallPolicy stall_policy = {};
     /// Watchdog receiving stall diagnostics and bounding overflow bytes
     /// (nullptr = the process-wide StallMonitor::global()).
     reclaim::StallMonitor* stall_monitor = nullptr;
@@ -160,7 +157,10 @@ class RCUArray {
   /// Returns a reference to element `i`, valid across concurrent resizes.
   /// Both reads and updates go through this reference, which escapes the
   /// read-side section deliberately (§III-C): it points into a recycled
-  /// block, not the reclaimed spine.
+  /// block, not the reclaimed spine. A store through it bumps no write
+  /// generation, so with the block cache on, read() of the element on
+  /// another locale may keep returning a copy cached before the store
+  /// (DESIGN.md §11); write() keeps cached copies coherent.
   T& index(std::size_t i) {
     return with_slot<Access::kIndex>(
         i, [](T& slot, Block<T>*) -> T& { return slot; });
@@ -177,10 +177,10 @@ class RCUArray {
   /// single-writer-per-index discipline those imply.
   ///
   /// With the block cache enabled (Options::cache_capacity_bytes > 0),
-  /// read() consults the calling locale's rt::BlockCache inside the
-  /// read-side section: a hit is charged a node-local copy instead of
-  /// remote traffic, a miss fills the whole block through AsyncComm and
-  /// caches it under the pinned snapshot version.
+  /// read() of a remote block goes through the calling locale's cache
+  /// (rt::ReadThrough) inside the read-side section: a hit is charged a
+  /// node-local copy instead of remote traffic, a miss fills the whole
+  /// block through AsyncComm and caches it under the pinned version.
   T read(std::size_t i) {
     // The load happens INSIDE the read-side section (unlike index(),
     // whose returned reference deliberately escapes it): value ops must
@@ -428,18 +428,7 @@ class RCUArray {
       const std::size_t n = block_size_;
       copies.push_back(async.execute(dst, /*weight=*/n, [src, rep, n]() {
         RCUA_SCHED_POINT("rcua.rehome.copy_block");
-        const T* s = src->data();
-        T* d = rep->data();
-        if constexpr (plat::relaxed_capable_v<T>) {
-          for (std::size_t k = 0; k < n; ++k) {
-            plat::relaxed_store(d[k], plat::relaxed_load(s[k]));
-          }
-        } else if constexpr (std::is_trivially_copyable_v<T>) {
-          std::memcpy(static_cast<void*>(d), static_cast<const void*>(s),
-                      n * sizeof(T));
-        } else {
-          std::copy(s, s + n, d);
-        }
+        plat::relaxed_copy(rep->data(), src->data(), n);
         sim::charge(sim::CostModel::get().bulk_copy_ns_per_elem *
                     static_cast<double>(n));
       }));
@@ -574,26 +563,8 @@ class RCUArray {
 
   // -- Bulk / parallel operations ----------------------------------------
 
-  /// Tuning for the destination-aggregated bulk operations below.
-  struct BulkOptions {
-    /// Element-ops buffered per destination locale before the aggregator
-    /// auto-flushes (rt::Aggregator::Options::capacity). 1 degenerates to
-    /// one remote execution per *span* (still never per element).
-    std::size_t buffer_capacity = 1024;
-    /// for_each_block only: the callback writes elements, so spans are
-    /// charged as writes in the locality model. bulk_read/bulk_write set
-    /// their direction themselves and ignore this.
-    bool mutate = false;
-    /// Pipeline the aggregator's flushes through the async comm layer
-    /// (rt::AsyncComm): remote executions overlap instead of
-    /// serializing, and their completions are drained inside the same
-    /// read-side section (DESIGN.md §10). false = PR 4's synchronous
-    /// flush model. Results and comm counters are identical either way.
-    bool async = true;
-    /// Per-destination in-flight window for async mode; 0 defers to the
-    /// RCUA_COMM_WINDOW environment variable (default 32).
-    std::size_t window = 0;
-  };
+  /// Tuning for the bulk operations below (core/bulk.hpp).
+  using BulkOptions = rcua::BulkOptions;
 
   /// Copies elements [first, first+count) into `out[0..count)` with ONE
   /// snapshot resolution and one read-side critical section for the whole
@@ -605,17 +576,13 @@ class RCUArray {
   /// when the range exceeds the snapshot's capacity.
   void bulk_read(std::size_t first, std::size_t count, T* out,
                  BulkOptions opts = {}) {
-    bulk_visit(first, count, /*is_write=*/false, opts,
-               [out, first](std::size_t base, T* data, std::size_t len) {
-                 T* dst = out + (base - first);
-                 if constexpr (plat::relaxed_capable_v<T>) {
-                   for (std::size_t k = 0; k < len; ++k) {
-                     dst[k] = plat::relaxed_load(data[k]);
-                   }
-                 } else {
-                   std::copy(data, data + len, dst);
-                 }
-               });
+    opts.mutate = false;
+    for_each_block(
+        first, count,
+        [out, first](std::size_t base, T* data, std::size_t len) {
+          plat::relaxed_copy(out + (base - first), data, len);
+        },
+        opts);
   }
 
   /// Convenience overload returning the elements in a fresh vector.
@@ -635,39 +602,35 @@ class RCUArray {
   /// otherwise.
   void bulk_write(std::size_t first, std::span<const T> values,
                   BulkOptions opts = {}) {
-    bulk_visit(first, values.size(), /*is_write=*/true, opts,
-               [values, first](std::size_t base, T* data, std::size_t len) {
-                 const T* src = values.data() + (base - first);
-                 if constexpr (plat::relaxed_capable_v<T>) {
-                   for (std::size_t k = 0; k < len; ++k) {
-                     plat::relaxed_store(data[k], src[k]);
-                   }
-                 } else {
-                   std::copy(src, src + len, data);
-                 }
-               });
+    opts.mutate = true;
+    for_each_block(
+        first, values.size(),
+        [values, first](std::size_t base, T* data, std::size_t len) {
+          plat::relaxed_copy(data, values.data() + (base - first), len);
+        },
+        opts);
   }
 
-  /// Runs `fn(base_index, T* data, len)` over the maximal contiguous
-  /// per-block spans covering [first, first+count), resolved against one
-  /// pinned snapshot and drained destination-aggregated: spans of blocks
-  /// owned by the calling locale run inline; remote spans are shipped in
-  /// destination buffers, one remote execution per flush. `fn` runs for
-  /// every span exactly once, but span order is the aggregator's drain
-  /// order, not index order. `fn` MUST NOT touch this array (the
-  /// read-side section is open) and must not retain `data` past its own
-  /// invocation.
+  /// Runs `fn(base_index, T* data, len)` once over each maximal per-block
+  /// span of [first, first+count), against one pinned snapshot, in the
+  /// aggregator's drain order: the bulk engine, rcua::bulk_visit, on the
+  /// calling locale's copy. `fn` MUST NOT touch this array (the read-side
+  /// section is open) and must not retain `data` past its own invocation.
   template <typename F>
   void for_each_block(std::size_t first, std::size_t count, F&& fn,
                       BulkOptions opts = {}) {
-    bulk_visit(first, count, /*is_write=*/opts.mutate, opts,
-               std::forward<F>(fn));
+    PerLocale& p = priv();
+    bulk_visit(cluster_, p.reclaimer, p.global_snapshot, p.cache, first,
+               count, opts, std::forward<F>(fn));
   }
 
   /// Runs `fn(global_block_index, Block<T>&)` for every block, each on a
   /// task on the block's OWNING locale — the locality-aware loop the
   /// paper's DSI future work calls for. Not concurrent-resize-safe (the
-  /// iteration space is fixed at entry).
+  /// iteration space is fixed at entry). An `fn` that writes the block
+  /// must bump its generation after the stores when the cache is on
+  /// (`blk.bump_generation()`), or a remote locale's cached copy outlives
+  /// the write (DESIGN.md §11).
   template <typename F>
   void for_each_block_local(F&& fn) {
     cluster_.coforall_locales([&](std::uint32_t l) {
@@ -687,6 +650,7 @@ class RCUArray {
     const auto& m = sim::CostModel::get();
     for_each_block_local([&](std::size_t, Block<T>& blk) {
       for (std::size_t i = 0; i < blk.capacity(); ++i) blk[i] = value;
+      if (cache_enabled()) blk.bump_generation();
       sim::charge(m.bulk_copy_ns_per_elem *
                   static_cast<double>(blk.capacity()));
     });
@@ -918,151 +882,6 @@ class RCUArray {
     return *locales_[locale];  // chpl_getPrivatizedCopy
   }
 
-  /// Shared engine of bulk_read/bulk_write/for_each_block. Resolves the
-  /// calling locale's snapshot ONCE, partitions [first, first+count)
-  /// into per-block spans, and pushes one span-op per block region into
-  /// a destination aggregator keyed by the owning locale. The whole
-  /// partition-and-drain runs under a single read section, and the
-  /// aggregator is drained BEFORE that section closes — the span-ops
-  /// capture raw block pointers, and the pinned snapshot is exactly what
-  /// keeps a
-  /// concurrent resize_remove's grace period from freeing the blocks
-  /// under them (DESIGN.md §9). The `bulk_flush_after_release` mutation
-  /// moves the drain past the section close; the sched harness proves
-  /// that variant loses (tests/test_sched_bulk.cpp).
-  ///
-  /// `span_fn(base_index, T* data, len)` must not re-enter this array.
-  template <typename SpanFn>
-  void bulk_visit(std::size_t first, std::size_t count, bool is_write,
-                  const BulkOptions& opts, SpanFn&& span_fn) {
-    if (count == 0) return;
-    const auto& m = sim::CostModel::get();
-    const std::uint32_t here = cluster_.here();
-    PerLocale& p = priv_at(here);
-    rt::Aggregator agg(cluster_,
-                       rt::Aggregator::Options{.capacity = opts.buffer_capacity,
-                                               .async = opts.async,
-                                               .window = opts.window});
-
-    {
-      reclaim::ReadSection<Policy> section(p.reclaimer);
-      Snapshot<T>* s = section.pin(p.global_snapshot);
-      sim::charge(m.atomic_load_ns);
-      RCUA_SCHED_POINT("rcua.bulk.pinned");
-      const std::size_t end = first + count;
-      if (end < first || end > s->capacity()) {
-        throw std::out_of_range(
-            "RCUArray::bulk: range [" + std::to_string(first) + ", " +
-            std::to_string(first) + "+" + std::to_string(count) +
-            ") exceeds capacity " + std::to_string(s->capacity()));
-      }
-      // The pinned snapshot version, hoisted ONCE — the cache tags below
-      // and the sched/charge paths all read this same value instead of
-      // re-deriving it per span.
-      const std::uint64_t pinned_version = s->version();
-      const bool use_cache = cache_enabled() && !is_write;
-      const bool bump_gens = cache_enabled() && is_write;
-      // Cache-miss fills in flight. Each block appears in at most one
-      // span (spans are maximal per-block runs), so no per-block dedup
-      // is needed; fills PIPELINE under the async window alongside each
-      // other and are served after the drain below, still in-section.
-      std::vector<BlockFill> fills;
-      std::optional<rt::AsyncComm> fill_async;
-      const double copy_ns = m.bulk_copy_ns_per_elem;
-      std::size_t i = first;
-      while (i < end) {
-        const std::size_t bidx = i / block_size_;
-        const std::size_t off = i % block_size_;
-        const std::size_t len = std::min(block_size_ - off, end - i);
-        Block<T>* b = s->block(bidx);
-        // Everything the deferred op needs, captured by VALUE: the op
-        // must not chase the spine (which this call's pin does not
-        // outlive) when it finally runs.
-        T* data = b->data() + off;
-        const std::uint64_t bid = b->id();
-        const std::uint32_t owner = b->owner();
-        const std::size_t base = i;
-        if (use_cache && owner != here) {
-          sim::charge(m.cache_lookup_ns);
-          const std::uint64_t gen = b->generation();
-          if (auto cached = p.cache.lookup(bidx, pinned_version, gen)) {
-            // Hit: serve the span inline from the node-local copy. The
-            // const_cast is sound because is_write is false — span_fn
-            // only reads through the pointer (bulk_read/for_each_block
-            // contract).
-            sim::charge(m.cache_copy_ns_per_elem *
-                        static_cast<double>(len));
-            span_fn(base,
-                    const_cast<T*>(reinterpret_cast<const T*>(
-                        cached.get())) + off,
-                    len);
-          } else {
-            if (!fill_async) {
-              fill_async.emplace(cluster_.comm(), here,
-                                 rt::AsyncComm::Options{.window = opts.window});
-            }
-            BlockFill f = issue_fill(*fill_async, p, *b, bidx);
-            f.base = base;
-            f.off = off;
-            f.len = len;
-            fills.push_back(std::move(f));
-          }
-          i += len;
-          continue;
-        }
-        agg.push(owner, len, [=, &span_fn]() {
-          sim::touch_block(bid, owner != here, is_write);
-          sim::charge(copy_ns * static_cast<double>(len));
-          span_fn(base, data, len);
-          // Write-through coherence: the stores above landed; bumping
-          // the generation now invalidates every locale's cached copy
-          // of this block on its next lookup (DESIGN.md §11).
-          if (bump_gens) b->bump_generation();
-        });
-        i += len;
-      }
-      if (!RCUA_SCHED_MUT(bulk_flush_after_release)) {
-        // Flush AND drain while the snapshot is still pinned — the
-        // correct protocol. In async mode the flush only *issues* the
-        // remote executions; drain() is what runs their completions
-        // against the pinned blocks, so it must also land inside the
-        // section (the §10 completion-drain rule). Capacity-triggered
-        // auto-flushes already happened inside the section too.
-        agg.flush_all();
-        if (!RCUA_SCHED_MUT(async_drain_after_release)) {
-          agg.drain();
-        }
-      }
-      // Cache fills always complete INSIDE the section, unconditionally:
-      // the aggregator mutations above model aggregator bugs, and each
-      // fill's completion copies out of a pinned block. insert() only
-      // ever sees the completed copy — a fill that unwinds (exception,
-      // cancelled session) never inserts, so no partial-block entry can
-      // exist.
-      for (BlockFill& f : fills) {
-        const std::uint64_t fill_gen = f.done.get();
-        p.cache.insert(f.bidx, pinned_version, fill_gen, f.buf,
-                       block_size_ * sizeof(T));
-        sim::charge(m.cache_copy_ns_per_elem * static_cast<double>(f.len));
-        span_fn(f.base, reinterpret_cast<T*>(f.buf.get()) + f.off, f.len);
-      }
-    }
-    RCUA_SCHED_POINT("rcua.bulk.released");
-    if (RCUA_SCHED_MUT(bulk_flush_after_release)) {
-      // MUTATION (sched harness only): the buffered ops run after the
-      // read-side section closed — a concurrent resize_remove may have
-      // freed the blocks they point into.
-      agg.flush_all();
-      agg.drain();
-    } else if (RCUA_SCHED_MUT(async_drain_after_release)) {
-      // MUTATION (sched harness only): the flushes were ISSUED inside
-      // the section, but their completions are delivered only now — the
-      // async reopening of exactly the same use-after-reclaim window
-      // (DESIGN.md §10; tests/test_sched_async.cpp).
-      agg.drain();
-    }
-  }
-
   /// Algorithm 3's Index with `fn(slot, block)` as the λ, run against
   /// element `i` INSIDE the read section: the one element path.
   /// read()/write() complete their access in `fn`, so value ops stay
@@ -1096,91 +915,19 @@ class RCUArray {
     Block<T>* b = s->block(bidx);
     if constexpr (kAccess == Access::kRead) {
       if (b->owner() != here && cache_enabled()) {
-        const auto copy = cached_block(p, *b, bidx, s->version());
+        // The fill, on a miss, completes HERE, inside the section: its
+        // copy source is the pinned snapshot's block.
+        rt::ReadThrough<Block<T>> cache(cluster_, p.cache, s->version());
+        auto copy = cache.lookup(bidx, *b, 1);
+        if (copy == nullptr) copy = cache.complete(cache.fill(bidx, *b), 1);
         // fn only reads through the slot, so the const_cast is sound.
-        return fn(const_cast<T&>(reinterpret_cast<const T*>(copy.get())[off]),
-                  b);
+        return fn(const_cast<T&>(copy[off]), b);
       }
     }
     cluster_.comm().record_access(here, b->owner(), is_write);
     sim::touch_block(b->id(), b->owner() != here, is_write,
                      m.rcua_spine_miss_ns);
     return fn((*b)[off], b);  // line 3
-  }
-
-  // -- Block cache machinery (DESIGN.md §11) ---------------------------
-
-  /// One in-flight whole-block cache fill. The future resolves — at
-  /// completion, which always lands inside the filler's pinned section —
-  /// to the write generation sampled immediately BEFORE the copy, so a
-  /// cached copy holding a pre-write value always carries a pre-write
-  /// generation (the stale-tag direction the coherence argument needs).
-  struct BlockFill {
-    rt::future<std::uint64_t> done;
-    std::shared_ptr<std::byte[]> buf;
-    std::size_t bidx = 0;
-    // The span that missed, served from `buf` after the fill drains
-    // (bulk path; read() serves the single element itself).
-    std::size_t base = 0;
-    std::size_t off = 0;
-    std::size_t len = 0;
-  };
-
-  /// Issues ONE whole-block fetch of `b` through `async` and counts one
-  /// fill: the single remote execute that replaces O(elements) remote
-  /// traffic for every later hit. The completion closure runs on the
-  /// destination's timeline, inside the caller's pinned section, and
-  /// copies with per-element relaxed loads (§III-C element races stay
-  /// defined).
-  BlockFill issue_fill(rt::AsyncComm& async, PerLocale& p, Block<T>& b,
-                       std::size_t bidx) {
-    BlockFill f;
-    f.bidx = bidx;
-    const std::size_t n = block_size_;
-    f.buf = std::shared_ptr<std::byte[]>(new std::byte[n * sizeof(T)]);
-    T* dst = reinterpret_cast<T*>(f.buf.get());
-    Block<T>* bp = &b;
-    p.cache.note_fill();
-    f.done = async.execute(
-        b.owner(), /*weight=*/n, [bp, dst, n]() -> std::uint64_t {
-          RCUA_SCHED_POINT("rcua.cache.fill_copy");
-          const std::uint64_t gen = bp->generation();  // BEFORE the copy
-          const T* src = bp->data();
-          if constexpr (plat::relaxed_capable_v<T>) {
-            for (std::size_t k = 0; k < n; ++k) {
-              dst[k] = plat::relaxed_load(src[k]);
-            }
-          } else {
-            std::copy(src, src + n, dst);
-          }
-          sim::charge(sim::CostModel::get().cache_copy_ns_per_elem *
-                      static_cast<double>(n));
-          return gen;
-        });
-    return f;
-  }
-
-  /// The cache branch of a value read of remote block `b`: a hit costs
-  /// one lookup plus one node-local element copy; a miss fills the whole
-  /// block and inserts it under the pinned snapshot `version`. The fill
-  /// drains HERE, inside the caller's section — the copy source is the
-  /// pinned snapshot's block (the drain-before-release rule extended to
-  /// fills).
-  std::shared_ptr<const std::byte[]> cached_block(PerLocale& p, Block<T>& b,
-                                                  std::size_t bidx,
-                                                  std::uint64_t version) {
-    const auto& m = sim::CostModel::get();
-    sim::charge(m.cache_lookup_ns);
-    auto cached = p.cache.lookup(bidx, version, b.generation());
-    if (cached == nullptr) {
-      rt::AsyncComm async(cluster_.comm(), cluster_.here());
-      BlockFill f = issue_fill(async, p, b, bidx);
-      const std::uint64_t fill_gen = f.done.get();
-      p.cache.insert(bidx, version, fill_gen, f.buf, block_size_ * sizeof(T));
-      cached = f.buf;
-    }
-    sim::charge(m.cache_copy_ns_per_elem);
-    return cached;
   }
 
   template <typename F>

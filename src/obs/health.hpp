@@ -26,15 +26,6 @@ inline Histogram& grace_ns() {
   return h;
 }
 
-/// Read-side critical-section dwell time. Recorded only when
-/// detailed_metrics_enabled() (RCUA_METRICS=1): the read path is the
-/// one place where even two extra clock reads are measurable.
-inline Histogram& reader_dwell_ns() {
-  static Histogram& h =
-      Registry::global().histogram("rcua.rcu.reader_dwell_ns");
-  return h;
-}
-
 /// High-water epoch lag: max over observations of (global epoch -
 /// slowest participant's epoch). A growing value means some reader or
 /// laggard task is pinning reclamation further and further behind.

@@ -5,8 +5,6 @@
 #include <cstdio>
 #include <mutex>
 
-#include "util/env.hpp"
-
 namespace rcua::obs {
 
 namespace {
@@ -163,10 +161,6 @@ void Registry::reset() {
   for (auto& [name, g] : gauges_) g->reset();
   for (auto& [name, h] : histograms_) h->reset();
 }
-
-std::atomic<bool> detail::g_detailed_metrics{[] {
-  return util::env_bool("RCUA_METRICS", false);
-}()};
 
 StatLine& StatLine::kv(const char* key, std::uint64_t v) {
   char buf[64];

@@ -253,22 +253,6 @@ class Registry {
   std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_;
 };
 
-namespace detail {
-/// The detailed-metrics switch, initialized from RCUA_METRICS.
-extern std::atomic<bool> g_detailed_metrics;
-}  // namespace detail
-
-/// True when opt-in detailed metrics (read-side dwell histograms and
-/// other per-op read-path recording) are on: RCUA_METRICS=1, or tests
-/// via set_detailed_metrics. Off by default so the read hot path pays
-/// exactly one relaxed load + predicted branch.
-[[nodiscard]] inline bool detailed_metrics_enabled() noexcept {
-  return detail::g_detailed_metrics.load(std::memory_order_relaxed);
-}
-inline void set_detailed_metrics(bool on) noexcept {
-  detail::g_detailed_metrics.store(on, std::memory_order_relaxed);
-}
-
 /// Machine-readable `prefix key=value ...` line builder — THE one
 /// formatting path for bench_stat / comm_stat / obs_stat emission, so
 /// every bench feeds scripts/run_benchmarks.py through the same code

@@ -1,6 +1,8 @@
 #pragma once
 
+#include <algorithm>
 #include <atomic>
+#include <cstddef>
 #include <type_traits>
 
 namespace rcua::plat {
@@ -38,6 +40,22 @@ template <typename T>
 inline void relaxed_store(T& slot, T value) noexcept {
   static_assert(relaxed_capable_v<T>);
   std::atomic_ref<T>(slot).store(value, std::memory_order_relaxed);
+}
+
+/// Copies `n` elements from `src` to `dst`: element by element as relaxed
+/// atomics where T allows, so a copy racing §III-C element stores on
+/// either side stays defined; a plain copy (and the single-writer
+/// discipline) otherwise. The one element copy of every block-granular
+/// path: bulk spans, cache fills and migration copies.
+template <typename T>
+inline void relaxed_copy(T* dst, const T* src, std::size_t n) {
+  if constexpr (relaxed_capable_v<T>) {
+    for (std::size_t k = 0; k < n; ++k) {
+      relaxed_store(dst[k], relaxed_load(src[k]));
+    }
+  } else {
+    std::copy(src, src + n, dst);
+  }
 }
 
 template <typename T>

@@ -1,9 +1,7 @@
 #pragma once
 
 #include <atomic>
-#include <cstdint>
 
-#include "platform/align.hpp"
 #include "platform/backoff.hpp"
 
 namespace rcua::plat {
@@ -39,39 +37,6 @@ class Spinlock {
 
  private:
   std::atomic<bool> locked_{false};
-};
-
-/// FIFO ticket lock: fair under contention, used where starvation of a
-/// resize would otherwise stall reclamation indefinitely.
-class TicketLock {
- public:
-  TicketLock() = default;
-  TicketLock(const TicketLock&) = delete;
-  TicketLock& operator=(const TicketLock&) = delete;
-
-  void lock() noexcept {
-    const std::uint32_t my = next_->fetch_add(1, std::memory_order_relaxed);
-    Backoff backoff;
-    while (serving_->load(std::memory_order_acquire) != my) backoff.pause();
-  }
-
-  bool try_lock() noexcept {
-    std::uint32_t cur = serving_->load(std::memory_order_relaxed);
-    std::uint32_t expected = cur;
-    // Only succeed if no one else holds a ticket.
-    return next_->compare_exchange_strong(expected, cur + 1,
-                                          std::memory_order_acquire,
-                                          std::memory_order_relaxed);
-  }
-
-  void unlock() noexcept {
-    serving_->store(serving_->load(std::memory_order_relaxed) + 1,
-                    std::memory_order_release);
-  }
-
- private:
-  CacheAligned<std::atomic<std::uint32_t>> next_{0u};
-  CacheAligned<std::atomic<std::uint32_t>> serving_{0u};
 };
 
 }  // namespace rcua::plat

@@ -190,11 +190,10 @@ class BasicEbr {
    public:
     explicit ReadGuard(BasicEbr& ebr) : ebr_(ebr), held_(ebr.announce()) {
       obs::trace_event("rcu.read_section", "rcu", 'B');
-      dwell_start_ = dwell_clock_if_enabled();
     }
     ~ReadGuard() {
       RCUA_SCHED_POINT("ebr.guard.leave");
-      note_section_end(dwell_start_);
+      obs::trace_event("rcu.read_section", "rcu", 'E');
       ebr_.leave(*held_.count, held_.parity);
     }
     ReadGuard(const ReadGuard&) = delete;
@@ -203,7 +202,6 @@ class BasicEbr {
    private:
     BasicEbr& ebr_;
     Held held_;
-    std::uint64_t dwell_start_ = 0;
   };
 
   /// Write-side epoch bump (RCU_Write line 5). Returns the *previous*
@@ -331,25 +329,11 @@ class BasicEbr {
   }
 
  private:
-  /// Grace/dwell timestamps follow the trace-layer convention: virtual
+  /// Grace-period timestamps follow the trace-layer convention: virtual
   /// time when a TaskClock is attached (deterministic under the sched
   /// harness), wall time otherwise. Reading now_v() charges nothing.
   [[nodiscard]] static std::uint64_t grace_clock_ns() noexcept {
     return sim::enabled() ? sim::now_v() : plat::now_ns();
-  }
-
-  /// Dwell timing costs two clock reads per read section, so it is
-  /// gated behind RCUA_METRICS (detailed_metrics_enabled). Returns 0
-  /// when disabled; 0 doubles as the "don't record" sentinel.
-  [[nodiscard]] static std::uint64_t dwell_clock_if_enabled() noexcept {
-    return obs::detailed_metrics_enabled() ? grace_clock_ns() : 0;
-  }
-
-  static void note_section_end(std::uint64_t dwell_start) noexcept {
-    obs::trace_event("rcu.read_section", "rcu", 'E');
-    if (dwell_start != 0) {
-      obs::health::reader_dwell_ns().record(grace_clock_ns() - dwell_start);
-    }
   }
 
   /// ReadGuard's entry loop (lines 10-13 + the undo/retry of line 17).

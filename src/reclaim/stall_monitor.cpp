@@ -5,13 +5,8 @@
 
 #include "obs/health.hpp"
 #include "obs/trace.hpp"
-#include "util/env.hpp"
 
 namespace rcua::reclaim {
-
-StallPolicy StallPolicy::from_env() {
-  return {util::env_u64("RCUA_STALL_DEADLINE_NS", 0)};
-}
 
 std::string StallDiagnostic::describe() const {
   char buf[256];
@@ -50,11 +45,8 @@ std::string StallDiagnostic::describe() const {
 }
 
 StallMonitor& StallMonitor::global() {
-  static StallMonitor* monitor = [] {
-    const auto budget = static_cast<std::size_t>(util::env_u64(
-        "RCUA_OVERFLOW_BUDGET_BYTES", 64ULL * 1024 * 1024));
-    return new StallMonitor(budget);  // immortal
-  }();
+  static StallMonitor* monitor =
+      new StallMonitor(64ULL * 1024 * 1024);  // immortal
   return *monitor;
 }
 

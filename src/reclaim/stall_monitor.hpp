@@ -20,10 +20,6 @@ namespace rcua::reclaim {
 struct StallPolicy {
   /// Wall-clock budget for a grace-period wait; 0 = block forever.
   std::uint64_t deadline_ns = 0;
-
-  /// Environment-configured policy: RCUA_STALL_DEADLINE_NS (default 0,
-  /// blocking).
-  [[nodiscard]] static StallPolicy from_env();
 };
 
 /// Structured description of one detected stall: who is stuck, where,
@@ -122,8 +118,7 @@ class StallMonitor {
   StallMonitor(const StallMonitor&) = delete;
   StallMonitor& operator=(const StallMonitor&) = delete;
 
-  /// Process-wide monitor; budget from RCUA_OVERFLOW_BUDGET_BYTES
-  /// (default 64 MiB).
+  /// Process-wide monitor, with a 64 MiB overflow budget.
   static StallMonitor& global();
 
   /// Replaces the diagnostic sink (default: a process-wide

@@ -37,7 +37,7 @@ namespace rcua::rt {
 ///  * The destructor DISCARDS unflushed operations rather than running
 ///    them. This is deliberate: callers buffer operations that
 ///    dereference memory pinned by an enclosing read-side critical
-///    section (see RCUArray::bulk_visit), and an exception unwinding out
+///    section (see rcua::bulk_visit), and an exception unwinding out
 ///    of that section must not execute them after the pin is gone.
 ///    Callers that want the operations to happen must flush explicitly
 ///    before the section closes.
@@ -156,8 +156,8 @@ class Aggregator {
   /// Retires every in-flight async flush completion (no-op in sync mode
   /// or when nothing is pending). MUST be called inside the read-side
   /// section that pins the memory the buffered ops touch — the §10
-  /// completion-drain rule; RCUArray::bulk_visit is the reference
-  /// caller.
+  /// completion-drain rule; rcua::bulk_visit (core/bulk.hpp) is the
+  /// reference caller.
   void drain() {
     if (async_) async_->drain();
   }

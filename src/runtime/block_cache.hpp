@@ -39,10 +39,10 @@ class CommLayer;
 /// not consult a disabled cache, which keeps the cache-off access path
 /// bit-identical to the uncached one.
 ///
-/// The cache never touches Block/Snapshot types: callers copy element
-/// data in and out (with whatever per-element atomicity their T needs)
-/// and pass the tags in. Virtual-time charging also stays with the
-/// caller, next to its other touch sites.
+/// The cache never touches Block/Snapshot types: it stores bytes under
+/// the tags its caller passes in. The read side of the protocol (the tag
+/// lookup, the fill copy with per-element atomicity, and their
+/// virtual-time charges) is rt::ReadThrough (runtime/read_through.hpp).
 class BlockCache {
  public:
   /// Counters, all guarded by the cache lock. The byte ledger satisfies

@@ -5,6 +5,10 @@
 //     AND virtual time), with no cache counter ever moving,
 //   * read-after-remote-write never returns stale data, on both
 //     reclamation policies and from both the reading and owning locale,
+//     nor after a whole-array write through fill() or DsiArray::forall,
+//     while a read-only DsiArray::reduce keeps the cached copies,
+//   * read() and bulk_read() share one cache: either one's fill is the
+//     other's hit,
 //   * a repeated hot-block scan records exactly one fill and then zero
 //     further remote operations (the O(ops) -> O(hot blocks) claim, as
 //     CommStats arithmetic),
@@ -28,6 +32,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/dsi.hpp"
 #include "core/rcu_array.hpp"
 #include "reclaim/qsbr.hpp"
 #include "runtime/block_cache.hpp"
@@ -177,6 +182,100 @@ TEST(BlockCache, ReadAfterWriteNeverStaleEbr) {
 
 TEST(BlockCache, ReadAfterWriteNeverStaleQsbr) {
   run_read_after_write_never_stale<QsbrPolicy>();
+}
+
+// The whole-array writers run on each block's owner through
+// for_each_block_local; each bumps the block's generation after its
+// stores, which keeps a copy cached on another locale from outliving the
+// write.
+TEST(BlockCache, FillInvalidatesCachedCopies) {
+  rt::Cluster cluster({.num_locales = 2, .workers_per_locale = 1});
+  RCUArray<std::uint64_t, QsbrPolicy> arr(
+      cluster, 2 * kBlock,
+      {.block_size = kBlock, .cache_capacity_bytes = 1u << 20});
+  ASSERT_EQ(arr.block_owner(kBlock), 1u);
+  arr.fill(1);
+  ASSERT_EQ(arr.read(kBlock), 1u);  // caches block 1 on locale 0
+  arr.fill(7);
+  EXPECT_EQ(arr.read(kBlock), 7u) << "stale cached copy after fill()";
+  rcua::reclaim::Qsbr::global().flush_unsafe();
+}
+
+// A read-only visitor writes nothing, so it bumps nothing: the copy
+// cached before a DsiArray::reduce is still a hit after it.
+TEST(BlockCache, DsiForallInvalidatesAndReduceKeepsCachedCopies) {
+  rt::Cluster cluster({.num_locales = 2, .workers_per_locale = 1});
+  rcua::DsiArray<std::uint64_t, QsbrPolicy> dsi(
+      cluster, 2 * kBlock,
+      {.block_size = kBlock, .cache_capacity_bytes = 1u << 20});
+  RCUArray<std::uint64_t, QsbrPolicy>& arr = dsi.backing();
+  const std::size_t idx = kBlock + 3;
+  ASSERT_EQ(arr.block_owner(idx), 1u);
+  dsi.forall([](std::size_t i, std::uint64_t& v) { v = i; });
+  ASSERT_EQ(arr.read(idx), idx);  // caches block 1 on locale 0
+  dsi.forall([](std::size_t i, std::uint64_t& v) { v = 2 * i; });
+  EXPECT_EQ(arr.read(idx), 2 * idx) << "stale cached copy after forall";
+
+  rt::CommLayer& comm = cluster.comm();
+  comm.reset();
+  const std::uint64_t sum = dsi.reduce(
+      std::uint64_t{0},
+      [](std::uint64_t acc, const std::uint64_t& v) { return acc + v; },
+      [](std::uint64_t a, std::uint64_t b) { return a + b; });
+  EXPECT_EQ(sum, (2 * kBlock) * (2 * kBlock - 1));
+  ASSERT_EQ(arr.read(idx), 2 * idx);
+  EXPECT_EQ(comm.total_cache_hits(), 1u);
+  EXPECT_EQ(comm.total_cache_fills(), 0u) << "reduce() invalidated a copy";
+  rcua::reclaim::Qsbr::global().flush_unsafe();
+}
+
+TEST(BlockCache, ReadAndBulkReadShareOneCache) {
+  rt::Cluster cluster({.num_locales = 2, .workers_per_locale = 1});
+  constexpr std::size_t kElems = 8 * kBlock;  // blocks 1, 3, 5, 7 remote
+  RCUArray<std::uint64_t, QsbrPolicy> arr(
+      cluster, kElems,
+      {.block_size = kBlock, .cache_capacity_bytes = 1u << 20});
+  fill_pattern(arr, kElems);
+  rt::CommLayer& comm = cluster.comm();
+  const auto expect_pattern = [](const std::vector<std::uint64_t>& got,
+                                 std::size_t first) {
+    for (std::size_t k = 0; k < got.size(); ++k) {
+      ASSERT_EQ(got[k], pattern(first + k)) << "elem " << first + k;
+    }
+  };
+
+  // A block bulk_read filled is a hit for read().
+  comm.reset();
+  expect_pattern(arr.bulk_read(kBlock, kBlock), kBlock);
+  EXPECT_EQ(comm.total_cache_fills(), 1u);
+  ASSERT_EQ(arr.read(kBlock + 5), pattern(kBlock + 5));
+  EXPECT_EQ(comm.total_cache_hits(), 1u);
+  EXPECT_EQ(comm.total_cache_fills(), 1u);
+
+  // A block read() filled is a hit for bulk_read().
+  ASSERT_EQ(arr.read(3 * kBlock), pattern(3 * kBlock));
+  EXPECT_EQ(comm.total_cache_fills(), 2u);
+  expect_pattern(arr.bulk_read(3 * kBlock, kBlock), 3 * kBlock);
+  EXPECT_EQ(comm.total_cache_hits(), 2u);
+  EXPECT_EQ(comm.total_cache_fills(), 2u);
+
+  // A whole-array bulk_read fills each remaining remote block once, and
+  // each fill is its one remote op; repeated, it is all hits and no
+  // remote op of any kind.
+  comm.reset();
+  expect_pattern(arr.bulk_read(0, kElems), 0);
+  EXPECT_EQ(comm.total_cache_hits(), 2u);
+  EXPECT_EQ(comm.total_cache_fills(), 2u);
+  EXPECT_EQ(comm.total_executes(), 2u);
+  EXPECT_EQ(comm.total_gets() + comm.total_puts(), 0u);
+  comm.reset();
+  expect_pattern(arr.bulk_read(0, kElems), 0);
+  EXPECT_EQ(comm.total_cache_hits(), 4u);
+  EXPECT_EQ(comm.total_cache_misses(), 0u);
+  EXPECT_EQ(comm.total_cache_fills(), 0u);
+  EXPECT_EQ(comm.total_gets() + comm.total_puts() + comm.total_executes(),
+            0u);
+  rcua::reclaim::Qsbr::global().flush_unsafe();
 }
 
 TEST(BlockCache, HotBlockScanFillsOnceThenZeroRemoteOps) {

@@ -3,11 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <set>
 #include <thread>
 #include <vector>
 
 #include "containers/dist_bitset.hpp"
+#include "runtime/fault_plan.hpp"
 
 namespace rt = rcua::rt;
 using rcua::cont::DistBitset;
@@ -34,6 +36,87 @@ TEST(DistBitset, TestBeyondCapacityIsFalse) {
   DistBitset<> bits(cluster, 64, {.block_size_words = 2});
   EXPECT_FALSE(bits.test(1 << 20));
   drain_qsbr();
+}
+
+TEST(DistBitset, ClearOfANeverSetBitReturnsFalseAtOnce) {
+  // No set() ever asked for the bit's word, so there is no replication
+  // gap to wait out: the bit is clear.
+  rt::Cluster cluster({.num_locales = 2, .workers_per_locale = 2});
+  DistBitset<> bits(cluster, 64);
+  EXPECT_FALSE(bits.clear(1 << 20));
+  EXPECT_FALSE(bits.set(1 << 20));
+  EXPECT_TRUE(bits.clear(1 << 20));
+  drain_qsbr();
+}
+
+TEST(DistBitset, ClearWaitsOutAGrowthOtherLocalesHavePublished) {
+  // A growth doubles the bitset, so it also creates words past the one
+  // its set() asked for. Here locale 0 has published the growth and
+  // locale 1 has not: the broadcast to locale 1 is dropped once, and the
+  // retry waits until locale 0's spine drain finishes, which a pinned
+  // view on locale 0 delays. A set() of a word only the growth created
+  // lands on locale 0; a clear() of it on locale 1 must wait for the
+  // growth and find the bit. (EXPECT, not ASSERT, once threads run, so a
+  // failure still reaches the joins.)
+  using Bitset = DistBitset<rcua::EbrPolicy>;
+  rt::FaultPlan plan;  // outlives the cluster's workers
+  rt::Cluster cluster({.num_locales = 2, .workers_per_locale = 1});
+  Bitset bits(cluster, 64, {.block_size_words = 2});  // words 0-1
+  const auto capacity_at = [&](std::uint32_t l) {
+    std::size_t bits_cap = 0;
+    cluster.on(l, [&] { bits_cap = bits.capacity_bits(); });
+    return bits_cap;
+  };
+  const auto wait_for = [](auto&& pred) {
+    const auto until = std::chrono::steady_clock::now() +
+                       std::chrono::seconds(30);
+    while (!pred() && std::chrono::steady_clock::now() < until) {
+      std::this_thread::yield();
+    }
+    return pred();
+  };
+
+  std::atomic<bool> in_section{false};
+  std::atomic<bool> release{false};
+  std::thread reader([&] {
+    cluster.on(0, [&] {
+      const auto pinned = bits.backing().view();
+      in_section.store(true);
+      while (!release.load()) std::this_thread::yield();
+    });
+  });
+  EXPECT_TRUE(wait_for([&] { return in_section.load(); }));
+
+  plan.add({.action = rt::FaultPlan::Action::kDropBroadcast,
+            .locale = 1,
+            .fire_from = 1,
+            .fire_count = 1});
+  cluster.set_fault_plan(&plan);
+  std::thread grower([&] {
+    cluster.on(0, [&] { bits.set(2 * 64); });  // grows to words 0-3
+  });
+  EXPECT_TRUE(wait_for([&] { return capacity_at(0) == 4 * 64; }));
+  EXPECT_EQ(capacity_at(1), 2u * 64);
+
+  cluster.on(0, [&] { EXPECT_FALSE(bits.set(3 * 64)); });
+  std::atomic<bool> cleared{false};
+  std::atomic<bool> clear_returned{false};
+  std::thread clearer([&] {
+    cluster.on(1, [&] { cleared.store(bits.clear(3 * 64)); });
+    clear_returned.store(true);
+  });
+  // The growth cannot finish while the reader holds its section, so
+  // clear() must still be waiting when the reader lets go.
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  EXPECT_FALSE(clear_returned.load()) << "clear() did not wait for the growth";
+  release.store(true);
+  reader.join();
+  grower.join();
+  clearer.join();
+  EXPECT_TRUE(cleared.load()) << "clear() missed a bit set on locale 0";
+  EXPECT_FALSE(bits.test(3 * 64));
+  EXPECT_EQ(plan.fired(rt::FaultPlan::Action::kDropBroadcast), 1u);
+  cluster.set_fault_plan(nullptr);
 }
 
 TEST(DistBitset, SetGrowsOnDemand) {

@@ -90,33 +90,6 @@ TEST(Spinlock, MutualExclusionUnderContention) {
   EXPECT_EQ(counter, static_cast<std::uint64_t>(kThreads) * kIters);
 }
 
-TEST(TicketLock, MutualExclusionUnderContention) {
-  plat::TicketLock lock;
-  std::uint64_t counter = 0;
-  constexpr int kThreads = 8;
-  constexpr int kIters = 2000;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&] {
-      for (int i = 0; i < kIters; ++i) {
-        std::lock_guard<plat::TicketLock> guard(lock);
-        ++counter;
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(counter, static_cast<std::uint64_t>(kThreads) * kIters);
-}
-
-TEST(TicketLock, TryLockOnlySucceedsWhenFree) {
-  plat::TicketLock lock;
-  EXPECT_TRUE(lock.try_lock());
-  EXPECT_FALSE(lock.try_lock());
-  lock.unlock();
-  EXPECT_TRUE(lock.try_lock());
-  lock.unlock();
-}
-
 TEST(Rng, SplitMixIsDeterministic) {
   plat::SplitMix64 a(7), b(7);
   for (int i = 0; i < 100; ++i) EXPECT_EQ(a.next(), b.next());

@@ -5,7 +5,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
 #include <string>
 #include <thread>
 #include <vector>
@@ -20,14 +19,6 @@ namespace reclaim = rcua::reclaim;
 
 namespace {
 
-struct EnvGuard {
-  std::string name;
-  explicit EnvGuard(const char* n, const char* value) : name(n) {
-    setenv(n, value, 1);
-  }
-  ~EnvGuard() { unsetenv(name.c_str()); }
-};
-
 void flag_deleter(void* p) {
   static_cast<std::atomic<bool>*>(p)->store(true, std::memory_order_seq_cst);
 }
@@ -36,19 +27,6 @@ void flag_deleter(void* p) {
 
 TEST(StallPolicy, DefaultIsBlocking) {
   const reclaim::StallPolicy policy;
-  EXPECT_EQ(policy.deadline_ns, 0u);
-}
-
-TEST(StallPolicy, FromEnvReadsTheDeadline) {
-  EnvGuard d("RCUA_STALL_DEADLINE_NS", "2500000");
-  const auto policy = reclaim::StallPolicy::from_env();
-  EXPECT_EQ(policy.deadline_ns, 2500000u);
-}
-
-TEST(StallPolicy, FromEnvDefaultsToBlocking) {
-  // With no env configuration the policy must preserve the paper's
-  // block-forever semantics (the compatibility guarantee).
-  const auto policy = reclaim::StallPolicy::from_env();
   EXPECT_EQ(policy.deadline_ns, 0u);
 }
 
