@@ -3,7 +3,6 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <mutex>
 
 #include "core/rcu_array.hpp"
 
@@ -33,27 +32,23 @@ class DistBitset {
   DistBitset(const DistBitset&) = delete;
   DistBitset& operator=(const DistBitset&) = delete;
 
-  /// Sets bit `i` (growing if needed); returns the previous value.
+  /// Sets bit `i` (growing if needed); returns the previous value, once
+  /// every locale serves the bit's word.
   bool set(std::size_t i) {
-    ensure_capacity(i);
+    words_.reserve(i / 64 + 1);
     const std::uint64_t mask = 1ULL << (i % 64);
     const std::uint64_t old = words_.index(i / 64).fetch_or(
         mask, std::memory_order_acq_rel);
     return (old & mask) != 0;
   }
 
-  /// Clears bit `i`; returns the previous value. When this locale's
-  /// replica lacks the bit's word, clear takes the growth lock: once it
-  /// holds it no growth is in flight, so every replica has published,
-  /// and a word still missing was never set.
+  /// Clears bit `i`; returns the previous value. A word at or past
+  /// capacity() was never set: set() returns only once every locale
+  /// serves its word.
   bool clear(std::size_t i) {
-    const std::size_t word = i / 64;
-    if (words_.capacity() <= word) {
-      std::lock_guard<std::mutex> guard(grow_mu_);
-      if (words_.capacity() <= word) return false;
-    }
+    if (i / 64 >= words_.capacity()) return false;
     const std::uint64_t mask = 1ULL << (i % 64);
-    const std::uint64_t old = words_.index(word).fetch_and(
+    const std::uint64_t old = words_.index(i / 64).fetch_and(
         ~mask, std::memory_order_acq_rel);
     return (old & mask) != 0;
   }
@@ -90,18 +85,7 @@ class DistBitset {
   }
 
  private:
-  void ensure_capacity(std::size_t bit) {
-    const std::size_t word = bit / 64;
-    while (words_.capacity() <= word) {
-      std::lock_guard<std::mutex> guard(grow_mu_);
-      if (words_.capacity() > word) break;
-      const std::size_t have = words_.num_blocks();
-      words_.resize_add(words_.block_size() * (have == 0 ? 1 : have));
-    }
-  }
-
   RCUArray<std::atomic<std::uint64_t>, Policy> words_;
-  std::mutex grow_mu_;
 };
 
 }  // namespace rcua::cont

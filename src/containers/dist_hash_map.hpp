@@ -5,7 +5,6 @@
 #include <cstring>
 #include <mutex>
 #include <optional>
-#include <thread>
 #include <vector>
 
 #include "core/rcu_array.hpp"
@@ -21,7 +20,7 @@ namespace rcua::cont {
 /// Layout: one RCUArray<Slot> slab. The first `num_buckets` slots are the
 /// bucket heads; collision chains link through overflow slots allocated
 /// from the tail of the slab by a bump cursor. When the slab runs out,
-/// it grows via RCUArray::resize_add — which is the whole point: *the
+/// the backend's reserve() grows it — which is the whole point: *the
 /// table keeps serving lookups and inserts during growth*, because
 /// RCUArray's resize is parallel-safe and chains address slots by index,
 /// which block recycling keeps stable across snapshots (Lemma 6).
@@ -69,7 +68,7 @@ class DistHashMap {
     std::size_t cur = bucket_of(ek);
     plat::Backoff backoff(4);
     for (;;) {
-      Slot& s = slot_at(cur);
+      Slot& s = slots_.index(cur);
       std::uint32_t st = s.state.load(std::memory_order_acquire);
       if (st == kEmpty) {
         std::uint32_t expected = kEmpty;
@@ -110,7 +109,7 @@ class DistHashMap {
         continue;
       }
       const std::size_t fresh = alloc_slot();
-      Slot& f = slot_at(fresh);
+      Slot& f = slots_.index(fresh);
       f.key.store(ek, std::memory_order_relaxed);
       f.value.store(ev, std::memory_order_relaxed);
       f.state.store(kFull, std::memory_order_release);
@@ -134,7 +133,7 @@ class DistHashMap {
     std::size_t cur = bucket_of(ek);
     plat::Backoff backoff(4);
     for (;;) {
-      Slot& s = slot_at(cur);
+      Slot& s = slots_.index(cur);
       const std::uint32_t st = s.state.load(std::memory_order_acquire);
       if (st == kEmpty) return std::nullopt;  // an empty head ends a chain
       if (st == kClaimed) {
@@ -158,7 +157,7 @@ class DistHashMap {
     std::size_t cur = bucket_of(ek);
     plat::Backoff backoff(4);
     for (;;) {
-      Slot& s = slot_at(cur);
+      Slot& s = slots_.index(cur);
       const std::uint32_t st = s.state.load(std::memory_order_acquire);
       if (st == kEmpty) return false;
       if (st == kClaimed) {
@@ -222,18 +221,6 @@ class DistHashMap {
     return static_cast<std::size_t>(plat::mix64(ek) % num_buckets_);
   }
 
-  /// Slot access that tolerates racing growth: a chain can legitimately
-  /// reference a slot in a block our locale's snapshot replica does not
-  /// include yet (the linker observed ITS locale's new replica; replicas
-  /// are written per locale with no cross-locale ordering). Waiting until
-  /// our replica catches up is a bounded coherence wait — the resize
-  /// finished replicating before the slot became linkable.
-  Slot& slot_at(std::size_t idx) {
-    plat::wait_until("dist_hash_map.replicated",
-                     [&] { return slots_.capacity() > idx; });
-    return slots_.index(idx);
-  }
-
   std::size_t alloc_slot() {
     {
       std::lock_guard<std::mutex> guard(recycle_mu_);
@@ -244,12 +231,9 @@ class DistHashMap {
       }
     }
     const std::size_t idx = cursor_->fetch_add(1, std::memory_order_acq_rel);
-    while (slots_.capacity() <= idx) {
-      std::lock_guard<std::mutex> guard(grow_mu_);
-      if (slots_.capacity() > idx) break;
-      slots_.resize_add(slots_.block_size() *
-                        (slots_.num_blocks() == 0 ? 1 : slots_.num_blocks()));
-    }
+    // Every locale serves the slot before any chain can link it, so a
+    // reader that follows the link finds it in bounds on its locale.
+    slots_.reserve(idx + 1);
     return idx;
   }
 
@@ -262,7 +246,6 @@ class DistHashMap {
   Backend<Slot, Policy> slots_;
   plat::CacheAligned<std::atomic<std::size_t>> cursor_{std::size_t{0}};
   plat::CacheAligned<std::atomic<std::size_t>> count_{std::size_t{0}};
-  std::mutex grow_mu_;
   std::mutex recycle_mu_;
   std::vector<std::size_t> recycled_;
 

@@ -10,7 +10,6 @@
 
 #include "core/rcu_array.hpp"
 #include "platform/align.hpp"
-#include "platform/backoff.hpp"
 
 namespace rcua::cont {
 
@@ -57,7 +56,7 @@ class DistIdTable {
       }
     }
     id = next_->fetch_add(1, std::memory_order_acq_rel);
-    ensure_capacity(id + 1);
+    arr_.reserve(id + 1);
     live_->fetch_add(1, std::memory_order_relaxed);
     // In-section store (write, not index): stores stay migration-safe
     // against a concurrent shard rehome of the sharded backend.
@@ -66,17 +65,17 @@ class DistIdTable {
   }
 
   /// Reference to the value behind `id`. Parallel-safe with allocate /
-  /// growth (waits out the bounded replication gap if this locale's
-  /// replica lags the growth that created `id`). Throws std::out_of_range
-  /// for an id never allocated (`id >= high_water()`). The caller must not
-  /// use an id it has released. NOT safe concurrent with a live migration of
-  /// the sharded backend — the reference escapes the read-side section,
-  /// which rehome's reclamation does not cover (use read() for lookups
-  /// that may race a migration). A store through the reference leaves
+  /// growth. Throws std::out_of_range for an id never allocated
+  /// (`id >= high_water()`). The caller must not use an id it has
+  /// released. NOT safe concurrent with a live migration of the sharded
+  /// backend — the reference escapes the read-side section, which
+  /// rehome's reclamation does not cover (use read() for lookups that
+  /// may race a migration). A store through the reference leaves
   /// block-cache copies stale: with the cache on, read() on another
   /// locale may keep the old value (RCUArray::index).
   V& get(std::size_t id) {
-    wait_replicated(id);
+    check_allocated(id);
+    arr_.reserve(id + 1);  // its allocate() may still be growing
     return arr_.index(id);
   }
 
@@ -85,13 +84,16 @@ class DistIdTable {
   /// with shard remaps AND live migrations (rehome reclaims replaced
   /// blocks; escaped references don't survive that, values do).
   V read(std::size_t id) {
-    wait_replicated(id);
+    check_allocated(id);
+    arr_.reserve(id + 1);
     return arr_.read(id);
   }
 
   /// Recycles `id`. The slot's value is left in place (callers treat a
-  /// released id as invalid).
+  /// released id as invalid). Throws std::out_of_range, touching nothing,
+  /// for an id never allocated (`id >= high_water()`).
   void release(std::size_t id) {
+    check_allocated(id);
     std::lock_guard<std::mutex> guard(free_mu_);
     free_ids_.push_back(id);
     live_->fetch_sub(1, std::memory_order_relaxed);
@@ -109,26 +111,10 @@ class DistIdTable {
   [[nodiscard]] Backend<V, Policy>& backing() noexcept { return arr_; }
 
  private:
-  /// `id` was handed out, so the growth that covers it is done or under
-  /// way; wait for this locale's replica to catch up. An id never handed
-  /// out has no growth coming, so it throws instead of waiting forever.
-  void wait_replicated(std::size_t id) {
+  void check_allocated(std::size_t id) const {
     if (id >= high_water()) {
       throw std::out_of_range("DistIdTable: id " + std::to_string(id) +
                               " was never allocated");
-    }
-    plat::wait_until("dist_id_table.replicated",
-                     [&] { return arr_.capacity() > id; });
-  }
-
-  void ensure_capacity(std::size_t needed) {
-    while (arr_.capacity() < needed) {
-      std::lock_guard<std::mutex> guard(grow_mu_);
-      const std::size_t cap = arr_.capacity();
-      if (cap >= needed) break;
-      arr_.resize_add(arr_.block_size() * (arr_.num_blocks() == 0
-                                               ? 1
-                                               : arr_.num_blocks()));
     }
   }
 
@@ -136,7 +122,6 @@ class DistIdTable {
   plat::CacheAligned<std::atomic<std::size_t>> next_{std::size_t{0}};
   plat::CacheAligned<std::atomic<std::size_t>> live_{std::size_t{0}};
   std::mutex free_mu_;
-  std::mutex grow_mu_;
   std::vector<std::size_t> free_ids_;
 };
 

@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <cstddef>
-#include <mutex>
 #include <span>
 #include <stdexcept>
 #include <utility>
@@ -21,12 +20,13 @@ namespace rcua::cont {
 /// capacity growth happening through RCUArray's parallel-safe resize.
 ///
 /// Semantics: `push_back` reserves an index with one fetch-add on a
-/// private reservation counter, grows the backing array if needed, writes
-/// through the reserved reference, and only then publishes the slot by
-/// advancing `size_` — in reservation order, with a release store that a
-/// reader's `size()` acquires. `size()` therefore counts *fully written*
-/// slots: any index below it reads the completed element, with a proper
-/// happens-before edge (no torn or default values, no data race).
+/// private reservation counter, has the backend `reserve` it (which
+/// returns once every locale serves the index), writes the slot, and only
+/// then publishes it by advancing `size_` — in reservation order, with a
+/// release store that a reader's `size()` acquires. `size()` therefore
+/// counts *fully written* slots: any index below it, on any locale, reads
+/// the completed element, with a proper happens-before edge (no torn or
+/// default values, no data race).
 /// Producers briefly wait for earlier reservations to publish; the gap is
 /// the time between a competitor's fetch-add and its slot store.
 /// `Backend` is the storage engine: RCUArray (the default, one array
@@ -56,21 +56,9 @@ class DistVector {
   std::size_t push_back(T value) {
     const std::size_t idx =
         reserved_->fetch_add(1, std::memory_order_relaxed);
-    ensure_capacity(idx + 1);
+    arr_.reserve(idx + 1);
     arr_.write(idx, std::move(value));
-    // Publish in reservation order: slot idx becomes visible through
-    // size() only once every earlier slot already is, so readers below
-    // size() always see completed writes (release pairs with the acquire
-    // in size()).
-    std::size_t expected = idx;
-    plat::Backoff backoff(4);
-    while (!size_->compare_exchange_weak(expected, idx + 1,
-                                         std::memory_order_release,
-                                         std::memory_order_relaxed)) {
-      expected = idx;
-      backoff.pause();
-    }
-    return idx;
+    return publish(idx, idx + 1);
   }
 
   /// Appends all of `values` contiguously; returns the index of the
@@ -91,17 +79,9 @@ class DistVector {
     if (n == 0) return size();
     const std::size_t idx =
         reserved_->fetch_add(n, std::memory_order_relaxed);
-    ensure_capacity(idx + n);
+    arr_.reserve(idx + n);
     arr_.bulk_write(idx, values, opts);
-    std::size_t expected = idx;
-    plat::Backoff backoff(4);
-    while (!size_->compare_exchange_weak(expected, idx + n,
-                                         std::memory_order_release,
-                                         std::memory_order_relaxed)) {
-      expected = idx;
-      backoff.pause();
-    }
-    return idx;
+    return publish(idx, idx + n);
   }
 
   /// Copies elements [first, first+count) (all below size()) into a
@@ -113,22 +93,21 @@ class DistVector {
     if (first + count > size() || first + count < first) {
       throw std::out_of_range("DistVector::read_range beyond size");
     }
-    wait_replicated(first + count);
     return arr_.bulk_read(first, count, opts);
   }
 
-  /// Reference to element `i` (valid across growth). Parallel-safe: if a
-  /// racing grower published index `i` (via size()) before this locale's
-  /// snapshot replica caught up, waits out the bounded replication gap.
-  /// Throws std::out_of_range for an index no push_back has reserved,
-  /// which no growth would ever cover. A store through the reference
-  /// leaves block-cache copies stale: with the cache on, read() on
-  /// another locale may keep the old value (RCUArray::index).
+  /// Reference to element `i` (valid across growth). Parallel-safe: a
+  /// reserved index whose growth is still under way is grown to (or
+  /// waited for on the backend's growth lock) before the access. Throws
+  /// std::out_of_range for an index no push_back has reserved. A store
+  /// through the reference leaves block-cache copies stale: with the
+  /// cache on, read() on another locale may keep the old value
+  /// (RCUArray::index).
   T& operator[](std::size_t i) {
     if (i >= reserved_->load(std::memory_order_relaxed)) {
       throw std::out_of_range("DistVector::operator[] beyond reservations");
     }
-    wait_replicated(i + 1);
+    arr_.reserve(i + 1);
     return arr_.index(i);
   }
 
@@ -136,7 +115,6 @@ class DistVector {
     if (i >= size()) {
       throw std::out_of_range("DistVector::at beyond size");
     }
-    wait_replicated(i + 1);
     return arr_.index(i);
   }
 
@@ -147,29 +125,20 @@ class DistVector {
   [[nodiscard]] Backend<T, Policy>& backing() noexcept { return arr_; }
 
  private:
-  /// Blocks added per growth step (doubling up to this many blocks).
-  static constexpr std::size_t kMaxGrowthBlocks = 64;
-
-  /// Index `needed-1` was published by another thread, so the resize
-  /// that created it already completed; wait for this locale's replica.
-  void wait_replicated(std::size_t needed) {
-    plat::wait_until("dist_vector.replicated",
-                     [&] { return arr_.capacity() >= needed; });
-  }
-
-  void ensure_capacity(std::size_t needed) {
-    while (arr_.capacity() < needed) {
-      std::lock_guard<std::mutex> guard(grow_mu_);
-      const std::size_t cap = arr_.capacity();
-      if (cap >= needed) break;
-      // Grow by min(current block count, kMaxGrowthBlocks) blocks:
-      // amortized doubling without unbounded resize latency.
-      const std::size_t blocks = arr_.num_blocks();
-      const std::size_t grow_blocks =
-          blocks < kMaxGrowthBlocks ? (blocks == 0 ? 1 : blocks)
-                                    : kMaxGrowthBlocks;
-      arr_.resize_add(grow_blocks * arr_.block_size());
+  /// Publishes slots [idx, end) in reservation order: they become visible
+  /// through size() only once every earlier slot already is, so readers
+  /// below size() always see completed writes (the release pairs with the
+  /// acquire in size()). Returns idx.
+  std::size_t publish(std::size_t idx, std::size_t end) {
+    std::size_t expected = idx;
+    plat::Backoff backoff(4);
+    while (!size_->compare_exchange_weak(expected, end,
+                                         std::memory_order_release,
+                                         std::memory_order_relaxed)) {
+      expected = idx;
+      backoff.pause();
     }
+    return idx;
   }
 
   Backend<T, Policy> arr_;
@@ -178,7 +147,6 @@ class DistVector {
   plat::CacheAligned<std::atomic<std::size_t>> reserved_{std::size_t{0}};
   /// Published length: every slot below it is fully written.
   plat::CacheAligned<std::atomic<std::size_t>> size_{std::size_t{0}};
-  std::mutex grow_mu_;
 };
 
 }  // namespace rcua::cont

@@ -37,6 +37,22 @@ namespace rcua {
                           " >= capacity " + std::to_string(capacity));
 }
 
+/// The block count reserve(n) grows to, the growth rule of both backends:
+/// `blocks` (at least one) doubled until it covers `n` elements. Throws
+/// std::length_error when no doubling's capacity is representable.
+[[nodiscard]] inline std::size_t reserve_blocks(std::size_t blocks,
+                                                std::size_t n,
+                                                std::size_t block_size) {
+  std::size_t want = blocks == 0 ? 1 : blocks;
+  for (; want * block_size < n; want *= 2) {
+    if (want > SIZE_MAX / block_size / 2) {
+      throw std::length_error("reserve: " + std::to_string(n) +
+                              " elements exceed every doubling");
+    }
+  }
+  return want;
+}
+
 /// RCUArray: a parallel-safe distributed resizable array (the paper's
 /// primary contribution). Reads and updates proceed concurrently with a
 /// resize via Read-Copy-Update over immutable snapshots of the block
@@ -53,8 +69,9 @@ namespace rcua {
 ///
 /// Thread-safety contract:
 ///  * index/read/write: parallel-safe, including concurrently with resize.
-///  * resize_add: parallel-safe against everything (serialized by the
-///    cluster-wide WriteLock).
+///  * resize_add/reserve: parallel-safe against everything (serialized by
+///    the cluster-wide WriteLock); each returns once every locale serves
+///    the new blocks, and only then does capacity() count them.
 ///  * QSBR policy: callers must invoke `reclaim::Qsbr::checkpoint()`
 ///    periodically (or rely on pool workers parking) and must not hold a
 ///    reference obtained *from a dropped spine's blocks*— note blocks are
@@ -226,68 +243,23 @@ class RCUArray {
     const std::size_t nblocks =
         (num_elements + block_size_ - 1) / block_size_;
     obs::TraceSpan resize_span("rcua.resize_add", "rcua", nblocks);
+    std::lock_guard<rt::GlobalLock> guard(write_lock_);  // lines 10, 29
+    add_blocks(nblocks);
+  }
 
-    std::vector<Block<T>*> new_blocks;  // line 9
-    new_blocks.reserve(nblocks);
-    write_lock_.lock();  // line 10
-    const std::size_t keep = spine0().num_blocks();
-    const std::uint32_t here = cluster_.here();
-    std::uint32_t loc = priv_at(here).next_locale_id;  // line 11
-    // Allocate and distribute new blocks (lines 12-16), pipelined: each
-    // remote `on Locales[locId]` allocation is issued asynchronously so
-    // its launch latency overlaps with the other allocations (and same-
-    // locale allocations run inline), instead of paying one full
-    // round-trip per block. All futures are collected before the
-    // broadcast below, preserving the round-robin block order.
-    {
-      rt::AsyncComm async(cluster_.comm(), here);
-      std::vector<rt::future<Block<T>*>> pending;
-      pending.reserve(nblocks);
-      const std::uint32_t home = home_locale();
-      const bool pinned = home != Options::kNoHomeLocale;
-      for (std::size_t k = 0; k < nblocks; ++k) {
-        pending.push_back(allocate_on(async, pinned ? home : loc));
-        if (!pinned) loc = (loc + 1) % cluster_.num_locales();
-      }
-      for (auto& f : pending) new_blocks.push_back(f.get());
-    }
-    const std::uint32_t final_loc = loc;
-
-    // Update performed on each node (lines 18-28), retried against
-    // injected broadcast faults: a locale whose swap step the fault plan
-    // drops is re-broadcast with backoff until every locale has
-    // published. `done` makes the per-locale body idempotent across
-    // attempts, and after kMaxPublishAttempts the plan is no longer
-    // consulted, so resize_add terminates under any plan.
-    std::vector<std::atomic<bool>> done(cluster_.num_locales());
-    std::uint32_t attempt = 0;
-    plat::Backoff publish_backoff;
-    for (;;) {
-      cluster_.coforall_locales([&](std::uint32_t l) {
-        if (done[l].load(std::memory_order_acquire)) return;
-        if (rt::FaultPlan* plan = cluster_.fault_plan();
-            plan != nullptr && attempt < kMaxPublishAttempts &&
-            plan->fires(rt::FaultPlan::Action::kDropBroadcast, l)) {
-          RCUA_SCHED_POINT("rcua.resize.broadcast_dropped");
-          return;  // injected lost broadcast: this locale missed the swap
-        }
-        // Every block stays, so no drain follows.
-        publish_spine(l, keep, new_blocks, /*drain_follows=*/false,
-                      "rcua.resize.publish", "rcua.resize.published");
-        priv_at(l).next_locale_id = final_loc;  // line 28
-        done[l].store(true, std::memory_order_release);
-      });
-      bool all_published = true;
-      for (auto& d : done) {
-        all_published = all_published && d.load(std::memory_order_acquire);
-      }
-      if (all_published) break;
-      ++attempt;
-      broadcast_retries_.fetch_add(1, std::memory_order_relaxed);
-      publish_backoff.pause();
-    }
-    resizes_.fetch_add(1, std::memory_order_relaxed);
-    write_lock_.unlock();  // line 29
+  /// Grows, when capacity() < n, to the first doubling of the block count
+  /// (from at least one block) that covers `n`, in one resize_add: on
+  /// return index n - 1 is in bounds on every locale. Parallel-safe; the
+  /// growth rule of every container. Throws std::length_error when no
+  /// doubling covers `n`.
+  void reserve(std::size_t n) {
+    if (capacity() >= n) return;
+    std::lock_guard<rt::GlobalLock> guard(write_lock_);
+    const std::size_t have = num_blocks();
+    const std::size_t want = reserve_blocks(have, n, block_size_);
+    if (want == have) return;  // a racing grower covered n
+    obs::TraceSpan resize_span("rcua.resize_add", "rcua", want - have);
+    add_blocks(want - have);
   }
 
   /// EXTENSION (beyond the paper, which covers expansion only): shrinks
@@ -308,6 +280,8 @@ class RCUArray {
     // `current`'s spine.
     const std::vector<Block<T>*> dropped(
         current.begin() + static_cast<std::ptrdiff_t>(keep), current.end());
+    // Before any locale stops serving the dropped blocks.
+    served_blocks_.store(keep, std::memory_order_release);
     cluster_.coforall_locales([&](std::uint32_t l) {
       // Unlike resize_add, this drain stays BLOCKING even under a
       // non-blocking stall policy: the dropped blocks freed below are
@@ -686,24 +660,26 @@ class RCUArray {
 
   // -- Introspection ----------------------------------------------------
 
-  /// Element capacity of the current locale's snapshot.
-  [[nodiscard]] std::size_t capacity() const {
-    return with_snapshot(
-        [](const Snapshot<T>& s) { return s.capacity(); });
+  /// Elements every locale serves: an index below it is in bounds on
+  /// every locale. One acquire load, no read section; view().capacity()
+  /// is the calling locale's replica, which runs ahead of this during a
+  /// resize_add and behind it during a resize_remove.
+  [[nodiscard]] std::size_t capacity() const noexcept {
+    return num_blocks() * block_size_;
   }
 
-  [[nodiscard]] std::size_t num_blocks() const {
-    return with_snapshot(
-        [](const Snapshot<T>& s) { return s.num_blocks(); });
+  [[nodiscard]] std::size_t num_blocks() const noexcept {
+    return served_blocks_.load(std::memory_order_acquire);
   }
 
   /// Locale owning the block that holds element `i`.
   [[nodiscard]] std::uint32_t block_owner(std::size_t i) const {
     const std::size_t bidx = i / block_size_;
-    return with_snapshot([&](const Snapshot<T>& s) {
-      if (bidx >= s.num_blocks()) throw_index_out_of_range(i, s.capacity());
-      return s.block(bidx)->owner();
-    });
+    PerLocale& p = priv();
+    reclaim::ReadSection<Policy> section(p.reclaimer);
+    const Snapshot<T>& s = *section.pin(p.global_snapshot);
+    if (bidx >= s.num_blocks()) throw_index_out_of_range(i, s.capacity());
+    return s.block(bidx)->owner();
   }
 
   [[nodiscard]] std::size_t block_size() const noexcept { return block_size_; }
@@ -823,6 +799,76 @@ class RCUArray {
     });
   }
 
+  /// Algorithm 3 lines 9-28 under the caller's write lock: appends
+  /// `nblocks` blocks on every locale, then counts them in capacity().
+  void add_blocks(std::size_t nblocks) {
+    std::vector<Block<T>*> new_blocks;  // line 9
+    new_blocks.reserve(nblocks);
+    const std::size_t keep = spine0().num_blocks();
+    const std::uint32_t here = cluster_.here();
+    std::uint32_t loc = priv_at(here).next_locale_id;  // line 11
+    // Allocate and distribute new blocks (lines 12-16), pipelined: each
+    // remote `on Locales[locId]` allocation is issued asynchronously so
+    // its launch latency overlaps with the other allocations (and same-
+    // locale allocations run inline), instead of paying one full
+    // round-trip per block. All futures are collected before the
+    // broadcast below, preserving the round-robin block order.
+    {
+      rt::AsyncComm async(cluster_.comm(), here);
+      std::vector<rt::future<Block<T>*>> pending;
+      pending.reserve(nblocks);
+      const std::uint32_t home = home_locale();
+      const bool pinned = home != Options::kNoHomeLocale;
+      for (std::size_t k = 0; k < nblocks; ++k) {
+        pending.push_back(allocate_on(async, pinned ? home : loc));
+        if (!pinned) loc = (loc + 1) % cluster_.num_locales();
+      }
+      for (auto& f : pending) new_blocks.push_back(f.get());
+    }
+    const std::uint32_t final_loc = loc;
+
+    if (RCUA_SCHED_MUT(capacity_before_publish)) {
+      // MUTATION (sched harness only): counted before any locale serves.
+      served_blocks_.store(keep + nblocks, std::memory_order_release);
+    }
+    // Update performed on each node (lines 18-28), retried against
+    // injected broadcast faults: a locale whose swap step the fault plan
+    // drops is re-broadcast with backoff until every locale has
+    // published. `done` makes the per-locale body idempotent across
+    // attempts, and after kMaxPublishAttempts the plan is no longer
+    // consulted, so resize_add terminates under any plan.
+    std::vector<std::atomic<bool>> done(cluster_.num_locales());
+    std::uint32_t attempt = 0;
+    plat::Backoff publish_backoff;
+    for (;;) {
+      cluster_.coforall_locales([&](std::uint32_t l) {
+        if (done[l].load(std::memory_order_acquire)) return;
+        if (rt::FaultPlan* plan = cluster_.fault_plan();
+            plan != nullptr && attempt < kMaxPublishAttempts &&
+            plan->fires(rt::FaultPlan::Action::kDropBroadcast, l)) {
+          RCUA_SCHED_POINT("rcua.resize.broadcast_dropped");
+          return;  // injected lost broadcast: this locale missed the swap
+        }
+        // Every block stays, so no drain follows.
+        publish_spine(l, keep, new_blocks, /*drain_follows=*/false,
+                      "rcua.resize.publish", "rcua.resize.published");
+        priv_at(l).next_locale_id = final_loc;  // line 28
+        done[l].store(true, std::memory_order_release);
+      });
+      bool all_published = true;
+      for (auto& d : done) {
+        all_published = all_published && d.load(std::memory_order_acquire);
+      }
+      if (all_published) break;
+      ++attempt;
+      broadcast_retries_.fetch_add(1, std::memory_order_relaxed);
+      publish_backoff.pause();
+    }
+    // Every locale serves the new blocks, so capacity() may count them.
+    served_blocks_.store(keep + nblocks, std::memory_order_release);
+    resizes_.fetch_add(1, std::memory_order_relaxed);
+  }
+
   /// RCU_Write of one structural op on locale `l` (Algorithm 3 lines
   /// 18-27), the only place a replacement spine is published: retries the
   /// locale's deferred spines, publishes the successor keeping the first
@@ -930,13 +976,6 @@ class RCUArray {
     return fn((*b)[off], b);  // line 3
   }
 
-  template <typename F>
-  [[nodiscard]] auto with_snapshot(F&& fn) const {
-    PerLocale& p = priv();
-    reclaim::ReadSection<Policy> section(p.reclaimer);
-    return fn(*section.pin(p.global_snapshot));
-  }
-
   rt::Cluster& cluster_;
   std::size_t block_size_;
   reclaim::StallPolicy stall_policy_;
@@ -944,6 +983,10 @@ class RCUArray {
   std::size_t cache_capacity_;
   std::atomic<std::uint32_t> home_locale_;
   rt::GlobalLock write_lock_;
+  /// Blocks every locale's spine holds (capacity()), written under the
+  /// write lock: after resize_add's last publish, before resize_remove's
+  /// first.
+  std::atomic<std::size_t> served_blocks_{0};
   /// One privatized copy per locale, indexed by locale id.
   std::vector<std::unique_ptr<PerLocale>> locales_;
   std::atomic<std::uint64_t> resizes_{0};

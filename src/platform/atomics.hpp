@@ -21,10 +21,17 @@ namespace rcua::plat {
 ///
 /// Usable only where `std::atomic_ref` is lock-free for T; callers with
 /// larger element types keep plain accesses and the single-writer
-/// discipline those imply (see `relaxed_capable_v`).
+/// discipline those imply (see `relaxed_capable_v`). A `std::atomic`
+/// element is excluded although GCC counts it trivially copyable: it
+/// cannot be copied, and it is its own relaxed access.
+template <typename T>
+inline constexpr bool is_std_atomic_v = false;
+template <typename U>
+inline constexpr bool is_std_atomic_v<std::atomic<U>> = true;
+
 template <typename T>
 inline constexpr bool relaxed_capable_v =
-    std::is_trivially_copyable_v<T> &&
+    std::is_trivially_copyable_v<T> && !is_std_atomic_v<T> &&
     std::atomic_ref<T>::is_always_lock_free;
 
 template <typename T>
@@ -43,13 +50,19 @@ inline void relaxed_store(T& slot, T value) noexcept {
 }
 
 /// Copies `n` elements from `src` to `dst`: element by element as relaxed
-/// atomics where T allows, so a copy racing §III-C element stores on
-/// either side stays defined; a plain copy (and the single-writer
-/// discipline) otherwise. The one element copy of every block-granular
-/// path: bulk spans, cache fills and migration copies.
+/// atomics where T allows (a relaxed load and store of each `std::atomic`
+/// element), so a copy racing §III-C element stores on either side stays
+/// defined; a plain copy (and the single-writer discipline) otherwise.
+/// The one element copy of every block-granular path: bulk spans, cache
+/// fills and migration copies.
 template <typename T>
 inline void relaxed_copy(T* dst, const T* src, std::size_t n) {
-  if constexpr (relaxed_capable_v<T>) {
+  if constexpr (is_std_atomic_v<T>) {
+    for (std::size_t k = 0; k < n; ++k) {
+      dst[k].store(src[k].load(std::memory_order_relaxed),
+                   std::memory_order_relaxed);
+    }
+  } else if constexpr (relaxed_capable_v<T>) {
     for (std::size_t k = 0; k < n; ++k) {
       relaxed_store(dst[k], relaxed_load(src[k]));
     }

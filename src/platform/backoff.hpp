@@ -63,7 +63,7 @@ class Backoff {
 };
 
 /// The one wait for a condition another thread establishes: every grace
-/// period, era fence and replication gap in the library waits here.
+/// period and era fence in the library waits here.
 /// Returns true once `pred()` holds. With a non-zero `deadline_ns` it
 /// gives up after that much wall time and returns `pred()`; 0 waits
 /// forever. `site` names the wait in sched traces.

@@ -183,17 +183,18 @@ class ShardedCollection {
         (num_elements + block_size_ - 1) / block_size_;
     if (nblocks == 0) return;
     std::lock_guard<std::mutex> guard(remap_mu_);
-    const std::size_t base = total_blocks_.load(std::memory_order_relaxed);
-    std::vector<std::size_t> grow(shard_count_, 0);
-    for (std::size_t k = 0; k < nblocks; ++k) {
-      grow[(base + k) % shard_count_] += 1;
-    }
-    for (std::size_t s = 0; s < shard_count_; ++s) {
-      if (grow[s] != 0) shards_[s]->resize_add(grow[s] * block_size_);
-    }
-    // Release pairs with capacity()'s acquire: a capacity the caller
-    // observes is backed by fully published shard resizes.
-    total_blocks_.store(base + nblocks, std::memory_order_release);
+    add_blocks(nblocks);
+  }
+
+  /// RCUArray::reserve's rule over the total block count: when
+  /// capacity() < n, one resize_add to the first doubling that covers
+  /// `n`. Throws std::length_error when no doubling does.
+  void reserve(std::size_t n) {
+    if (capacity() >= n) return;
+    std::lock_guard<std::mutex> guard(remap_mu_);
+    const std::size_t have = total_blocks_.load(std::memory_order_relaxed);
+    const std::size_t want = reserve_blocks(have, n, block_size_);
+    if (want != have) add_blocks(want - have);
   }
 
   // -- Live migration ----------------------------------------------------
@@ -345,6 +346,21 @@ class ShardedCollection {
       fn(shard, local, i, span_end - i);
       i = span_end;
     }
+  }
+
+  /// resize_add's body; the caller holds remap_mu_.
+  void add_blocks(std::size_t nblocks) {
+    const std::size_t base = total_blocks_.load(std::memory_order_relaxed);
+    std::vector<std::size_t> grow(shard_count_, 0);
+    for (std::size_t k = 0; k < nblocks; ++k) {
+      grow[(base + k) % shard_count_] += 1;
+    }
+    for (std::size_t s = 0; s < shard_count_; ++s) {
+      if (grow[s] != 0) shards_[s]->resize_add(grow[s] * block_size_);
+    }
+    // Release pairs with capacity()'s acquire: a capacity the caller
+    // observes is backed by fully published shard resizes.
+    total_blocks_.store(base + nblocks, std::memory_order_release);
   }
 
   /// The placement write: two relaxed stores, serialized by remap_mu_

@@ -4,8 +4,8 @@
 /// TESTING.md).
 ///
 /// Protocol-critical code marks its interleaving-sensitive steps with
-/// `RCUA_SCHED_POINT("site")`; their grace-period, fence and replication
-/// waits go through `plat::wait_until("site", predicate)`, which hands a
+/// `RCUA_SCHED_POINT("site")`; their grace-period and fence waits go
+/// through `plat::wait_until("site", predicate)`, which hands a
 /// scheduled task's wait to `sched_await`. When the library is built
 /// without RCUA_SCHED_TEST — the default for release, bench and the
 /// tier-1/stress suites — every macro expands to a constant
@@ -154,6 +154,13 @@ struct Mutations {
   /// the replaced blocks — the migrate→invalidate→drain ordering rule
   /// (DESIGN.md §14; tests/test_sched_migration.cpp).
   bool migrate_reclaim_before_mapping_drain = false;
+  /// Resize (RCUArray::resize_add): store the served-block count that
+  /// capacity() reads BEFORE the per-locale publishes instead of after
+  /// the last one. Plausible (the writer holds the write lock and every
+  /// publish is already decided) but unsound: a reader on a locale that
+  /// has not published yet takes an index below capacity() and finds it
+  /// out of bounds (tests/test_sched_rcu_array.cpp).
+  bool capacity_before_publish = false;
 };
 [[nodiscard]] Mutations& mutations() noexcept;
 

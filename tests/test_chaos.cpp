@@ -145,9 +145,10 @@ TEST(Chaos, DroppedBroadcastIsRetriedUntilEveryLocalePublishes) {
   EXPECT_EQ(plan.fired(rt::FaultPlan::Action::kDropBroadcast), 2u);
   EXPECT_GE(arr.broadcast_retries(), 2u);
 
-  // Every locale converged on the same capacity despite the lost steps.
+  // Every locale's spine converged on the same capacity despite the lost
+  // steps.
   for (std::uint32_t l = 0; l < cluster.num_locales(); ++l) {
-    cluster.on(l, [&] { EXPECT_EQ(arr.capacity(), 3u * 32u); });
+    cluster.on(l, [&] { EXPECT_EQ(arr.view().capacity(), 3u * 32u); });
   }
   for (std::size_t i = 0; i < arr.capacity(); ++i) {
     arr.write(i, static_cast<int>(2 * i));

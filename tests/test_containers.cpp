@@ -42,6 +42,15 @@ TEST(DistVector, GrowsPastManyBlocks) {
   drain_qsbr();
 }
 
+TEST(DistVector, GrowthKeepsDoublingPastSixtyFourBlocks) {
+  rt::Cluster cluster({.num_locales = 2, .workers_per_locale = 2});
+  DistVector<std::uint64_t> vec(cluster, {.block_size = 1});
+  for (std::uint64_t i = 0; i < 129; ++i) vec.push_back(i);
+  EXPECT_EQ(vec.backing().num_blocks(), 256u);
+  EXPECT_EQ(vec[128], 128u);
+  drain_qsbr();
+}
+
 TEST(DistVector, AtThrowsPastSize) {
   rt::Cluster cluster({.num_locales = 1, .workers_per_locale = 2});
   DistVector<std::uint64_t> vec(cluster, {.block_size = 8});
@@ -138,6 +147,19 @@ TEST(DistIdTable, ReadNeverAllocatedThrows) {
   EXPECT_EQ(table.read(table.allocate(7)), 7u);
   EXPECT_THROW((void)table.read(1), std::out_of_range);
   EXPECT_THROW((void)table.read(1000), std::out_of_range);
+  drain_qsbr();
+}
+
+// Releasing an id nobody was handed must not reach the free list (the
+// next allocate would hand it out past capacity) or the live count.
+TEST(DistIdTable, ReleaseNeverAllocatedThrows) {
+  rt::Cluster cluster({.num_locales = 2, .workers_per_locale = 2});
+  DistIdTable<std::uint64_t> table(cluster, {.block_size = 8});
+  EXPECT_THROW(table.release(1000), std::out_of_range);
+  EXPECT_EQ(table.live(), 0u);
+  EXPECT_EQ(table.allocate(7), 0u);
+  EXPECT_EQ(table.read(0), 7u);
+  EXPECT_EQ(table.live(), 1u);
   drain_qsbr();
 }
 

@@ -10,9 +10,12 @@
 
 #include "containers/dist_bitset.hpp"
 #include "runtime/fault_plan.hpp"
+#include "scoped_env.hpp"
 
 namespace rt = rcua::rt;
 using rcua::cont::DistBitset;
+using rcua::test::ScopedEnv;
+using Word = std::atomic<std::uint64_t>;
 
 namespace {
 void drain_qsbr() { rcua::reclaim::Qsbr::global().flush_unsafe(); }
@@ -49,32 +52,32 @@ TEST(DistBitset, ClearOfANeverSetBitReturnsFalseAtOnce) {
   drain_qsbr();
 }
 
-TEST(DistBitset, ClearWaitsOutAGrowthOtherLocalesHavePublished) {
+TEST(DistBitset, SetReturnsOnlyOnceEveryLocaleServesItsWord) {
   // A growth doubles the bitset, so it also creates words past the one
   // its set() asked for. Here locale 0 has published the growth and
   // locale 1 has not: the broadcast to locale 1 is dropped once, and the
   // retry waits until locale 0's spine drain finishes, which a pinned
   // view on locale 0 delays. A set() of a word only the growth created
-  // lands on locale 0; a clear() of it on locale 1 must wait for the
-  // growth and find the bit. (EXPECT, not ASSERT, once threads run, so a
-  // failure still reaches the joins.)
+  // must not return until every locale serves the word, so meanwhile a
+  // clear() of it on locale 1 finds the bit clear at once. (EXPECT, not
+  // ASSERT, once threads run, so a failure still reaches the joins.)
   using Bitset = DistBitset<rcua::EbrPolicy>;
   rt::FaultPlan plan;  // outlives the cluster's workers
   rt::Cluster cluster({.num_locales = 2, .workers_per_locale = 1});
   Bitset bits(cluster, 64, {.block_size_words = 2});  // words 0-1
-  const auto capacity_at = [&](std::uint32_t l) {
-    std::size_t bits_cap = 0;
-    cluster.on(l, [&] { bits_cap = bits.capacity_bits(); });
-    return bits_cap;
+  const auto published_at = [&](std::uint32_t l) {
+    std::size_t words = 0;
+    cluster.on(l, [&] { words = bits.backing().view().capacity(); });
+    return words * 64;
   };
-  const auto wait_for = [](auto&& pred) {
-    const auto until = std::chrono::steady_clock::now() +
-                       std::chrono::seconds(30);
+  const auto wait_for = [](auto&& pred, std::chrono::seconds bound) {
+    const auto until = std::chrono::steady_clock::now() + bound;
     while (!pred() && std::chrono::steady_clock::now() < until) {
       std::this_thread::yield();
     }
     return pred();
   };
+  constexpr std::chrono::seconds kBound{30};
 
   std::atomic<bool> in_section{false};
   std::atomic<bool> release{false};
@@ -85,7 +88,7 @@ TEST(DistBitset, ClearWaitsOutAGrowthOtherLocalesHavePublished) {
       while (!release.load()) std::this_thread::yield();
     });
   });
-  EXPECT_TRUE(wait_for([&] { return in_section.load(); }));
+  EXPECT_TRUE(wait_for([&] { return in_section.load(); }, kBound));
 
   plan.add({.action = rt::FaultPlan::Action::kDropBroadcast,
             .locale = 1,
@@ -95,25 +98,40 @@ TEST(DistBitset, ClearWaitsOutAGrowthOtherLocalesHavePublished) {
   std::thread grower([&] {
     cluster.on(0, [&] { bits.set(2 * 64); });  // grows to words 0-3
   });
-  EXPECT_TRUE(wait_for([&] { return capacity_at(0) == 4 * 64; }));
-  EXPECT_EQ(capacity_at(1), 2u * 64);
+  EXPECT_TRUE(wait_for([&] { return published_at(0) == 4 * 64; }, kBound));
+  EXPECT_EQ(published_at(1), 2u * 64);
 
-  cluster.on(0, [&] { EXPECT_FALSE(bits.set(3 * 64)); });
-  std::atomic<bool> cleared{false};
-  std::atomic<bool> clear_returned{false};
-  std::thread clearer([&] {
-    cluster.on(1, [&] { cleared.store(bits.clear(3 * 64)); });
-    clear_returned.store(true);
+  std::atomic<bool> set_returned{false};
+  std::thread setter([&] {
+    cluster.on(0, [&] { EXPECT_FALSE(bits.set(3 * 64)); });
+    set_returned.store(true);
   });
-  // The growth cannot finish while the reader holds its section, so
-  // clear() must still be waiting when the reader lets go.
+  // The growth cannot finish while the reader holds its section.
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  EXPECT_FALSE(clear_returned.load()) << "clear() did not wait for the growth";
+  EXPECT_FALSE(set_returned.load())
+      << "set() returned before locale 1 served its word";
+  // On its own thread, so a clear() that waits for the growth fails the
+  // bound instead of hanging the test.
+  std::atomic<int> cleared{-1};
+  std::thread clearer([&] {
+    cluster.on(1, [&] {
+      const bool was_set = bits.clear(3 * 64);
+      EXPECT_EQ(bits.capacity_bits(), 2u * 64);
+      cleared.store(was_set ? 1 : 0);
+    });
+  });
+  EXPECT_TRUE(wait_for([&] { return cleared.load() != -1; },
+                       std::chrono::seconds(10)))
+      << "clear() waited for the growth";
   release.store(true);
   reader.join();
   grower.join();
+  setter.join();
   clearer.join();
-  EXPECT_TRUE(cleared.load()) << "clear() missed a bit set on locale 0";
+  EXPECT_EQ(cleared.load(), 0) << "clear() found a bit set() had not set";
+  cluster.on(1, [&] {
+    EXPECT_TRUE(bits.clear(3 * 64)) << "clear() missed the bit set()";
+  });
   EXPECT_FALSE(bits.test(3 * 64));
   EXPECT_EQ(plan.fired(rt::FaultPlan::Action::kDropBroadcast), 1u);
   cluster.set_fault_plan(nullptr);
@@ -188,6 +206,36 @@ TEST(DistBitset, ConcurrentSettersWithGrowth) {
     ASSERT_TRUE(bits.test(i)) << i;
   }
   drain_qsbr();
+}
+
+// The bulk engine, the cache fill and rehome copy std::atomic words
+// element by element (plat::relaxed_copy), with the block cache off and
+// on.
+TEST(DistBitset, BulkPathsSeeTheWordsSetWrote) {
+  for (const char* cache_bytes : {"0", "1048576"}) {
+    SCOPED_TRACE(cache_bytes);
+    const ScopedEnv cache("RCUA_CACHE_CAPACITY_BYTES", cache_bytes);
+    rt::Cluster cluster({.num_locales = 2, .workers_per_locale = 2});
+    DistBitset<> bits(cluster, 4 * 64, {.block_size_words = 2});
+    bits.set(0 * 64 + 5);  // word 0, locale 0's block
+    bits.set(3 * 64 + 9);  // word 3, locale 1's block
+    auto& words = bits.backing();
+    std::vector<std::uint64_t> seen(4, 0);
+    const auto record = [&](std::size_t base, Word* data, std::size_t n) {
+      for (std::size_t k = 0; k < n; ++k) seen[base + k] = data[k].load();
+    };
+    words.for_each_block(0, 4, record);
+    EXPECT_EQ(seen, (std::vector<std::uint64_t>{1ULL << 5, 0, 0, 1ULL << 9}));
+    const auto copy = words.bulk_read(0, 4);
+    for (std::size_t w = 0; w < 4; ++w) EXPECT_EQ(copy[w].load(), seen[w]) << w;
+    // With the cache on, locale 1's block came through a cache fill.
+    EXPECT_EQ(words.cache_entries_at(0), words.cache_enabled() ? 1u : 0u);
+    ASSERT_TRUE(words.rehome(1));  // copies the words the same way
+    EXPECT_TRUE(bits.test(5));
+    EXPECT_TRUE(bits.test(3 * 64 + 9));
+    EXPECT_EQ(bits.count(), 2u);
+    drain_qsbr();
+  }
 }
 
 TEST(DistBitset, EbrPolicyVariantWorks) {

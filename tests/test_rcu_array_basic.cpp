@@ -115,6 +115,35 @@ TYPED_TEST(RcuArrayTyped, ResizeZeroIsNoop) {
   drain_qsbr();
 }
 
+TYPED_TEST(RcuArrayTyped, ReserveDoublesToCoverInOneResize) {
+  rt::Cluster cluster({.num_locales = 2, .workers_per_locale = 2});
+  typename TestFixture::Array arr(cluster, 0, {.block_size = 4});
+  arr.reserve(0);
+  EXPECT_EQ(arr.resize_count(), 0u);
+  arr.reserve(1);  // an empty array starts from one block
+  EXPECT_EQ(arr.num_blocks(), 1u);
+  arr.reserve(33);  // 1 -> 2 -> 4 -> 8 -> 16 blocks, one resize
+  EXPECT_EQ(arr.num_blocks(), 16u);
+  EXPECT_EQ(arr.resize_count(), 2u);
+  arr.reserve(64);  // covered
+  EXPECT_EQ(arr.resize_count(), 2u);
+  typename TestFixture::Array three(cluster, 3 * 4, {.block_size = 4});
+  three.reserve(13);  // doubles from the blocks it has
+  EXPECT_EQ(three.num_blocks(), 6u);
+  drain_qsbr();
+}
+
+TYPED_TEST(RcuArrayTyped, ReservePastEveryDoublingThrows) {
+  rt::Cluster cluster({.num_locales = 1, .workers_per_locale = 2});
+  typename TestFixture::Array arr(cluster, 3 * 64, {.block_size = 64});
+  EXPECT_THROW(arr.reserve(SIZE_MAX), std::length_error);
+  EXPECT_EQ(arr.num_blocks(), 3u);
+  EXPECT_EQ(arr.resize_count(), 1u);
+  arr.reserve(4 * 64);  // the throw released the write lock
+  EXPECT_EQ(arr.num_blocks(), 6u);
+  drain_qsbr();
+}
+
 TYPED_TEST(RcuArrayTyped, BlocksDistributedRoundRobin) {
   rt::Cluster cluster({.num_locales = 4, .workers_per_locale = 2});
   typename TestFixture::Array arr(cluster, 8 * 64, {.block_size = 64});
@@ -141,7 +170,7 @@ TYPED_TEST(RcuArrayTyped, SnapshotsReplicatedPerLocale) {
   arr.write(10, 555);
   // Each locale's privatized copy sees the same capacity and data.
   cluster.coforall_locales([&](std::uint32_t) {
-    EXPECT_EQ(arr.capacity(), 3 * 64u);
+    EXPECT_EQ(arr.view().capacity(), 3 * 64u);
     EXPECT_EQ(arr.read(10), 555u);
   });
   drain_qsbr();

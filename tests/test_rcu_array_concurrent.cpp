@@ -164,7 +164,7 @@ TEST(RcuArrayEbrConc, ReadersNeverSeeTornCapacity) {
     readers.emplace_back([&] {
       std::size_t last = 0;
       while (!stop.load(std::memory_order_relaxed)) {
-        const std::size_t n = arr.num_blocks();
+        const std::size_t n = arr.view().num_blocks();
         if (n < last) bad.fetch_add(1);  // capacity must be monotone
         last = n;
         observations.fetch_add(1, std::memory_order_relaxed);

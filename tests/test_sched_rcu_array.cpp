@@ -18,12 +18,14 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
 
 #include "core/rcu_array.hpp"
 #include "core/snapshot.hpp"
 #include "reclaim/qsbr.hpp"
 #include "reclaim/stall_monitor.hpp"
 #include "runtime/cluster.hpp"
+#include "runtime/this_task.hpp"
 #include "testing/scheduler.hpp"
 
 namespace {
@@ -35,6 +37,7 @@ using rcua::Snapshot;
 using rcua::testing::ExploreMode;
 using rcua::testing::ExploreOptions;
 using rcua::testing::ExploreResult;
+using rcua::testing::ScopedMutation;
 using rcua::testing::Scheduler;
 
 constexpr std::uint32_t kLocales = 2;
@@ -308,6 +311,108 @@ TEST(SchedRcuArray, RemoveDefersBlockReclamationUnderQsbr) {
       });
   EXPECT_FALSE(result.found) << result.message << "\n" << result.trace;
   EXPECT_EQ(Snapshot<int>::live_count(), 0u);
+}
+
+// capacity() counts only the blocks every locale serves: resize_add
+// stores the count after its last per-locale publish. A reader on locale
+// 1 that wakes on the first nonzero capacity() must find element
+// capacity() - 1 in bounds on its own locale. The
+// `capacity_before_publish` mutation stores the count before the
+// publishes, so a reader that wakes before locale 1 publishes throws.
+struct CapacityState {
+  // Cache pinned off, so the schedule space does not depend on
+  // RCUA_CACHE_CAPACITY_BYTES; the bounds check precedes any cache use.
+  explicit CapacityState(rcua::rt::Cluster& c)
+      : cluster(c),
+        arr(c, 0, {.block_size = kBlock, .cache_capacity_bytes = 0}) {}
+  rcua::rt::Cluster& cluster;
+  RCUArray<int, EbrPolicy> arr;
+};
+
+void capacity_scenario(rcua::rt::Cluster& cluster, Scheduler& sched) {
+  auto st = std::make_shared<CapacityState>(cluster);
+  sched.spawn("reader", [st] {
+    const rcua::rt::LocaleScope on_locale_1(st->cluster, 1);
+    rcua::testing::sched_await("test.wait_capacity",
+                               [st] { return st->arr.capacity() > 0; });
+    try {
+      (void)st->arr.read(st->arr.capacity() - 1);
+    } catch (const std::out_of_range&) {
+      rcua::testing::sched_violation(
+          "capacity() counted a block locale 1 does not serve yet");
+    }
+  });
+  sched.spawn("writer", [st] { st->arr.resize_add(kBlock); });
+  sched.on_finish([st](Scheduler& s) {
+    if (st->arr.capacity() != kBlock) s.violation("resize_add lost blocks");
+  });
+}
+
+TEST(SchedRcuArray, MutationCapacityBeforePublishFound) {
+  rcua::rt::Cluster cluster(small_cluster());
+  ScopedMutation mut(&rcua::testing::mutations().capacity_before_publish);
+
+  ExploreOptions opts;
+  opts.mode = ExploreMode::kRandom;
+  opts.schedules = 4000;
+  const ExploreResult result = rcua::testing::explore(
+      opts, [&cluster](Scheduler& s) { capacity_scenario(cluster, s); });
+  ASSERT_TRUE(result.found)
+      << "counting blocks in capacity() before every locale serves them "
+         "must be caught";
+
+  ExploreOptions replay;
+  replay.mode = ExploreMode::kRandom;
+  replay.schedules = 1;
+  replay.base_seed = result.seed;
+  replay.quiet = true;
+  const ExploreResult again = rcua::testing::explore(
+      replay, [&cluster](Scheduler& s) { capacity_scenario(cluster, s); });
+  ASSERT_TRUE(again.found) << "seed " << result.seed << " did not replay";
+  EXPECT_EQ(again.message, result.message);
+}
+
+TEST(SchedRcuArray, MutationCapacityBeforePublishFoundByDfs) {
+  rcua::rt::Cluster cluster(small_cluster());
+  ScopedMutation mut(&rcua::testing::mutations().capacity_before_publish);
+
+  ExploreOptions opts;
+  opts.mode = ExploreMode::kDfs;
+  opts.schedules = 20000;
+  opts.preemption_bound = 2;
+  const ExploreResult result = rcua::testing::explore(
+      opts, [&cluster](Scheduler& s) { capacity_scenario(cluster, s); });
+  ASSERT_TRUE(result.found)
+      << "the store->reader->publish window must be reachable by bounded "
+         "DFS (ran "
+      << result.schedules_run << " schedules)";
+}
+
+TEST(SchedRcuArray, CapacityAfterPublishNegativeControlRandom) {
+  rcua::rt::Cluster cluster(small_cluster());
+
+  ExploreOptions opts;
+  opts.mode = ExploreMode::kRandom;
+  opts.schedules = 400;
+  opts.stop_on_violation = false;
+  const ExploreResult result = rcua::testing::explore(
+      opts, [&cluster](Scheduler& s) { capacity_scenario(cluster, s); });
+  EXPECT_FALSE(result.found) << result.message << "\n" << result.trace;
+  EXPECT_EQ(result.schedules_run,
+            rcua::testing::effective_schedule_budget(opts));
+}
+
+TEST(SchedRcuArray, CapacityAfterPublishNegativeControlDfs) {
+  rcua::rt::Cluster cluster(small_cluster());
+
+  ExploreOptions opts;
+  opts.mode = ExploreMode::kDfs;
+  opts.schedules = 2000;
+  opts.preemption_bound = 2;
+  opts.stop_on_violation = false;
+  const ExploreResult result = rcua::testing::explore(
+      opts, [&cluster](Scheduler& s) { capacity_scenario(cluster, s); });
+  EXPECT_FALSE(result.found) << result.message << "\n" << result.trace;
 }
 
 }  // namespace

@@ -100,6 +100,25 @@ TYPED_TEST(ShardedTyped, GrowthDealsBlocksCyclically) {
   drain_qsbr();
 }
 
+TYPED_TEST(ShardedTyped, ReserveDoublesTheTotalBlockCountOnce) {
+  rt::Cluster cluster({.num_locales = 2, .workers_per_locale = 2});
+  typename TestFixture::Coll coll(cluster, 5 * 64,
+                                  {.block_size = 64, .shard_count = 3});
+  const std::uint64_t resizes = coll.resize_count();  // 3: one per shard
+  coll.reserve(5 * 64);  // covered
+  EXPECT_EQ(coll.resize_count(), resizes);
+  // 5 -> 10 -> 20 blocks in one collection-level growth: blocks 5..19
+  // deal 5 to each shard, one resize_add per shard.
+  coll.reserve(11 * 64);
+  EXPECT_EQ(coll.num_blocks(), 20u);
+  EXPECT_EQ(coll.resize_count(), resizes + 3);
+  EXPECT_THROW(coll.reserve(SIZE_MAX), std::length_error);
+  EXPECT_EQ(coll.num_blocks(), 20u);
+  coll.reserve(21 * 64);  // the throw released the remap lock
+  EXPECT_EQ(coll.num_blocks(), 40u);
+  drain_qsbr();
+}
+
 TYPED_TEST(ShardedTyped, WriteReadRoundTripsAcrossShards) {
   rt::Cluster cluster({.num_locales = 2, .workers_per_locale = 2});
   typename TestFixture::Coll coll(cluster, 256,
