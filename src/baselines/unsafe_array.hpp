@@ -54,21 +54,9 @@ class UnsafeArray {
   /// Same relaxed element contract as RCUArray::read/write: concurrent
   /// access to one index is defined for machine-word T (what makes this
   /// baseline "unsafe" is resize, not element access).
-  T read(std::size_t i) {
-    T& slot = index_rw(i, false);
-    if constexpr (plat::relaxed_capable_v<T>) {
-      return plat::relaxed_load(slot);
-    } else {
-      return slot;
-    }
-  }
+  T read(std::size_t i) { return plat::relaxed_load(index_rw(i, false)); }
   void write(std::size_t i, T value) {
-    T& slot = index_rw(i, true);
-    if constexpr (plat::relaxed_capable_v<T>) {
-      plat::relaxed_store(slot, std::move(value));
-    } else {
-      slot = std::move(value);
-    }
+    plat::relaxed_store(index_rw(i, true), std::move(value));
   }
 
   /// Grows by `num_elements` (whole blocks): reallocates the full storage

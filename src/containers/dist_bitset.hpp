@@ -64,7 +64,8 @@ class DistBitset {
   /// claim primitive for allocators).
   bool try_claim(std::size_t i) { return !set(i); }
 
-  /// Population count: locality-aware parallel reduction.
+  /// Population count: locality-aware parallel reduction (RCUArray::reduce),
+  /// safe against a concurrent growth.
   [[nodiscard]] std::size_t count() {
     return words_.reduce(
         std::size_t{0},

@@ -50,6 +50,7 @@ class DistIdTable {
       if (!free_ids_.empty()) {
         id = free_ids_.back();
         free_ids_.pop_back();
+        released_[id] = false;
         live_->fetch_add(1, std::memory_order_relaxed);
         arr_.write(id, std::move(value));
         return id;
@@ -90,11 +91,18 @@ class DistIdTable {
   }
 
   /// Recycles `id`. The slot's value is left in place (callers treat a
-  /// released id as invalid). Throws std::out_of_range, touching nothing,
-  /// for an id never allocated (`id >= high_water()`).
+  /// released id as invalid). Throws, touching nothing, std::out_of_range
+  /// for an id never allocated (`id >= high_water()`) and
+  /// std::invalid_argument for an id released and not allocated since.
   void release(std::size_t id) {
     check_allocated(id);
     std::lock_guard<std::mutex> guard(free_mu_);
+    if (id < released_.size() && released_[id]) {
+      throw std::invalid_argument("DistIdTable: id " + std::to_string(id) +
+                                  " is already released");
+    }
+    if (id >= released_.size()) released_.resize(id + 1, false);
+    released_[id] = true;
     free_ids_.push_back(id);
     live_->fetch_sub(1, std::memory_order_relaxed);
   }
@@ -123,6 +131,8 @@ class DistIdTable {
   plat::CacheAligned<std::atomic<std::size_t>> live_{std::size_t{0}};
   std::mutex free_mu_;
   std::vector<std::size_t> free_ids_;
+  /// released_[id]: `id` is on free_ids_ (sized by the highest release).
+  std::vector<bool> released_;
 };
 
 }  // namespace rcua::cont

@@ -72,6 +72,8 @@ namespace rcua {
 ///  * resize_add/reserve: parallel-safe against everything (serialized by
 ///    the cluster-wide WriteLock); each returns once every locale serves
 ///    the new blocks, and only then does capacity() count them.
+///  * block walks (for_each_block_local/fill/reduce): parallel-safe, each
+///    on its pinned spine; a walk's `fn` must not change the block table.
 ///  * QSBR policy: callers must invoke `reclaim::Qsbr::checkpoint()`
 ///    periodically (or rely on pool workers parking) and must not hold a
 ///    reference obtained *from a dropped spine's blocks*— note blocks are
@@ -116,9 +118,9 @@ class RCUArray {
 
   static constexpr bool uses_qsbr = Policy::is_qsbr;
   static constexpr bool uses_interval = Policy::is_interval;
-  /// Resize publish attempts that consult the fault plan; past this many
-  /// injected broadcast drops the plan is ignored, so resize_add
-  /// terminates under any plan.
+  /// Publish attempts of a structural op that consult the fault plan;
+  /// past this many injected broadcast drops the plan is ignored, so
+  /// every structural op terminates under any plan.
   static constexpr std::uint32_t kMaxPublishAttempts = 64;
 
   RCUArray(rt::Cluster& cluster, std::size_t initial_capacity = 0,
@@ -189,8 +191,9 @@ class RCUArray {
 
   /// Convenience value read / write (the paper's "update" is the write).
   /// For machine-word elements these are relaxed atomics, so concurrent
-  /// read/write mixes on the same index are defined (§III-C contract);
-  /// larger element types fall back to plain accesses and inherit the
+  /// read/write mixes on the same index are defined (§III-C contract); a
+  /// `std::atomic<U>` element is read and written as a `U`, relaxed.
+  /// Larger element types fall back to plain accesses and inherit the
   /// single-writer-per-index discipline those imply.
   ///
   /// With the block cache enabled (Options::cache_capacity_bytes > 0),
@@ -198,20 +201,15 @@ class RCUArray {
   /// (rt::ReadThrough) inside the read-side section: a hit is charged a
   /// node-local copy instead of remote traffic, a miss fills the whole
   /// block through AsyncComm and caches it under the pinned version.
-  T read(std::size_t i) {
+  plat::element_value_t<T> read(std::size_t i) {
     // The load happens INSIDE the read-side section (unlike index(),
     // whose returned reference deliberately escapes it): value ops must
     // stay safe against rehome(), which — unlike resize — really does
     // reclaim the replaced blocks once readers drain.
-    return with_slot<Access::kRead>(i, [](T& slot, Block<T>*) -> T {
-      if constexpr (plat::relaxed_capable_v<T>) {
-        return plat::relaxed_load(slot);
-      } else {
-        return slot;
-      }
-    });
+    return with_slot<Access::kRead>(
+        i, [](T& slot, Block<T>*) { return plat::relaxed_load(slot); });
   }
-  void write(std::size_t i, T value) {
+  void write(std::size_t i, plat::element_value_t<T> value) {
     // Store + generation bump both land INSIDE the section for the same
     // migration-safety reason as read(): a rehome drain that completes
     // between a section exit and a post-section store would free the
@@ -219,11 +217,7 @@ class RCUArray {
     // relaxation only covers recycled blocks (resize), not reclaimed
     // ones (rehome).
     with_slot<Access::kWrite>(i, [&](T& slot, Block<T>* b) {
-      if constexpr (plat::relaxed_capable_v<T>) {
-        plat::relaxed_store(slot, std::move(value));
-      } else {
-        slot = std::move(value);
-      }
+      plat::relaxed_store(slot, std::move(value));
       // Write-through coherence (DESIGN.md §11): the PUT above already
       // updated the block; bumping its write generation AFTER the store
       // lands (release) invalidates every cached copy of the block on
@@ -272,7 +266,7 @@ class RCUArray {
     const std::size_t remove_blocks = num_elements / block_size_;
     if (remove_blocks == 0) return;
     obs::TraceSpan resize_span("rcua.resize_remove", "rcua", remove_blocks);
-    write_lock_.lock();
+    std::lock_guard<rt::GlobalLock> guard(write_lock_);
     const std::vector<Block<T>*>& current = spine0().blocks();
     const std::size_t keep =
         remove_blocks >= current.size() ? 0 : current.size() - remove_blocks;
@@ -282,25 +276,20 @@ class RCUArray {
         current.begin() + static_cast<std::ptrdiff_t>(keep), current.end());
     // Before any locale stops serving the dropped blocks.
     served_blocks_.store(keep, std::memory_order_release);
-    cluster_.coforall_locales([&](std::uint32_t l) {
-      // Unlike resize_add, this drain stays BLOCKING even under a
-      // non-blocking stall policy: the dropped blocks freed below are
-      // shared by every locale's spine, so their reclamation needs every
-      // locale's readers drained — neither the per-locale parity tag of
-      // the EBR overflow list nor the era list can cover them (DESIGN.md
-      // §8/§13). A stalled reader therefore delays resize_remove (an
-      // extension path), never resize_add.
-      Snapshot<T>* held =
-          publish_spine(l, keep, {}, /*drain_follows=*/true,
-                        "rcua.resize.publish", "rcua.resize.published");
-      priv_at(l).reclaimer.drain(held, "rcua.resize.epoch_bumped",
-                                 "rcua.resize.retire_spine");
-    });
+    // Unlike resize_add, this drain stays BLOCKING even under a
+    // non-blocking stall policy: the dropped blocks freed below are shared
+    // by every locale's spine, so their reclamation needs every locale's
+    // readers drained — neither the per-locale parity tag of the EBR
+    // overflow list nor the era list can cover them (DESIGN.md §8/§13). A
+    // stalled reader therefore delays resize_remove (an extension path),
+    // never resize_add.
+    drain_all(publish_all(keep, {}, /*drain_follows=*/true,
+                          "rcua.resize.publish", "rcua.resize.published"),
+              "rcua.resize.epoch_bumped", "rcua.resize.retire_spine");
     // Every locale has swapped and drained; no snapshot reaches the
     // dropped blocks.
     free_blocks(dropped, "rcua.resize.recycle_block");
     resizes_.fetch_add(1, std::memory_order_relaxed);
-    write_lock_.unlock();
   }
 
   // -- Live migration (DESIGN.md §14) -----------------------------------
@@ -351,7 +340,7 @@ class RCUArray {
       throw std::invalid_argument("rehome: dst locale out of range");
     }
     obs::TraceSpan span("rcua.rehome", "rcua", dst);
-    write_lock_.lock();
+    std::lock_guard<rt::GlobalLock> guard(write_lock_);
     const std::uint32_t here = cluster_.here();
     const std::vector<Block<T>*> old_blocks = spine0().blocks();
     // Indices (and blocks) living somewhere other than `dst`; blocks
@@ -366,7 +355,6 @@ class RCUArray {
     }
     if (moved.empty()) {
       home_locale_.store(dst, std::memory_order_relaxed);
-      write_lock_.unlock();
       return true;
     }
 
@@ -415,7 +403,6 @@ class RCUArray {
       }
       rehome_rollbacks_.fetch_add(1, std::memory_order_relaxed);
       obs::trace_instant("rcua.rehome.rollback", "rcua", dst);
-      write_lock_.unlock();
       return false;
     }
     if (!RCUA_SCHED_MUT(migrate_publish_before_copy_complete)) {
@@ -426,16 +413,12 @@ class RCUArray {
     }
 
     // -- 2. PUBLISH + invalidate -----------------------------------------
-    // What each locale's drain below still has to free.
-    std::vector<Snapshot<T>*> retired(cluster_.num_locales(), nullptr);
-    cluster_.coforall_locales([&](std::uint32_t l) {
-      // The whole table is new, so every cached block copy goes:
-      // replaced blocks change identity per index, and surviving entries
-      // would only ever be version-stale lazy misses.
-      retired[l] =
-          publish_spine(l, /*keep=*/0, fresh, /*drain_follows=*/true,
-                        "rcua.rehome.publish", "rcua.rehome.published");
-    });
+    // The whole table is new, so every cached block copy goes: replaced
+    // blocks change identity per index, and surviving entries would only
+    // ever be version-stale lazy misses.
+    const std::vector<Snapshot<T>*> retired =
+        publish_all(/*keep=*/0, fresh, /*drain_follows=*/true,
+                    "rcua.rehome.publish", "rcua.rehome.published");
     if (RCUA_SCHED_MUT(migrate_publish_before_copy_complete)) {
       // MUTATION (sched harness only): the replacement spine is already
       // visible on every locale; only now do the pipelined copy
@@ -453,16 +436,12 @@ class RCUArray {
       // that pinned the old spine still holds pointers into them.
       free_blocks(replaced, "rcua.rehome.free_block");
     }
-    cluster_.coforall_locales([&](std::uint32_t l) {
-      // Replaced blocks are shared by every locale's old spine, so this
-      // drain is deliberately BLOCKING, exactly like resize_remove's.
-      priv_at(l).reclaimer.drain(retired[l], "rcua.rehome.epoch_bumped",
-                                 "rcua.rehome.drained");
-    });
+    // Replaced blocks are shared by every locale's old spine, so this
+    // drain is deliberately BLOCKING, exactly like resize_remove's.
+    drain_all(retired, "rcua.rehome.epoch_bumped", "rcua.rehome.drained");
     if (!freed_early) free_blocks(replaced, "rcua.rehome.free_block");
     home_locale_.store(dst, std::memory_order_relaxed);
     rehomes_.fetch_add(1, std::memory_order_relaxed);
-    write_lock_.unlock();
     return true;
   }
 
@@ -600,18 +579,20 @@ class RCUArray {
 
   /// Runs `fn(global_block_index, Block<T>&)` for every block, each on a
   /// task on the block's OWNING locale — the locality-aware loop the
-  /// paper's DSI future work calls for. Not concurrent-resize-safe (the
-  /// iteration space is fixed at entry). An `fn` that writes the block
-  /// must bump its generation after the stores when the cache is on
-  /// (`blk.bump_generation()`), or a remote locale's cached copy outlives
-  /// the write (DESIGN.md §11).
+  /// paper's DSI future work calls for. Each locale walks the spine its
+  /// read section pinned at entry, so any structural op may run
+  /// concurrently, but `fn` (inside the section) must not change the
+  /// block table. An `fn` that writes the block must bump its generation
+  /// after the stores when the cache is on (`blk.bump_generation()`), or
+  /// a remote locale's cached copy outlives the write (DESIGN.md §11).
   template <typename F>
   void for_each_block_local(F&& fn) {
     cluster_.coforall_locales([&](std::uint32_t l) {
       PerLocale& p = priv_at(l);
-      Snapshot<T>* s = p.global_snapshot.load(std::memory_order_acquire);
-      for (std::size_t b = 0; b < s->num_blocks(); ++b) {
-        Block<T>* blk = s->block(b);
+      reclaim::ReadSection<Policy> section(p.reclaimer);
+      const Snapshot<T>& s = *section.pin(p.global_snapshot);
+      for (std::size_t b = 0; b < s.num_blocks(); ++b) {
+        Block<T>* blk = s.block(b);
         if (blk->owner() != l) continue;
         sim::touch_block(blk->id(), false, true);
         fn(b, *blk);
@@ -630,31 +611,26 @@ class RCUArray {
     });
   }
 
-  /// Parallel reduction: `fn(acc, element)` folds each locale's local
-  /// elements, partials combined with `combine`. T and R must be
-  /// copyable; the array must not be resized concurrently.
+  /// Parallel reduction, a fold over the block walk: `fn(acc, element)`
+  /// folds each locale's local elements into a partial seeded with
+  /// `init`, and `combine` folds the partials into `init` in locale
+  /// order. R must be copyable.
   template <typename R, typename Fold, typename Combine>
   [[nodiscard]] R reduce(R init, Fold&& fn, Combine&& combine) {
-    std::mutex mu;
-    R total = init;
-    const auto& m = sim::CostModel::get();
-    cluster_.coforall_locales([&](std::uint32_t l) {
-      PerLocale& p = priv_at(l);
-      Snapshot<T>* s = p.global_snapshot.load(std::memory_order_acquire);
-      R partial = init;
-      for (std::size_t b = 0; b < s->num_blocks(); ++b) {
-        Block<T>* blk = s->block(b);
-        if (blk->owner() != l) continue;
-        sim::touch_block(blk->id(), false, false);
-        for (std::size_t i = 0; i < blk->capacity(); ++i) {
-          partial = fn(std::move(partial), (*blk)[i]);
-        }
-        sim::charge(m.bulk_copy_ns_per_elem *
-                    static_cast<double>(blk->capacity()) / 4.0);
+    std::vector<R> partials(cluster_.num_locales(), init);
+    const double ns_per_elem = sim::CostModel::get().bulk_copy_ns_per_elem;
+    for_each_block_local([&](std::size_t, Block<T>& blk) {
+      R partial = std::move(partials[blk.owner()]);
+      for (std::size_t i = 0; i < blk.capacity(); ++i) {
+        partial = fn(std::move(partial), blk[i]);
       }
-      std::lock_guard<std::mutex> guard(mu);
-      total = combine(std::move(total), std::move(partial));
+      partials[blk.owner()] = std::move(partial);
+      sim::charge(ns_per_elem * static_cast<double>(blk.capacity()) / 4.0);
     });
+    R total = std::move(init);
+    for (R& partial : partials) {
+      total = combine(std::move(total), std::move(partial));
+    }
     return total;
   }
 
@@ -717,8 +693,9 @@ class RCUArray {
 
   // -- Stall tolerance observability ------------------------------------
 
-  /// Resize publish rounds repeated because a locale's broadcast step
-  /// was dropped (injected fault) — each increment is one retry sweep.
+  /// Publish rounds of any structural op repeated because a locale's
+  /// broadcast step was dropped (injected fault) — each increment is one
+  /// retry sweep.
   [[nodiscard]] std::uint64_t broadcast_retries() const noexcept {
     return broadcast_retries_.load(std::memory_order_relaxed);
   }
@@ -741,7 +718,7 @@ class RCUArray {
   /// Manually retries reclamation of every locale's deferred spines
   /// (resizes do this opportunistically anyway). Returns spines freed.
   std::size_t reclaim_overflow() {
-    write_lock_.lock();
+    std::lock_guard<rt::GlobalLock> guard(write_lock_);
     std::atomic<std::size_t> before{0};
     std::atomic<std::size_t> after{0};
     cluster_.coforall_locales([&](std::uint32_t l) {
@@ -750,7 +727,6 @@ class RCUArray {
       r.flush(retire_site(l));
       after.fetch_add(r.pending().objects, std::memory_order_relaxed);
     });
-    write_lock_.unlock();
     return before.load(std::memory_order_relaxed) -
            after.load(std::memory_order_relaxed);
   }
@@ -825,44 +801,18 @@ class RCUArray {
       }
       for (auto& f : pending) new_blocks.push_back(f.get());
     }
-    const std::uint32_t final_loc = loc;
 
     if (RCUA_SCHED_MUT(capacity_before_publish)) {
       // MUTATION (sched harness only): counted before any locale serves.
       served_blocks_.store(keep + nblocks, std::memory_order_release);
     }
-    // Update performed on each node (lines 18-28), retried against
-    // injected broadcast faults: a locale whose swap step the fault plan
-    // drops is re-broadcast with backoff until every locale has
-    // published. `done` makes the per-locale body idempotent across
-    // attempts, and after kMaxPublishAttempts the plan is no longer
-    // consulted, so resize_add terminates under any plan.
-    std::vector<std::atomic<bool>> done(cluster_.num_locales());
-    std::uint32_t attempt = 0;
-    plat::Backoff publish_backoff;
-    for (;;) {
-      cluster_.coforall_locales([&](std::uint32_t l) {
-        if (done[l].load(std::memory_order_acquire)) return;
-        if (rt::FaultPlan* plan = cluster_.fault_plan();
-            plan != nullptr && attempt < kMaxPublishAttempts &&
-            plan->fires(rt::FaultPlan::Action::kDropBroadcast, l)) {
-          RCUA_SCHED_POINT("rcua.resize.broadcast_dropped");
-          return;  // injected lost broadcast: this locale missed the swap
-        }
-        // Every block stays, so no drain follows.
-        publish_spine(l, keep, new_blocks, /*drain_follows=*/false,
-                      "rcua.resize.publish", "rcua.resize.published");
-        priv_at(l).next_locale_id = final_loc;  // line 28
-        done[l].store(true, std::memory_order_release);
-      });
-      bool all_published = true;
-      for (auto& d : done) {
-        all_published = all_published && d.load(std::memory_order_acquire);
-      }
-      if (all_published) break;
-      ++attempt;
-      broadcast_retries_.fetch_add(1, std::memory_order_relaxed);
-      publish_backoff.pause();
+    // Update performed on each node (lines 18-27); every block stays, so
+    // no drain follows.
+    publish_all(keep, new_blocks, /*drain_follows=*/false,
+                "rcua.resize.publish", "rcua.resize.published");
+    // Line 28, read only under the write lock.
+    for (std::uint32_t l = 0; l < cluster_.num_locales(); ++l) {
+      priv_at(l).next_locale_id = loc;
     }
     // Every locale serves the new blocks, so capacity() may count them.
     served_blocks_.store(keep + nblocks, std::memory_order_release);
@@ -895,6 +845,49 @@ class RCUArray {
     const std::size_t bytes =
         sizeof(Snapshot<T>) + old->num_blocks() * sizeof(Block<T>*);
     return p.reclaimer.retire_spine(old, bytes, site, drain_follows);
+  }
+
+  /// publish_spine on every locale, the "on each node" of every structural
+  /// op. A locale whose step the fault plan drops is re-broadcast with
+  /// backoff until every locale has published; past kMaxPublishAttempts
+  /// the plan is ignored. Returns what each locale's drain_all must free.
+  std::vector<Snapshot<T>*> publish_all(std::size_t keep,
+                                        std::span<Block<T>* const> tail,
+                                        bool drain_follows, const char* publish,
+                                        const char* published) {
+    std::vector<Snapshot<T>*> held(cluster_.num_locales(), nullptr);
+    std::vector<std::atomic<bool>> done(cluster_.num_locales());
+    plat::Backoff backoff;
+    for (std::uint32_t attempt = 0;; ++attempt) {
+      cluster_.coforall_locales([&](std::uint32_t l) {
+        if (done[l].load(std::memory_order_acquire)) return;
+        if (rt::FaultPlan* plan = cluster_.fault_plan();
+            plan != nullptr && attempt < kMaxPublishAttempts &&
+            plan->fires(rt::FaultPlan::Action::kDropBroadcast, l)) {
+          RCUA_SCHED_POINT("rcua.resize.broadcast_dropped");
+          return;  // injected lost broadcast: this locale missed the swap
+        }
+        held[l] = publish_spine(l, keep, tail, drain_follows, publish,
+                                published);
+        done[l].store(true, std::memory_order_release);
+      });
+      bool all_published = true;
+      for (auto& d : done) {
+        all_published = all_published && d.load(std::memory_order_acquire);
+      }
+      if (all_published) return held;
+      broadcast_retries_.fetch_add(1, std::memory_order_relaxed);
+      backoff.pause();
+    }
+  }
+
+  /// The blocking drain of every locale after publish_all: waits out each
+  /// locale's readers of the spine it retired, then frees `held[l]`.
+  void drain_all(const std::vector<Snapshot<T>*>& held, const char* bumped,
+                 const char* drained) {
+    cluster_.coforall_locales([&](std::uint32_t l) {
+      priv_at(l).reclaimer.drain(held[l], bumped, drained);
+    });
   }
 
   template <typename F>

@@ -75,19 +75,9 @@ class ShardedCollection {
       : cluster_(cluster),
         block_size_(options.block_size),
         shard_count_(resolve_shard_count(options.shard_count, cluster)),
-        routed_(cluster.comm().registry().counter("rcua.service.routed",
-                                                  cluster.num_locales())),
-        routed_remote_(cluster.comm().registry().counter(
-            "rcua.service.routed_remote", cluster.num_locales())),
-        remaps_(cluster.comm().registry().counter("rcua.service.remaps")),
-        migrations_(
-            cluster.comm().registry().counter("rcua.service.migrations")),
-        migration_rollbacks_(cluster.comm().registry().counter(
-            "rcua.service.migration_rollbacks")),
-        migrated_blocks_(cluster.comm().registry().counter(
-            "rcua.service.migrated_blocks")),
-        migrated_bytes_(cluster.comm().registry().counter(
-            "rcua.service.migrated_bytes")),
+        routed_("rcua.service.routed", cluster.num_locales(), obs::Agg::kSum),
+        routed_remote_("rcua.service.routed_remote", cluster.num_locales(),
+                       obs::Agg::kSum),
         home_(shard_count_) {
     if (block_size_ == 0) throw std::invalid_argument("block_size == 0");
     if (shard_count_ == 0) throw std::invalid_argument("shard_count == 0");
@@ -128,12 +118,12 @@ class ShardedCollection {
     return index(i);
   }
 
-  T read(std::size_t i) {
+  plat::element_value_t<T> read(std::size_t i) {
     const Route r = route(i);
     return shards_[r.shard]->read(r.local);
   }
 
-  void write(std::size_t i, T value) {
+  void write(std::size_t i, plat::element_value_t<T> value) {
     const Route r = route(i);
     shards_[r.shard]->write(r.local, std::move(value));
   }
@@ -215,13 +205,12 @@ class ShardedCollection {
     if (b.home_locale() == dst && home_of(shard) == dst) return true;
     const std::size_t blocks = b.num_blocks();
     if (!b.rehome(dst)) {
-      migration_rollbacks_.add();
+      migration_rollbacks_.fetch_add(1, std::memory_order_relaxed);
       return false;
     }
     set_home(shard, dst);
-    migrations_.add();
-    migrated_blocks_.add(blocks);
-    migrated_bytes_.add(blocks * block_size_ * sizeof(T));
+    migrations_.fetch_add(1, std::memory_order_relaxed);
+    migrated_blocks_.fetch_add(blocks, std::memory_order_relaxed);
     return true;
   }
 
@@ -268,16 +257,16 @@ class ShardedCollection {
     return map_version_.load(std::memory_order_relaxed);
   }
   [[nodiscard]] std::uint64_t migrations() const noexcept {
-    return migrations_.value();
+    return migrations_.load(std::memory_order_relaxed);
   }
   [[nodiscard]] std::uint64_t migration_rollbacks() const noexcept {
-    return migration_rollbacks_.value();
+    return migration_rollbacks_.load(std::memory_order_relaxed);
   }
   [[nodiscard]] std::uint64_t remaps() const noexcept {
-    return remaps_.value();
+    return remaps_.load(std::memory_order_relaxed);
   }
   [[nodiscard]] std::uint64_t migrated_blocks() const noexcept {
-    return migrated_blocks_.value();
+    return migrated_blocks_.load(std::memory_order_relaxed);
   }
   [[nodiscard]] std::uint64_t routed() const noexcept {
     return routed_.value();
@@ -369,7 +358,7 @@ class ShardedCollection {
     home_[shard].store(dst, std::memory_order_relaxed);
     map_version_.store(map_version_.load(std::memory_order_relaxed) + 1,
                        std::memory_order_relaxed);
-    remaps_.add();
+    remaps_.fetch_add(1, std::memory_order_relaxed);
   }
 
   rt::Cluster& cluster_;
@@ -379,13 +368,14 @@ class ShardedCollection {
   std::atomic<std::size_t> total_blocks_{0};
   /// Serializes migrations, remaps and collection-level growth.
   std::mutex remap_mu_;
-  obs::Counter& routed_;
-  obs::Counter& routed_remote_;
-  obs::Counter& remaps_;
-  obs::Counter& migrations_;
-  obs::Counter& migration_rollbacks_;
-  obs::Counter& migrated_blocks_;
-  obs::Counter& migrated_bytes_;
+  /// This collection's routing counters, striped by locale (route()).
+  obs::Counter routed_;
+  obs::Counter routed_remote_;
+  /// Written under remap_mu_.
+  std::atomic<std::uint64_t> remaps_{0};
+  std::atomic<std::uint64_t> migrations_{0};
+  std::atomic<std::uint64_t> migration_rollbacks_{0};
+  std::atomic<std::uint64_t> migrated_blocks_{0};
   /// Placement: shard -> home locale, written only under remap_mu_.
   /// Declared after the fields route() reads, which it never touches.
   std::vector<std::atomic<std::uint32_t>> home_;

@@ -159,6 +159,46 @@ TEST(Chaos, DroppedBroadcastIsRetriedUntilEveryLocalePublishes) {
   cluster.set_fault_plan(nullptr);
 }
 
+// resize_remove and rehome publish through the same retried broadcast as
+// resize_add: a dropped step is re-broadcast, every locale converges on
+// the same table, and no value is lost.
+TEST(Chaos, DroppedBroadcastIsRetriedByResizeRemoveAndRehome) {
+  constexpr auto kDrop = rt::FaultPlan::Action::kDropBroadcast;
+  rt::FaultPlan plan(/*seed=*/19);  // outlives the cluster's workers
+  rt::Cluster cluster({.num_locales = 3, .workers_per_locale = 1});
+  rcua::RCUArray<int> arr(cluster, 6 * 32, {.block_size = 32});
+  for (std::size_t i = 0; i < arr.capacity(); ++i) {
+    arr.write(i, static_cast<int>(3 * i));
+  }
+  cluster.set_fault_plan(&plan);
+  // Fires at the rule's first consultation only: locale 1 misses once.
+  const rt::FaultPlan::Rule drop_once{
+      .action = kDrop, .locale = 1, .fire_from = 1, .fire_count = 1};
+
+  plan.add(drop_once);
+  arr.resize_remove(2 * 32);
+  EXPECT_EQ(plan.fired(kDrop), 1u);
+  const std::uint64_t retries = arr.broadcast_retries();
+  EXPECT_GE(retries, 1u);
+
+  plan.add(drop_once);
+  EXPECT_TRUE(arr.rehome(2));
+  EXPECT_EQ(plan.fired(kDrop), 2u);
+  EXPECT_GT(arr.broadcast_retries(), retries);
+  cluster.set_fault_plan(nullptr);
+
+  for (std::uint32_t l = 0; l < cluster.num_locales(); ++l) {
+    cluster.on(l, [&] {
+      auto view = arr.view();
+      ASSERT_EQ(view.capacity(), 4u * 32u);
+      for (std::size_t i = 0; i < view.capacity(); ++i) {
+        EXPECT_EQ(view[i], static_cast<int>(3 * i)) << "locale " << l;
+      }
+    });
+  }
+  EXPECT_EQ(arr.block_owner(0), 2u);
+}
+
 TEST(Chaos, ResizeTerminatesUnderAPermanentBroadcastFault) {
   // A plan that drops a locale's broadcast forever must not livelock the
   // resize: past kMaxPublishAttempts the plan stops being consulted.

@@ -163,6 +163,26 @@ TEST(DistIdTable, ReleaseNeverAllocatedThrows) {
   drain_qsbr();
 }
 
+// A second release of an id must not reach the free list twice (two
+// allocates would share the slot) or wrap the live count.
+TEST(DistIdTable, DoubleReleaseThrows) {
+  rt::Cluster cluster({.num_locales = 2, .workers_per_locale = 2});
+  DistIdTable<std::uint64_t> table(cluster, {.block_size = 8});
+  const auto id = table.allocate(7);
+  table.release(id);
+  EXPECT_THROW(table.release(id), std::invalid_argument);
+  EXPECT_EQ(table.live(), 0u);
+  const auto a = table.allocate(1);
+  const auto b = table.allocate(2);
+  EXPECT_NE(a, b);
+  EXPECT_EQ(table.read(a), 1u);
+  EXPECT_EQ(table.read(b), 2u);
+  // Allocated again, the id can be released again.
+  table.release(a);
+  EXPECT_EQ(table.live(), 1u);
+  drain_qsbr();
+}
+
 TEST(DistIdTable, ConcurrentAllocatorsGetUniqueIds) {
   rt::Cluster cluster({.num_locales = 2, .workers_per_locale = 4});
   DistIdTable<std::uint64_t> table(cluster, {.block_size = 32});

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <set>
 #include <thread>
 #include <vector>
@@ -244,4 +246,53 @@ TEST(DistBitset, EbrPolicyVariantWorks) {
   bits.set(100);
   EXPECT_TRUE(bits.test(100));
   EXPECT_EQ(bits.count(), 1u);
+}
+
+namespace {
+
+template <typename Policy>
+struct DistBitsetAllPolicies : public ::testing::Test {};
+
+using AllPolicies =
+    ::testing::Types<rcua::QsbrPolicy, rcua::EbrPolicy, rcua::LegacyEbrPolicy,
+                     rcua::IbrPolicy, rcua::HazardErasPolicy>;
+TYPED_TEST_SUITE(DistBitsetAllPolicies, AllPolicies);
+
+}  // namespace
+
+// count() walks every locale's spine while each growth retires it. The
+// walk pins the spine in its read section; a walk without one reads a
+// spine the growth already freed (a heap-use-after-free under ASan).
+// Every count lies between the set bits before and after the growths.
+TYPED_TEST(DistBitsetAllPolicies, CountIsSafeAgainstConcurrentGrowth) {
+  constexpr std::size_t kWords = 4;  // per block
+  constexpr std::size_t kGrowths = 200;
+  rt::Cluster cluster({.num_locales = 2, .workers_per_locale = 2});
+  DistBitset<TypeParam> bits(cluster, 2 * kWords * 64,
+                             {.block_size_words = kWords});
+  for (std::size_t i = 0; i < 2 * kWords * 64; i += 3) bits.set(i);
+  const std::size_t before = bits.count();
+  std::atomic<bool> done{false};
+  std::size_t lowest = SIZE_MAX;
+  std::size_t highest = 0;
+  std::thread counter([&] {
+    do {
+      const std::size_t c = bits.count();
+      lowest = std::min(lowest, c);
+      highest = std::max(highest, c);
+    } while (!done.load(std::memory_order_acquire));
+  });
+  auto& words = bits.backing();
+  for (std::size_t g = 0; g < kGrowths; ++g) {
+    const std::size_t first_new_bit = words.capacity() * 64;
+    words.resize_add(kWords);
+    bits.set(first_new_bit + g % 64);
+  }
+  done.store(true, std::memory_order_release);
+  counter.join();
+  const std::size_t after = bits.count();
+  EXPECT_EQ(after, before + kGrowths);
+  EXPECT_GE(lowest, before);
+  EXPECT_LE(highest, after);
+  drain_qsbr();
 }

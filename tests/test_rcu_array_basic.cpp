@@ -3,9 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <set>
+#include <type_traits>
 #include <vector>
 
 #include "core/rcu_array.hpp"
@@ -447,4 +449,37 @@ TYPED_TEST(RcuArrayAllPolicies, StructuralOpsDropTheCachedCopiesTheyReplace) {
     }
   }
   qsbr.flush_unsafe();
+}
+
+// A std::atomic element is read and written as its value type, relaxed,
+// from every locale; with the cache on, a remote read goes through the
+// cache and a later write() invalidates the cached copy.
+TEST(RcuArrayAtomicElements, ReadWriteFromEveryLocale) {
+  using Word = std::atomic<std::uint64_t>;
+  for (const std::size_t cache_bytes : {std::size_t{0}, std::size_t{1} << 20}) {
+    SCOPED_TRACE(cache_bytes);
+    rt::Cluster cluster({.num_locales = 2, .workers_per_locale = 2});
+    RCUArray<Word> arr(cluster, 4 * 16,
+                       {.block_size = 16, .cache_capacity_bytes = cache_bytes});
+    static_assert(std::is_same_v<decltype(arr.read(0)), std::uint64_t>);
+    for (std::uint64_t round = 1; round <= 2; ++round) {
+      // Round 1 fills the caches; round 2's writes must invalidate them.
+      for (std::uint32_t l = 0; l < 2; ++l) {
+        cluster.on(l, [&] {
+          for (std::size_t i = l; i < arr.capacity(); i += 2) {
+            arr.write(i, round * 1000 + i);
+          }
+        });
+      }
+      for (std::uint32_t l = 0; l < 2; ++l) {
+        cluster.on(l, [&] {
+          for (std::size_t i = 0; i < arr.capacity(); ++i) {
+            ASSERT_EQ(arr.read(i), round * 1000 + i) << "locale " << l;
+          }
+        });
+      }
+    }
+    EXPECT_EQ(arr.cache_enabled(), cache_bytes != 0);
+    rcua::reclaim::Qsbr::global().flush_unsafe();
+  }
 }

@@ -169,6 +169,26 @@ TYPED_TEST(ShardedTyped, RoutingCountsElementOps) {
   drain_qsbr();
 }
 
+// Two collections on one cluster: each counts only its own ops.
+TYPED_TEST(ShardedTyped, CountersBelongToTheirCollection) {
+  rt::Cluster cluster({.num_locales = 2, .workers_per_locale = 1});
+  typename TestFixture::Coll a(cluster, 64,
+                               {.block_size = 32, .shard_count = 2});
+  typename TestFixture::Coll b(cluster, 64,
+                               {.block_size = 32, .shard_count = 2});
+  for (std::size_t i = 0; i < 100; ++i) (void)a.read(i % a.capacity());
+  ASSERT_TRUE(b.migrate(0, 1 - b.home_of(0)));
+  EXPECT_EQ(a.routed(), 100u);
+  EXPECT_EQ(b.routed(), 0u);
+  EXPECT_EQ(a.migrations(), 0u);
+  EXPECT_EQ(b.migrations(), 1u);
+  EXPECT_EQ(a.remaps(), 0u);
+  EXPECT_EQ(b.remaps(), 1u);
+  EXPECT_EQ(a.migrated_blocks(), 0u);
+  EXPECT_EQ(b.migrated_blocks(), 1u);
+  drain_qsbr();
+}
+
 // routed_remote counts element ops whose target shard's blocks live off
 // the calling locale (the shard's own home, not home_of). With the
 // cache off every such op is exactly one GET or PUT, so a single-element
