@@ -76,7 +76,7 @@ class HazardArray {
     std::uint32_t loc = next_locale_;
     for (std::size_t k = 0; k < nblocks; ++k) {
       cluster_.comm().record_execute(cluster_.here(), loc);
-      new_blocks.push_back(new Block<T>(cluster_.locale(loc), block_size_));
+      new_blocks.push_back(Block<T>::create(cluster_.locale(loc), block_size_));
       sim::charge(m.alloc_block_ns);
       loc = (loc + 1) % cluster_.num_locales();
     }

@@ -85,7 +85,7 @@ class UnsafeArray {
     cluster_.coforall_locales([&](std::uint32_t l) {
       for (std::size_t k = l; k < new_count;
            k += cluster_.num_locales()) {
-        fresh[k] = new Block<T>(cluster_.locale(l), block_size_);
+        fresh[k] = Block<T>::create(cluster_.locale(l), block_size_);
         sim::charge(m.alloc_block_ns);
       }
     });

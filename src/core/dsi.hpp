@@ -126,25 +126,13 @@ class DsiArray {
     });
   }
 
-  /// Parallel fold over the logical elements.
+  /// Parallel fold over the logical elements: the backing array's
+  /// reduce, bounded by the logical size at entry. `init` must be an
+  /// identity of `fn` and `combine`.
   template <typename R, typename Fold, typename Combine>
   [[nodiscard]] R reduce(R init, Fold&& fn, Combine&& combine) {
-    const std::size_t n = size();
-    const std::size_t bs = arr_.block_size();
-    std::mutex mu;
-    R total = init;
-    arr_.for_each_block_local([&](std::size_t b, Block<T>& blk) {
-      const std::size_t base = b * bs;
-      if (base >= n) return;
-      const std::size_t limit = std::min(bs, n - base);
-      R partial = init;
-      for (std::size_t i = 0; i < limit; ++i) {
-        partial = fn(std::move(partial), blk[i]);
-      }
-      std::lock_guard<std::mutex> guard(mu);
-      total = combine(std::move(total), std::move(partial));
-    });
-    return total;
+    return arr_.reduce(std::move(init), std::forward<Fold>(fn),
+                       std::forward<Combine>(combine), size());
   }
 
   [[nodiscard]] rt::Cluster& cluster() const noexcept {

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -612,20 +613,26 @@ class RCUArray {
   }
 
   /// Parallel reduction, a fold over the block walk: `fn(acc, element)`
-  /// folds each locale's local elements into a partial seeded with
-  /// `init`, and `combine` folds the partials into `init` in locale
-  /// order. R must be copyable.
+  /// folds each locale's local elements among the first `count` (all by
+  /// default) into a partial seeded with `init`, and `combine` folds the
+  /// partials into `init` in locale order. `init` must be an identity of
+  /// `fn` and `combine`: it enters the result once per locale plus once.
+  /// R must be copyable.
   template <typename R, typename Fold, typename Combine>
-  [[nodiscard]] R reduce(R init, Fold&& fn, Combine&& combine) {
+  [[nodiscard]] R reduce(R init, Fold&& fn, Combine&& combine,
+                         std::size_t count = SIZE_MAX) {
     std::vector<R> partials(cluster_.num_locales(), init);
     const double ns_per_elem = sim::CostModel::get().bulk_copy_ns_per_elem;
-    for_each_block_local([&](std::size_t, Block<T>& blk) {
+    for_each_block_local([&](std::size_t b, Block<T>& blk) {
+      const std::size_t base = b * block_size_;
+      if (base >= count) return;
+      const std::size_t limit = std::min(blk.capacity(), count - base);
       R partial = std::move(partials[blk.owner()]);
-      for (std::size_t i = 0; i < blk.capacity(); ++i) {
+      for (std::size_t i = 0; i < limit; ++i) {
         partial = fn(std::move(partial), blk[i]);
       }
       partials[blk.owner()] = std::move(partial);
-      sim::charge(ns_per_elem * static_cast<double>(blk.capacity()) / 4.0);
+      sim::charge(ns_per_elem * static_cast<double>(limit) / 4.0);
     });
     R total = std::move(init);
     for (R& partial : partials) {
@@ -769,7 +776,7 @@ class RCUArray {
   rt::future<Block<T>*> allocate_on(rt::AsyncComm& async,
                                     std::uint32_t target) {
     return async.execute(target, /*weight=*/0, [this, target]() {
-      Block<T>* b = new Block<T>(cluster_.locale(target), block_size_);
+      Block<T>* b = Block<T>::create(cluster_.locale(target), block_size_);
       sim::charge(sim::CostModel::get().alloc_block_ns);
       return b;
     });

@@ -132,6 +132,26 @@ TYPED_TEST(DsiTyped, ReduceRespectsLogicalBound) {
   drain_qsbr();
 }
 
+// One fold, two entry points: the logical reduce is the array's reduce
+// over the logical size, so they agree for any `init` (8 blocks of 16 on
+// 4 locales; a per-block seed once made `init` 1 read 9 against 5).
+TYPED_TEST(DsiTyped, ReduceAgreesWithTheArrayReduce) {
+  rt::Cluster cluster({.num_locales = 4, .workers_per_locale = 1});
+  typename TestFixture::Array arr(cluster, 128, {.block_size = 16});
+  ASSERT_EQ(arr.backing().num_blocks(), 8u);
+  arr.forall([](std::size_t i, std::uint64_t& v) { v = i; });
+  const auto add = [](std::uint64_t a, std::uint64_t b) { return a + b; };
+  const auto fold = [](std::uint64_t acc, const std::uint64_t& v) {
+    return acc + v;
+  };
+  EXPECT_EQ(arr.reduce(std::uint64_t{0}, fold, add), 127u * 128 / 2);
+  EXPECT_EQ(arr.reduce(std::uint64_t{0}, fold, add),
+            arr.backing().reduce(std::uint64_t{0}, fold, add));
+  EXPECT_EQ(arr.reduce(std::uint64_t{1}, fold, add),
+            arr.backing().reduce(std::uint64_t{1}, fold, add));
+  drain_qsbr();
+}
+
 TEST(Dsi, ConcurrentReadersDuringResize) {
   rt::Cluster cluster({.num_locales = 2, .workers_per_locale = 3});
   DsiArray<std::uint64_t, QsbrPolicy> arr(cluster, 64, {.block_size = 64});
