@@ -108,14 +108,14 @@ CellResult run_cell(std::uint64_t stall_ns, double stall_prob,
   rt::FaultPlan plan(p.seed);  // outlives the cluster's workers
   rt::Cluster cluster({.num_locales = 1, .workers_per_locale = 2});
 
-  reclaim::StallMonitor monitor(/*budget_bytes=*/0);
+  // A 100 µs deadline: defer, never block.
+  reclaim::StallMonitor monitor(/*budget_bytes=*/0, /*deadline_ns=*/100 * 1000);
   monitor.set_sink(nullptr);  // silent: the table reports totals
 
   std::optional<reclaim::Qsbr> qsbr;
 
   typename Array::Options opts;
   opts.block_size = p.block_size;
-  opts.stall_policy.deadline_ns = 100 * 1000;  // defer, never block
   opts.stall_monitor = &monitor;
   if constexpr (Array::uses_qsbr) {
     qsbr.emplace();
@@ -217,15 +217,14 @@ bool run_counters(const char* tag) {
   using Array = rcua::RCUArray<std::uint64_t, Policy>;
   rt::Cluster cluster({.num_locales = 1, .workers_per_locale = 1});
 
-  reclaim::StallMonitor monitor(/*budget_bytes=*/0);
+  // Parked view: every EBR drain must time out deterministically.
+  reclaim::StallMonitor monitor(/*budget_bytes=*/0, /*deadline_ns=*/1);
   monitor.set_sink(nullptr);
 
   std::optional<reclaim::Qsbr> qsbr;
 
   typename Array::Options opts;
   opts.block_size = 64;
-  // Parked view: every EBR drain must time out deterministically.
-  opts.stall_policy.deadline_ns = 1;
   opts.stall_monitor = &monitor;
   if constexpr (Array::uses_qsbr) {
     qsbr.emplace();

@@ -116,7 +116,8 @@ def main():
     if unmatched:
         print(
             f"\nnote: {unmatched} unmatched begin/end event(s) — ring "
-            f"overflow discarded their partners (raise RCUA_TRACE_CAP)",
+            f"overflow discarded their partners (each thread keeps its "
+            f"last 8192 events; trace a shorter run)",
             file=sys.stderr,
         )
     return 0

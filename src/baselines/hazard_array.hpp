@@ -99,6 +99,7 @@ class HazardArray {
   T& element(Snapshot<T>& s, std::size_t i, bool is_write) {
     const std::size_t bidx = i / block_size_;
     const std::size_t off = i % block_size_;
+    if (bidx >= s.num_blocks()) throw_index_out_of_range(i, s.capacity());
     Block<T>* b = s.block(bidx);
     const std::uint32_t here = cluster_.here();
     cluster_.comm().record_access(here, b->owner(), is_write);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <mutex>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -47,12 +48,21 @@ class DsiArray {
   }
 
   T& at(std::size_t i) {
-    if (i >= size()) throw std::out_of_range("DsiArray::at beyond size");
+    check_index(i);
     return arr_.index(i);
   }
 
-  T read(std::size_t i) { return at(i); }
-  void write(std::size_t i, T value) { at(i) = std::move(value); }
+  /// Value ops, through the backing array's: the access stays inside its
+  /// read section, and write() bumps the block's write generation, so no
+  /// locale's cached copy outlives the store (DESIGN.md §11).
+  plat::element_value_t<T> read(std::size_t i) {
+    check_index(i);
+    return arr_.read(i);
+  }
+  void write(std::size_t i, plat::element_value_t<T> value) {
+    check_index(i);
+    arr_.write(i, std::move(value));
+  }
 
   // -- Domain shape -------------------------------------------------------
 
@@ -141,6 +151,10 @@ class DsiArray {
   [[nodiscard]] RCUArray<T, Policy>& backing() noexcept { return arr_; }
 
  private:
+  void check_index(std::size_t i) const {
+    if (i >= size()) throw std::out_of_range("DsiArray: index beyond size");
+  }
+
   RCUArray<T, Policy> arr_;
   plat::CacheAligned<std::atomic<std::size_t>> size_{std::size_t{0}};
   std::mutex resize_mu_;

@@ -31,13 +31,6 @@
 
 namespace rcua {
 
-/// Out-of-line, so the element path carries only the compare and a call.
-[[noreturn, gnu::cold, gnu::noinline]] inline void throw_index_out_of_range(
-    std::size_t i, std::size_t capacity) {
-  throw std::out_of_range("RCUArray: index " + std::to_string(i) +
-                          " >= capacity " + std::to_string(capacity));
-}
-
 /// The block count reserve(n) grows to, the growth rule of both backends:
 /// `blocks` (at least one) doubled until it covers `n` elements. Throws
 /// std::length_error when no doubling's capacity is representable.
@@ -90,13 +83,12 @@ class RCUArray {
     std::size_t block_size = 1024;
     /// QSBR domain; defaults to the process-wide one. Ignored under EBR.
     reclaim::Qsbr* qsbr = nullptr;
-    /// Deadline for the EBR spine drain in resize. The default blocks
-    /// (deadline 0), the paper's behaviour. With a deadline, a resize
-    /// whose readers stall defers the old spine onto a per-locale
-    /// overflow retire list instead of blocking.
-    reclaim::StallPolicy stall_policy = {};
-    /// Watchdog receiving stall diagnostics and bounding overflow bytes
-    /// (nullptr = the process-wide StallMonitor::global()).
+    /// Watchdog receiving stall diagnostics, bounding overflow bytes and
+    /// holding the deadline of the EBR spine drain in resize (nullptr =
+    /// the process-wide StallMonitor::global(), whose deadline 0 blocks:
+    /// the paper's behaviour). With a deadline, a resize whose readers
+    /// stall defers the old spine onto a per-locale overflow retire list
+    /// instead of blocking.
     reclaim::StallMonitor* stall_monitor = nullptr;
     /// Sentinel for cache_capacity_bytes: defer to the environment.
     static constexpr std::size_t kCacheCapacityFromEnv =
@@ -128,10 +120,6 @@ class RCUArray {
            Options options = {})
       : cluster_(cluster),
         block_size_(options.block_size),
-        stall_policy_(options.stall_policy),
-        monitor_(options.stall_monitor != nullptr
-                     ? options.stall_monitor
-                     : &reclaim::StallMonitor::global()),
         cache_capacity_(options.cache_capacity_bytes ==
                                 Options::kCacheCapacityFromEnv
                             ? rt::BlockCache::capacity_from_env()
@@ -146,8 +134,12 @@ class RCUArray {
     }
     reclaim::Qsbr& qsbr =
         options.qsbr != nullptr ? *options.qsbr : reclaim::Qsbr::global();
+    reclaim::StallMonitor* monitor = options.stall_monitor;
+    if (monitor == nullptr) monitor = &reclaim::StallMonitor::global();
     cluster_.coforall_locales([&](std::uint32_t l) {
-      locales_[l] = std::make_unique<PerLocale>(qsbr, cluster_.comm(), l,
+      const reclaim::RetireSite site{cluster_.locale(l), *monitor,
+                                     stalled_spines_};
+      locales_[l] = std::make_unique<PerLocale>(qsbr, site, cluster_.comm(), l,
                                                 cache_capacity_);
     });
     if (initial_capacity > 0) resize_add(initial_capacity);
@@ -160,7 +152,7 @@ class RCUArray {
     for (std::uint32_t l = 0; l < cluster_.num_locales(); ++l) {
       PerLocale& p = priv_at(l);
       // External quiescence means every deferred spine is freeable now.
-      p.reclaimer.flush_unsafe(retire_site(l));
+      p.reclaimer.flush_unsafe();
       delete p.global_snapshot.load(std::memory_order_acquire);
     }
     for (Block<T>* b : blocks) {
@@ -278,7 +270,7 @@ class RCUArray {
     // Before any locale stops serving the dropped blocks.
     served_blocks_.store(keep, std::memory_order_release);
     // Unlike resize_add, this drain stays BLOCKING even under a
-    // non-blocking stall policy: the dropped blocks freed below are shared
+    // monitor with a deadline: the dropped blocks freed below are shared
     // by every locale's spine, so their reclamation needs every locale's
     // readers drained — neither the per-locale parity tag of the EBR
     // overflow list nor the era list can cover them (DESIGN.md §8/§13). A
@@ -731,7 +723,7 @@ class RCUArray {
     cluster_.coforall_locales([&](std::uint32_t l) {
       auto& r = priv_at(l).reclaimer;
       before.fetch_add(r.pending().objects, std::memory_order_relaxed);
-      r.flush(retire_site(l));
+      r.flush();
       after.fetch_add(r.pending().objects, std::memory_order_relaxed);
     });
     return before.load(std::memory_order_relaxed) -
@@ -741,9 +733,9 @@ class RCUArray {
  private:
   /// The privatized per-locale copy (Listing 1's RCUArrayMetaData).
   struct alignas(plat::kCacheLine) PerLocale {
-    PerLocale(reclaim::Qsbr& qsbr, rt::CommLayer& comm, std::uint32_t l,
-              std::size_t cache_capacity)
-        : reclaimer(qsbr), cache(comm, l, cache_capacity) {}
+    PerLocale(reclaim::Qsbr& qsbr, const reclaim::RetireSite& site,
+              rt::CommLayer& comm, std::uint32_t l, std::size_t cache_capacity)
+        : reclaimer(qsbr, site), cache(comm, l, cache_capacity) {}
     std::atomic<Snapshot<T>*> global_snapshot{new Snapshot<T>()};
     /// This locale's reclaimer: what the spine's read sections and
     /// retirements run against (reclaim/policy.hpp).
@@ -759,10 +751,6 @@ class RCUArray {
   /// What an element op does with its slot: hand out the reference (never
   /// served from the block cache), copy the value out, or store into it.
   enum class Access { kIndex, kRead, kWrite };
-
-  [[nodiscard]] reclaim::RetireSite retire_site(std::uint32_t l) {
-    return {cluster_.locale(l), *monitor_, stall_policy_, stalled_spines_};
-  }
 
   /// Locale 0's spine. Every locale's spine holds the same block table,
   /// so under the write lock (or the destructor's quiescence) this is the
@@ -840,8 +828,7 @@ class RCUArray {
                              bool drain_follows, const char* publish,
                              [[maybe_unused]] const char* published) {
     PerLocale& p = priv_at(l);
-    const reclaim::RetireSite site = retire_site(l);
-    p.reclaimer.flush(site);  // opportunistic retry of deferred spines
+    p.reclaimer.flush();  // opportunistic retry of deferred spines
     Snapshot<T>* old = p.global_snapshot.load(std::memory_order_relaxed);
     Snapshot<T>* fresh = Snapshot<T>::successor(*old, keep, tail);
     RCUA_SCHED_POINT(publish);
@@ -851,7 +838,7 @@ class RCUArray {
     if (drain_follows && p.cache.enabled()) p.cache.invalidate_tail(keep);
     const std::size_t bytes =
         sizeof(Snapshot<T>) + old->num_blocks() * sizeof(Block<T>*);
-    return p.reclaimer.retire_spine(old, bytes, site, drain_follows);
+    return p.reclaimer.retire_spine(old, bytes, drain_follows);
   }
 
   /// publish_spine on every locale, the "on each node" of every structural
@@ -978,8 +965,6 @@ class RCUArray {
 
   rt::Cluster& cluster_;
   std::size_t block_size_;
-  reclaim::StallPolicy stall_policy_;
-  reclaim::StallMonitor* monitor_;
   std::size_t cache_capacity_;
   std::atomic<std::uint32_t> home_locale_;
   rt::GlobalLock write_lock_;

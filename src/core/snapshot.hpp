@@ -5,6 +5,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/block.hpp"
@@ -13,6 +15,15 @@
 #include "testing/sched_point.hpp"
 
 namespace rcua {
+
+/// The element path's throw for an index past the pinned spine's
+/// capacity. Out-of-line, so the element path carries only the compare
+/// and a call.
+[[noreturn, gnu::cold, gnu::noinline]] inline void throw_index_out_of_range(
+    std::size_t i, std::size_t capacity) {
+  throw std::out_of_range("index " + std::to_string(i) + " >= capacity " +
+                          std::to_string(capacity));
+}
 
 /// An immutable version of the RCUArray's metadata: the block pointer
 /// table (Listing 1's RCUArraySnapshot). "Immutable" applies to the spine

@@ -17,6 +17,9 @@ namespace rcua::obs {
 
 namespace {
 
+/// Events per thread ring.
+constexpr std::size_t kRingCapacity = 8192;
+
 /// Single-writer event ring. The owning thread is the only mutator;
 /// snapshot/export read at quiescence (threads joined), so plain fields
 /// suffice and a writer never waits.
@@ -30,7 +33,6 @@ struct Global {
   std::mutex mu;
   std::vector<Ring*> rings;  // registration order; never freed (threads
                              // may exit while their events are pending)
-  std::size_t cap = 8192;
   std::uint32_t next_tid = 1;
   std::uint64_t origin_ns = plat::now_ns();
   std::string export_path;  // RCUA_TRACE destination; empty = none
@@ -50,7 +52,7 @@ Ring* ring_for_thread() {
     r = new Ring();
     std::lock_guard<std::mutex> lock(gl.mu);
     r->tid = gl.next_tid++;
-    r->slots.resize(gl.cap);
+    r->slots.resize(kRingCapacity);
     gl.rings.push_back(r);
     t_ring = r;
   }
@@ -107,16 +109,12 @@ void export_at_exit() {
   }
 }
 
-/// Startup knobs: RCUA_TRACE=out.json enables recording and installs
-/// the at-exit exporter; RCUA_TRACE_CAP sizes each ring. Lives in this
-/// TU so any instrumented code (which references trace_record_slow)
-/// pulls the initializer into the link.
+/// Startup knob: RCUA_TRACE=out.json enables recording and installs
+/// the at-exit exporter. Lives in this TU so any instrumented code (which
+/// references trace_record_slow) pulls the initializer into the link.
 struct EnvInit {
   EnvInit() {
     auto& gl = g();
-    gl.cap = static_cast<std::size_t>(
-        rcua::util::env_u64("RCUA_TRACE_CAP", 8192));
-    if (gl.cap < 2) gl.cap = 2;
     if (auto path = rcua::util::env_str("RCUA_TRACE");
         path.has_value() && !path->empty()) {
       gl.export_path = *path;
@@ -184,7 +182,7 @@ std::uint64_t trace_dropped() {
   return dropped;
 }
 
-std::size_t trace_capacity() noexcept { return g().cap; }
+std::size_t trace_capacity() noexcept { return kRingCapacity; }
 
 void trace_write_json(std::ostream& os) {
   // Sort key (ts, tid, per-ring order): Chrome requires non-decreasing

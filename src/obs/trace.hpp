@@ -24,12 +24,12 @@
 // owns the thread. Two runs under the same RCUA_SCHED_SEED therefore
 // produce identical event sequences (tests/test_sched_trace.cpp).
 //
-// Rings are single-writer (the owning thread) and sized by
-// RCUA_TRACE_CAP events (default 8192); on overflow the OLDEST events
-// are discarded, keeping the end of the story — the part that explains
-// the slow tail. Snapshot/export read the rings without synchronising
-// with writers, so call them at quiescence (after joining workers),
-// which every exporter in this repo does.
+// Rings are single-writer (the owning thread) and hold 8192 events
+// each; on overflow the OLDEST events are discarded, keeping the end of
+// the story — the part that explains the slow tail. Snapshot/export read
+// the rings without synchronising with writers, so call them at
+// quiescence (after joining workers), which every exporter in this repo
+// does.
 
 #include <atomic>
 #include <cstddef>
@@ -111,7 +111,7 @@ void trace_reset();
 /// Total events discarded to ring overflow since the last reset.
 [[nodiscard]] std::uint64_t trace_dropped();
 
-/// Per-thread ring capacity in events (RCUA_TRACE_CAP, default 8192).
+/// Per-thread ring capacity in events (8192).
 [[nodiscard]] std::size_t trace_capacity() noexcept;
 
 /// Writes the Chrome trace_event JSON ({"traceEvents":[...]}) for the

@@ -12,7 +12,7 @@
 #include "platform/backoff.hpp"
 #include "platform/timing.hpp"
 #include "platform/topology.hpp"
-#include "reclaim/stall_monitor.hpp"
+#include "reclaim/retire_list.hpp"
 #include "sim/cost_model.hpp"
 #include "sim/resource.hpp"
 #include "sim/task_clock.hpp"
@@ -249,11 +249,11 @@ class BasicEbr {
   /// old-parity reader has retracted. After a drained result, memory
   /// only reachable from the pre-bump snapshot may be reclaimed.
   ///
-  /// A non-zero `deadline_ns` bounds the wait (StallPolicy). On timeout
-  /// the result carries the stall evidence — the column sum, the first
-  /// stuck slot and the thread that owns it — so the caller can emit a
-  /// StallDiagnostic and defer the retired memory onto an
-  /// OverflowRetireList instead of blocking forever.
+  /// A non-zero `deadline_ns` bounds the wait (StallMonitor's deadline).
+  /// On timeout the result carries the stall evidence — the column sum,
+  /// the first stuck slot and the thread that owns it — so the caller
+  /// can emit a StallDiagnostic and defer the retired memory onto an
+  /// overflow RetireList (sweep_overflow) instead of blocking forever.
   DrainResult wait_for_readers(EpochT old_epoch,
                                std::uint64_t deadline_ns = 0) noexcept {
     const std::size_t idx = static_cast<std::size_t>(old_epoch % 2);
@@ -414,6 +414,46 @@ class BasicEbr {
   bool hoisted_scan_zero_[2] = {false, false};
 #endif
 };
+
+/// The tag of a retired object on an EBR overflow RetireList: one whose
+/// grace-period wait timed out. It may be freed once BOTH reader columns
+/// have each been observed empty at some time after the push. Its own
+/// retire parity alone is NOT sufficient: a timed-out grace period means
+/// the writer ran ahead of a stalled reader, and that reader — announced
+/// on the *other* parity — may have loaded this very object before it
+/// was unpublished (DESIGN.md §8; the schedule harness finds this bug
+/// when the single-parity shortcut is mutated back in).
+struct OverflowTag {
+  /// Parity of the epoch the object was retired under.
+  std::size_t parity = 0;
+  /// Which reader columns have been observed empty since the push.
+  bool seen_empty[2] = {false, false};
+};
+
+/// Observes both reader columns through `drained(parity)` and frees every
+/// overflow entry that has now seen each column empty at least once
+/// since its push. The observations are banked in each entry's tag, so a
+/// stalled reader on one parity delays reclamation but never loses the
+/// other column's observation. The `watchdog_skip_recheck` mutation
+/// (sched builds only) regresses to gating on the entry's own retire
+/// parity — the plausible-but-unsound shortcut the harness must catch.
+template <typename Drained>
+Freed sweep_overflow(RetireList<OverflowTag>& list, Drained&& drained) {
+  bool empty[2] = {false, false};
+  return list.sweep(
+      [&] {
+        empty[0] = drained(std::size_t{0});
+        empty[1] = drained(std::size_t{1});
+      },
+      [&](OverflowTag& tag) {
+        tag.seen_empty[0] = tag.seen_empty[0] || empty[0];
+        tag.seen_empty[1] = tag.seen_empty[1] || empty[1];
+        if (RCUA_SCHED_MUT(watchdog_skip_recheck)) {
+          return tag.seen_empty[tag.parity];
+        }
+        return tag.seen_empty[0] && tag.seen_empty[1];
+      });
+}
 
 /// Default epoch width and layout used by RCUArray.
 using Ebr = BasicEbr<std::uint64_t, OwnedReaders>;

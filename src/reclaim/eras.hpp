@@ -32,8 +32,9 @@
 //    publish and the verify, and it never decreases). Hence the interval
 //    overlap check below covers every protected object even though a
 //    protect and a retire can share one era.
-//  * `retire()` appends to a per-domain list and scans it against the
-//    live reservations: an entry [b, r] stays **blocked** while some
+//  * `retire()` pushes onto the domain's RetireList (retire_list.hpp),
+//    tagged with the lifetime, and sweeps it against the live
+//    reservations: an entry [b, r] stays **blocked** while some
 //    reservation [lo, hi] satisfies `lo <= r && b <= hi`; everything
 //    else is freed immediately. No grace-period wait exists on this
 //    path — where EBR's writer blocks (or defers onto the bytes-budgeted
@@ -92,9 +93,9 @@
 #include "obs/trace.hpp"
 #include "platform/align.hpp"
 #include "platform/backoff.hpp"
-#include "platform/spinlock.hpp"
 #include "platform/timing.hpp"
 #include "platform/topology.hpp"
+#include "reclaim/retire_list.hpp"
 #include "sim/cost_model.hpp"
 #include "sim/task_clock.hpp"
 #include "testing/sched_point.hpp"
@@ -149,7 +150,6 @@ class BasicEraReclaimer {
   }
   BasicEraReclaimer(const BasicEraReclaimer&) = delete;
   BasicEraReclaimer& operator=(const BasicEraReclaimer&) = delete;
-  ~BasicEraReclaimer() { flush_unsafe(); }
 
   /// Observability counters. `reads`/`read_retries` are kept in the
   /// reader slots; everything else is write-side.
@@ -310,99 +310,72 @@ class BasicEraReclaimer {
   /// pending (the bounded-by-construction contract).
   RetireResult retire(void (*deleter)(void*), void* obj, std::size_t bytes,
                       std::uint64_t birth_era) {
-    {
-      std::lock_guard<plat::Spinlock> guard(lock_);
-      list_.push_back({deleter, obj, bytes, birth_era,
-                       era_.value.load(std::memory_order_seq_cst)});
-    }
+    const Interval lifetime{birth_era,
+                            era_.value.load(std::memory_order_seq_cst)};
+    note_pending_hwm(retire_list_.push(deleter, obj, bytes, lifetime));
     retired_.value.fetch_add(1, std::memory_order_relaxed);
-    pending_objects_.value.fetch_add(1, std::memory_order_relaxed);
-    note_pending_hwm(
-        pending_bytes_.value.fetch_add(bytes, std::memory_order_relaxed) +
-        bytes);
     RCUA_SCHED_POINT("era.retire");
     advance_era();
     return scan();
   }
 
-  /// Scans the retire list against a snapshot of the live reservations,
-  /// freeing every entry no reservation covers. Callers need no
-  /// exclusion (the list lock serializes concurrent scans), but the
-  /// normal caller is the structure's (write-locked) retire path.
+  /// Sweeps the retire list against a snapshot of the live
+  /// reservations, freeing every entry no reservation covers. Callers
+  /// need no exclusion (the list lock serializes concurrent scans), but
+  /// the normal caller is the structure's (write-locked) retire path.
   RetireResult scan() {
     const std::uint64_t t0 = scan_clock_ns();
     RCUA_SCHED_POINT("era.scan");
     RetireResult out;
-    std::vector<Retired> freeable;
-    {
-      std::lock_guard<plat::Spinlock> guard(lock_);
-      // Orders every unpublish that precedes a retire on this list before
-      // the slot scan, so the scan sees each reservation that was
-      // published before it (DESIGN.md §13).
-      std::atomic_thread_fence(std::memory_order_seq_cst);
-      out.era = era_.value.load(std::memory_order_seq_cst);
-      scratch_.clear();
-      std::uint64_t min_upper = kIdleEra;
-      bank_.for_each([&](std::size_t index, const Slot& s) {
-        const std::uint64_t hi = s.upper.load(std::memory_order_seq_cst);
-        // An idle upper bound is an idle slot or a reader still before
-        // its first publish: it holds nothing yet, and anything retired
-        // before its publish was unpublished first, so its eventual load
-        // cannot return it. Safe to skip.
-        if (hi == kIdleEra) return;
-        const std::uint64_t lo = s.lower.load(std::memory_order_seq_cst);
-        scratch_.push_back({lo == kIdleEra ? hi : lo, hi});
-        if (hi < min_upper) {
-          min_upper = hi;
-          out.laggard_slot = index;
-        }
-        if (hi < out.era) ++out.stale_reservations;
-      });
-      if (min_upper != kIdleEra && out.era > min_upper) {
-        out.reservation_lag = out.era - min_upper;
-      }
-      for (std::size_t i = 0; i < list_.size();) {
-        const Retired& e = list_[i];
-        bool blocked = false;
-        for (const Interval& r : scratch_) {
-          // Lifetime [b, r] overlaps reservation [lo, hi]. Inclusive on
-          // both ends: a protect and a retire can share one era, and
-          // equality must block (header comment).
-          if (r.lower <= e.retire_era && e.birth_era <= r.upper) {
-            blocked = true;
-            break;
+    std::uint64_t min_upper = kIdleEra;
+    const Freed freed = retire_list_.sweep(
+        [&] {
+          // Orders every unpublish that precedes a retire on this list
+          // before the slot scan, so the scan sees each reservation that
+          // was published before it (DESIGN.md §13).
+          std::atomic_thread_fence(std::memory_order_seq_cst);
+          out.era = era_.value.load(std::memory_order_seq_cst);
+          scratch_.clear();
+          bank_.for_each([&](std::size_t index, const Slot& s) {
+            const std::uint64_t hi = s.upper.load(std::memory_order_seq_cst);
+            // An idle upper bound is an idle slot or a reader still
+            // before its first publish: it holds nothing yet, and
+            // anything retired before its publish was unpublished first,
+            // so its eventual load cannot return it. Safe to skip.
+            if (hi == kIdleEra) return;
+            const std::uint64_t lo = s.lower.load(std::memory_order_seq_cst);
+            scratch_.push_back({lo == kIdleEra ? hi : lo, hi});
+            if (hi < min_upper) {
+              min_upper = hi;
+              out.laggard_slot = index;
+            }
+            if (hi < out.era) ++out.stale_reservations;
+          });
+        },
+        [&](const Interval& lifetime) {
+          for (const Interval& r : scratch_) {
+            // Lifetime [b, r] overlaps reservation [lo, hi]. Inclusive on
+            // both ends: a protect and a retire can share one era, and
+            // equality must block (header comment).
+            if (r.lower <= lifetime.upper && lifetime.lower <= r.upper) {
+              return false;
+            }
           }
-        }
-        if (blocked) {
-          ++i;
-          continue;
-        }
-        freeable.push_back(e);
-        list_[i] = list_.back();
-        list_.pop_back();
-      }
+          return true;
+        });
+    if (min_upper != kIdleEra && out.era > min_upper) {
+      out.reservation_lag = out.era - min_upper;
     }
-    // Deleters run outside the lock (they may be arbitrarily heavy).
-    for (const Retired& e : freeable) {
-      e.deleter(e.obj);
-      out.freed_objects += 1;
-      out.freed_bytes += e.bytes;
-    }
-    if (out.freed_objects != 0) {
-      freed_.value.fetch_add(out.freed_objects, std::memory_order_relaxed);
-      pending_objects_.value.fetch_sub(out.freed_objects,
-                                       std::memory_order_relaxed);
-      pending_bytes_.value.fetch_sub(out.freed_bytes,
-                                     std::memory_order_relaxed);
-    }
+    out.freed_objects = freed.objects;
+    out.freed_bytes = freed.bytes;
+    freed_.value.fetch_add(freed.objects, std::memory_order_relaxed);
     scans_.value.fetch_add(1, std::memory_order_relaxed);
     // Flat, like EBR's drain charge: a scan's virtual cost must not
     // depend on how many threads the process has run.
     sim::charge(sim::CostModel::get().atomic_load_ns);
     obs::health::era_scan_ns().record(scan_clock_ns() - t0);
-    out.pending_objects =
-        pending_objects_.value.load(std::memory_order_relaxed);
-    out.pending_bytes = pending_bytes_.value.load(std::memory_order_relaxed);
+    out.pending_objects = retire_list_.pending_objects();
+    out.pending_bytes = retire_list_.pending_bytes();
     return out;
   }
 
@@ -442,36 +415,24 @@ class BasicEraReclaimer {
   }
 
   /// Frees the whole retire list unconditionally. ONLY safe under
-  /// external quiescence (destructor / teardown).
+  /// external quiescence (teardown; the list's destructor does the
+  /// same).
   RetireResult flush_unsafe() {
+    const Freed freed = retire_list_.free_all();
+    freed_.value.fetch_add(freed.objects, std::memory_order_relaxed);
     RetireResult out;
-    std::vector<Retired> all;
-    {
-      std::lock_guard<plat::Spinlock> guard(lock_);
-      all.swap(list_);
-    }
-    for (const Retired& e : all) {
-      e.deleter(e.obj);
-      out.freed_objects += 1;
-      out.freed_bytes += e.bytes;
-    }
-    if (out.freed_objects != 0) {
-      freed_.value.fetch_add(out.freed_objects, std::memory_order_relaxed);
-      pending_objects_.value.fetch_sub(out.freed_objects,
-                                       std::memory_order_relaxed);
-      pending_bytes_.value.fetch_sub(out.freed_bytes,
-                                     std::memory_order_relaxed);
-    }
+    out.freed_objects = freed.objects;
+    out.freed_bytes = freed.bytes;
     return out;
   }
 
   // -- Introspection -----------------------------------------------------
 
   [[nodiscard]] std::size_t pending_objects() const noexcept {
-    return pending_objects_.value.load(std::memory_order_relaxed);
+    return retire_list_.pending_objects();
   }
   [[nodiscard]] std::size_t pending_bytes() const noexcept {
-    return pending_bytes_.value.load(std::memory_order_relaxed);
+    return retire_list_.pending_bytes();
   }
 
   /// Slots holding a published reservation.
@@ -501,9 +462,8 @@ class BasicEraReclaimer {
     s.era_scans = scans_.value.load(std::memory_order_relaxed);
     s.retired = retired_.value.load(std::memory_order_relaxed);
     s.freed = freed_.value.load(std::memory_order_relaxed);
-    s.pending_objects =
-        pending_objects_.value.load(std::memory_order_relaxed);
-    s.pending_bytes = pending_bytes_.value.load(std::memory_order_relaxed);
+    s.pending_objects = retire_list_.pending_objects();
+    s.pending_bytes = retire_list_.pending_bytes();
     s.pending_bytes_hwm =
         pending_bytes_hwm_.value.load(std::memory_order_relaxed);
     return s;
@@ -517,13 +477,8 @@ class BasicEraReclaimer {
     std::atomic<std::uint64_t> reads{0};
     std::atomic<std::uint64_t> retries{0};
   };
-  struct Retired {
-    void (*deleter)(void*);
-    void* obj;
-    std::size_t bytes;
-    std::uint64_t birth_era;
-    std::uint64_t retire_era;
-  };
+  /// A closed era interval: a live reservation [lo, hi], or a retired
+  /// object's [birth, retire] lifetime, its retire-list tag.
   struct Interval {
     std::uint64_t lower;
     std::uint64_t upper;
@@ -560,12 +515,11 @@ class BasicEraReclaimer {
   plat::CacheAligned<std::atomic<std::uint64_t>> scans_{0ULL};
   plat::CacheAligned<std::atomic<std::uint64_t>> retired_{0ULL};
   plat::CacheAligned<std::atomic<std::uint64_t>> freed_{0ULL};
-  plat::CacheAligned<std::atomic<std::size_t>> pending_objects_{};
-  plat::CacheAligned<std::atomic<std::size_t>> pending_bytes_{};
   plat::CacheAligned<std::atomic<std::size_t>> pending_bytes_hwm_{};
-  mutable plat::Spinlock lock_;
-  std::vector<Retired> list_;     // guarded by lock_
-  std::vector<Interval> scratch_;  // guarded by lock_ (scan reuse)
+  RetireList<Interval> retire_list_;
+  /// The live reservations a scan observed; written only in a sweep's
+  /// observe step, so guarded by the retire list's lock.
+  std::vector<Interval> scratch_;
 };
 
 /// Interval-based reclamation: reservations are [entry era, current era]

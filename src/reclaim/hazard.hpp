@@ -7,6 +7,7 @@
 
 #include "platform/align.hpp"
 #include "platform/topology.hpp"
+#include "reclaim/retire_list.hpp"
 #include "testing/sched_point.hpp"
 
 namespace rcua::reclaim {
@@ -99,7 +100,7 @@ class HazardDomain {
   /// the caller's retired list reaches the threshold.
   template <typename T>
   void retire(T* obj) {
-    retire_raw(obj, [](void* p) { delete static_cast<T*>(p); });
+    retire_raw(obj, &delete_as<T>);
   }
 
   void retire_raw(void* obj, void (*deleter)(void*));
@@ -116,9 +117,6 @@ class HazardDomain {
   /// The calling thread's record.
   Record& local_record() { return records_.mine(); }
 
-  [[nodiscard]] std::size_t retire_threshold() const noexcept {
-    return retire_threshold_;
-  }
   void set_retire_threshold(std::size_t n) noexcept { retire_threshold_ = n; }
 
   [[nodiscard]] std::uint64_t retired_count() const noexcept {

@@ -1,11 +1,12 @@
 #pragma once
 
 // The reclamation policies — the paper's `isQSBR` parameter, widened to
-// five schemes. Each policy is the per-locale reclaimer RCUArray and
-// ShardedCollection keep on every locale, and both structures write each
-// protocol once against its interface; none of them branches on the
-// policy. The model is Brown's record manager (arXiv 1712.01044): the
-// structure knows start-op / protect / retire, never the scheme behind.
+// five schemes. Each policy is the per-locale reclaimer RCUArray keeps
+// on every locale (ShardedCollection's shards are RCUArrays), and
+// RCUArray writes each protocol once against its interface, never
+// branching on the policy. The model is Brown's record manager (arXiv
+// 1712.01044): the structure knows start-op / protect / retire, never
+// the scheme behind.
 //
 // Read side, one RAII section per policy (ReadSection<Policy>):
 //
@@ -17,11 +18,12 @@
 // Write side; the caller holds the structure's write lock and has just
 // published the replacement on this locale:
 //
-//   retire_spine(old, bytes, site, drain_follows)  hand over the old spine
+//   retire_spine(old, bytes, drain_follows)  hand over the old spine
 //   drain(held)     blocking per-locale drain, then free `held`
 //   free(obj)       free memory every locale has already drained
 //
-// QSBR never waits: its retirements are deferrals.
+// Each locale's domain is built with its RetireSite, so no write-side
+// call names one. QSBR never waits: its retirements are deferrals.
 
 #include <atomic>
 #include <cstddef>
@@ -33,18 +35,20 @@
 #include "reclaim/ebr.hpp"
 #include "reclaim/eras.hpp"
 #include "reclaim/qsbr.hpp"
+#include "reclaim/retire_list.hpp"
 #include "reclaim/stall_monitor.hpp"
 #include "runtime/cluster.hpp"
 #include "testing/sched_point.hpp"
 
 namespace rcua::reclaim {
 
-/// Where a retirement is accounted: the retiring locale's memory ledger
-/// and the structure's watchdog, deadline policy and deferral counter.
+/// Where a locale's retirements are accounted: the locale's memory
+/// ledger, and the structure's watchdog (which holds the grace-period
+/// deadline and the overflow budget) and deferral counter. Every domain
+/// is built with its locale's site.
 struct RetireSite {
   rt::Locale& locale;
   StallMonitor& monitor;
-  const StallPolicy& stall_policy;
   std::atomic<std::uint64_t>& stalled_spines;
 };
 
@@ -53,11 +57,6 @@ struct Pending {
   std::size_t objects = 0;
   std::size_t bytes = 0;
 };
-
-template <typename O>
-void delete_as(void* p) {
-  delete static_cast<O*>(p);
-}
 
 /// The RAII read section of `Policy` (enter, pin, exit at scope end).
 template <typename Policy>
@@ -72,7 +71,7 @@ class QsbrDomain {
   static constexpr bool is_interval = false;
   static constexpr const char* name = "QSBR";
 
-  explicit QsbrDomain(Qsbr& qsbr) noexcept : qsbr_(&qsbr) {}
+  QsbrDomain(Qsbr& qsbr, const RetireSite&) noexcept : qsbr_(&qsbr) {}
 
   class Section {
    public:
@@ -84,7 +83,7 @@ class QsbrDomain {
   };
 
   template <typename S>
-  S* retire_spine(S* old, std::size_t, const RetireSite&, bool) {
+  S* retire_spine(S* old, std::size_t, bool) {
     qsbr_->defer_delete(old);
     return nullptr;
   }
@@ -96,8 +95,8 @@ class QsbrDomain {
   void free(O* obj) {
     qsbr_->defer_delete(obj);
   }
-  void flush(const RetireSite&) noexcept {}
-  void flush_unsafe(const RetireSite&) noexcept {}
+  void flush() noexcept {}
+  void flush_unsafe() noexcept {}
   [[nodiscard]] Pending pending() const noexcept { return {}; }
   /// QSBR keeps no EBR read counters, so every count is zero; its
   /// per-thread state is in the Qsbr domain's own bank.
@@ -118,7 +117,7 @@ class EbrDomain {
   static constexpr const char* name =
       E::kOwnedLayout ? "EBR" : "EBR-legacy";
 
-  explicit EbrDomain(Qsbr&) {}
+  EbrDomain(Qsbr&, const RetireSite& site) : site_(site) {}
 
   class Section {
    public:
@@ -132,20 +131,19 @@ class EbrDomain {
     typename E::ReadGuard guard_;
   };
 
-  /// Spine retirement with stall tolerance (RCU_Write lines 5-8,
-  /// deadline-bounded): frees `old` when the drain completes, else defers
-  /// it onto the overflow list (bytes accounted on the locale and against
-  /// the watchdog budget). A deferral that would breach the budget blocks
-  /// instead. With `drain_follows`, `old` is returned for that blocking
-  /// drain to free instead.
+  /// Spine retirement with stall tolerance (RCU_Write lines 5-8, bounded
+  /// by the monitor's deadline): frees `old` when the drain completes,
+  /// else defers it onto the overflow list (bytes accounted on the
+  /// locale and against the watchdog budget). A deferral that would
+  /// breach the budget blocks instead. With `drain_follows`, `old` is
+  /// returned for that blocking drain to free instead.
   template <typename S>
-  S* retire_spine(S* old, std::size_t bytes, const RetireSite& site,
-                  bool drain_follows) {
+  S* retire_spine(S* old, std::size_t bytes, bool drain_follows) {
     if (drain_follows) return old;
     const auto epoch = ebr_.advance_epoch();
     RCUA_SCHED_POINT("rcua.resize.epoch_bumped");
     const DrainResult drain =
-        ebr_.wait_for_readers(epoch, site.stall_policy.deadline_ns);
+        ebr_.wait_for_readers(epoch, site_.monitor.deadline_ns());
     // The drained fast path is only sound while the overflow list is
     // empty: a pending entry means an earlier grace period on this
     // domain never completed, so a reader announced on the *other*
@@ -153,13 +151,13 @@ class EbrDomain {
     // (DESIGN.md §8). With entries pending, `old` joins the overflow
     // list and waits for both columns like everything else.
     if (drain.drained && overflow_.pending_objects() == 0) {
-      reclaimed(old, site);
+      reclaimed(old);
       return nullptr;
     }
     StallDiagnostic diag;
     diag.kind = StallDiagnostic::Kind::kEbrReader;
     diag.domain = &ebr_;
-    diag.locale = site.locale.id();
+    diag.locale = site_.locale.id();
     diag.epoch = static_cast<std::uint64_t>(epoch);
     diag.slot = drain.stuck_slot;
     diag.thread_id = drain.stuck_thread;
@@ -167,25 +165,25 @@ class EbrDomain {
     diag.waited_ns = drain.waited_ns;
     // Only an expired deadline is a stall; a drained-but-deferred spine
     // (premise broken by an earlier stall) is bookkeeping, not news.
-    if (!drain.drained) site.monitor.record_stall(diag);
-    if (site.monitor.would_exceed(bytes)) {
+    if (!drain.drained) site_.monitor.record_stall(diag);
+    if (site_.monitor.would_exceed(bytes)) {
       // Hard memory bound: refuse the overflow and pay the blocking
       // drain instead — memory stays bounded, resize latency degrades.
       // Two grace periods, this column's and then the other's, outlast
       // every reader that can still hold `old` or a deferred spine, so
       // both go, and the fast-path premise holds again.
-      site.monitor.escalate(diag);
+      site_.monitor.escalate(diag);
       ebr_.wait_for_readers(epoch);
       ebr_.wait_for_readers(ebr_.advance_epoch());
-      flush_unsafe(site);
-      reclaimed(old, site);
+      flush_unsafe();
+      reclaimed(old);
       return nullptr;
     }
-    site.stalled_spines.fetch_add(1, std::memory_order_relaxed);
-    site.monitor.note_overflow(bytes);
-    site.locale.note_alloc(bytes);
+    site_.stalled_spines.fetch_add(1, std::memory_order_relaxed);
+    site_.monitor.note_overflow(bytes);
+    site_.locale.note_alloc(bytes);
     overflow_.push(&delete_as<S>, old, bytes,
-                   static_cast<std::uint64_t>(epoch));
+                   OverflowTag{static_cast<std::size_t>(epoch % 2)});
     RCUA_SCHED_POINT("rcua.resize.overflow_spine");
     return nullptr;
   }
@@ -208,17 +206,15 @@ class EbrDomain {
   /// Frees the deferred spines that have seen both reader columns empty
   /// since deferral (the "retry reclamation opportunistically" half of
   /// the watchdog design).
-  void flush(const RetireSite& site) {
+  void flush() {
     if (overflow_.pending_objects() == 0) return;
-    note_flushed(site, overflow_.flush_ready([&](std::size_t parity) {
+    note_flushed(sweep_overflow(overflow_, [&](std::size_t parity) {
       return ebr_.readers_at(parity) == 0;
     }));
   }
   /// Frees every deferred spine: only under external quiescence
   /// (teardown) or after two grace periods (the budget-breach path).
-  void flush_unsafe(const RetireSite& site) {
-    note_flushed(site, overflow_.free_all());
-  }
+  void flush_unsafe() { note_flushed(overflow_.free_all()); }
   [[nodiscard]] Pending pending() const noexcept {
     return {overflow_.pending_objects(), overflow_.pending_bytes()};
   }
@@ -228,25 +224,25 @@ class EbrDomain {
 
  private:
   template <typename S>
-  static void reclaimed(S* old, const RetireSite& site) {
+  void reclaimed(S* old) {
     RCUA_SCHED_POINT("rcua.resize.retire_spine");
-    obs::trace_instant("rcua.resize.reclaim", "rcua", site.locale.id());
+    obs::trace_instant("rcua.resize.reclaim", "rcua", site_.locale.id());
     delete old;
   }
 
-  static void note_flushed(const RetireSite& site,
-                           OverflowRetireList::FlushResult flushed) {
+  void note_flushed(Freed flushed) {
     if (flushed.objects == 0) return;
-    site.locale.note_free(flushed.bytes);
-    site.monitor.note_flushed(flushed.bytes, flushed.objects);
+    site_.locale.note_free(flushed.bytes);
+    site_.monitor.note_flushed(flushed.bytes, flushed.objects);
   }
 
   E ebr_;
+  RetireSite site_;
   /// Spines whose grace-period drain timed out, parked until both reader
   /// columns have been observed empty since the push. Per-locale is
   /// sufficient: a spine on locale l is only ever dereferenced under
   /// locale l's EBR instance (the snapshot pointer is privatized).
-  OverflowRetireList overflow_;
+  RetireList<OverflowTag> overflow_;
 };
 
 /// Interval-based reclamation and hazard eras (DESIGN.md §13): retired
@@ -263,7 +259,7 @@ class EraDomain {
   /// reader to the watchdog, as a purely diagnostic kEraReservation.
   static constexpr std::uint64_t kStallLagThreshold = 3;
 
-  explicit EraDomain(Qsbr&) {}
+  EraDomain(Qsbr&, const RetireSite& site) : site_(site) {}
 
   class Section {
    public:
@@ -284,7 +280,7 @@ class EraDomain {
   /// overlaps it pending (≤ 2 per locale however many resizes run past
   /// it) — the bound holds by construction, with no budget to escalate.
   template <typename S>
-  S* retire_spine(S* old, std::size_t bytes, const RetireSite& site, bool) {
+  S* retire_spine(S* old, std::size_t bytes, bool) {
     // The replacement spine is born now. The era cannot have moved since
     // its publish: only this structure's writers advance it, and they
     // hold the write lock. So any reader that can load the replacement
@@ -294,20 +290,20 @@ class EraDomain {
         std::exchange(spine_birth_era_, era_.current_era());
     const RetireResult res = era_.retire(&delete_as<S>, old, bytes, birth);
     scan_owed_ = true;
-    obs::trace_instant("rcua.resize.reclaim", "rcua", site.locale.id());
+    obs::trace_instant("rcua.resize.reclaim", "rcua", site_.locale.id());
     if (res.pending_objects > 0 &&
         res.reservation_lag >= kStallLagThreshold) {
       obs::health::epoch_lag().update_max(res.reservation_lag);
       StallDiagnostic diag;
       diag.kind = StallDiagnostic::Kind::kEraReservation;
       diag.domain = &era_;
-      diag.locale = site.locale.id();
+      diag.locale = site_.locale.id();
       diag.epoch = res.era;
       diag.slot = res.laggard_slot;
       diag.thread_id = plat::reader_thread_id(res.laggard_slot);
       diag.era_lag = res.reservation_lag;
       diag.overflow_bytes = res.pending_bytes;
-      site.monitor.record_stall(diag);
+      site_.monitor.record_stall(diag);
     }
     return nullptr;
   }
@@ -331,10 +327,10 @@ class EraDomain {
   }
 
   /// The retry of the pending spines is simply another scan.
-  void flush(const RetireSite&) {
+  void flush() {
     if (era_.pending_objects() != 0) era_.scan();
   }
-  void flush_unsafe(const RetireSite&) { era_.flush_unsafe(); }
+  void flush_unsafe() { era_.flush_unsafe(); }
   [[nodiscard]] Pending pending() const noexcept {
     return {era_.pending_objects(), era_.pending_bytes()};
   }
@@ -344,6 +340,7 @@ class EraDomain {
 
  private:
   E era_;
+  RetireSite site_;
   /// The era current when this locale's LIVE spine was published — its
   /// lifetime's lower tag when the next retire_spine retires it. Written
   /// only under the write lock; the initial spine is born at era 0.

@@ -1,9 +1,21 @@
 #pragma once
 
+#include <atomic>
+#include <cstddef>
 #include <cstdint>
+#include <mutex>
 #include <utility>
+#include <vector>
+
+#include "platform/spinlock.hpp"
 
 namespace rcua::reclaim {
+
+/// The typed deleter every retired object carries: frees `p` as an `O`.
+template <typename O>
+void delete_as(void* p) {
+  delete static_cast<O*>(p);
+}
 
 /// A type-erased deferred deletion: the triple (m, e, t) from the paper's
 /// QSBR DeferList, minus the insertion time t, which the paper notes is
@@ -27,16 +39,6 @@ struct DeferNode {
   }
 };
 
-/// Creates a defer node that deletes `obj` via `delete` when reclaimed.
-template <typename T>
-DeferNode* make_defer_node(T* obj, std::uint64_t safe_epoch) {
-  auto* n = new DeferNode;
-  n->safe_epoch = safe_epoch;
-  n->object = obj;
-  n->deleter = [](void* p) { delete static_cast<T*>(p); };
-  return n;
-}
-
 /// Creates a defer node that invokes an arbitrary stateless callback.
 inline DeferNode* make_defer_node_fn(void (*fn)(void*), void* arg,
                                      std::uint64_t safe_epoch) {
@@ -45,6 +47,12 @@ inline DeferNode* make_defer_node_fn(void (*fn)(void*), void* arg,
   n->object = arg;
   n->deleter = fn;
   return n;
+}
+
+/// Creates a defer node that deletes `obj` via `delete` when reclaimed.
+template <typename T>
+DeferNode* make_defer_node(T* obj, std::uint64_t safe_epoch) {
+  return make_defer_node_fn(&delete_as<T>, obj, safe_epoch);
 }
 
 /// Thread-owned defer list. Not thread-safe by design: each QSBR slot
@@ -109,6 +117,115 @@ class DeferList {
  private:
   DeferNode* head_ = nullptr;
   std::size_t size_ = 0;
+};
+
+/// What one RetireList sweep or free_all freed.
+struct Freed {
+  std::size_t objects = 0;
+  std::size_t bytes = 0;
+};
+
+/// The retire list of every reclaimer whose retired objects wait on a
+/// tag that proves no reader still holds them: EBR's overflow list,
+/// tagged with the retire parity and the reader columns seen empty since
+/// (ebr.hpp, DESIGN.md §8), and the era reclaimers' list, tagged with the
+/// [birth, retire] lifetime (eras.hpp, DESIGN.md §13). Any thread may
+/// push or sweep; one spinlock serializes them. Bytes are counted so
+/// callers can feed locale accounting and the StallMonitor budget.
+///
+/// QSBR's DeferList above is not one of these: it is owner-pushed and
+/// sorted by safe epoch (Lemma 4), so it reclaims a suffix, unlocked.
+template <typename Tag>
+class RetireList {
+ public:
+  RetireList() = default;
+  RetireList(const RetireList&) = delete;
+  RetireList& operator=(const RetireList&) = delete;
+  ~RetireList() { free_all(); }
+
+  /// Adds `(deleter, obj)`, `bytes` large, tagged `tag`. Returns the
+  /// pending bytes this push brought the list to.
+  std::size_t push(void (*deleter)(void*), void* obj, std::size_t bytes,
+                   Tag tag) {
+    {
+      std::lock_guard<plat::Spinlock> guard(lock_);
+      entries_.push_back({deleter, obj, bytes, tag});
+    }
+    pending_objects_.fetch_add(1, std::memory_order_relaxed);
+    return pending_bytes_.fetch_add(bytes, std::memory_order_relaxed) + bytes;
+  }
+
+  /// Runs `observe()` under the list lock, then unlinks every entry
+  /// whose tag `ready(Tag&)` accepts. Every entry present was pushed
+  /// before the observation, so it counts for all of them; the tag is
+  /// mutable, so `ready` can bank an observation in it for a later
+  /// sweep. The unlinked deleters run once the lock is released (they
+  /// may be heavy, or push onto this list), and only then do the
+  /// pending counts drop.
+  template <typename Observe, typename Ready>
+  Freed sweep(Observe&& observe, Ready&& ready) {
+    std::vector<Entry> unlinked;
+    {
+      std::lock_guard<plat::Spinlock> guard(lock_);
+      observe();
+      for (std::size_t i = 0; i < entries_.size();) {
+        if (!ready(entries_[i].tag)) {
+          ++i;
+          continue;
+        }
+        unlinked.push_back(entries_[i]);
+        entries_[i] = entries_.back();
+        entries_.pop_back();
+      }
+    }
+    return run_deleters(unlinked);
+  }
+
+  /// Frees every entry unconditionally. ONLY safe when no reader can
+  /// hold one: teardown under external quiescence, or after grace
+  /// periods that outlast every such reader.
+  Freed free_all() {
+    std::vector<Entry> all;
+    {
+      std::lock_guard<plat::Spinlock> guard(lock_);
+      all.swap(entries_);
+    }
+    return run_deleters(all);
+  }
+
+  [[nodiscard]] std::size_t pending_objects() const noexcept {
+    return pending_objects_.load(std::memory_order_relaxed);
+  }
+  [[nodiscard]] std::size_t pending_bytes() const noexcept {
+    return pending_bytes_.load(std::memory_order_relaxed);
+  }
+
+ private:
+  struct Entry {
+    void (*deleter)(void*);
+    void* obj;
+    std::size_t bytes;
+    Tag tag;
+  };
+
+  Freed run_deleters(const std::vector<Entry>& unlinked) {
+    Freed freed;
+    for (const Entry& e : unlinked) {
+      e.deleter(e.obj);
+      freed.objects += 1;
+      freed.bytes += e.bytes;
+    }
+    if (freed.objects != 0) {
+      pending_objects_.fetch_sub(freed.objects, std::memory_order_relaxed);
+      pending_bytes_.fetch_sub(freed.bytes, std::memory_order_relaxed);
+    }
+    return freed;
+  }
+
+  plat::Spinlock lock_;
+  std::vector<Entry> entries_;  // guarded by lock_
+  std::atomic<std::size_t> pending_objects_{0};
+  std::atomic<std::size_t> pending_bytes_{0};
 };
 
 }  // namespace rcua::reclaim

@@ -2,6 +2,7 @@
 
 #include <cinttypes>
 #include <cstdio>
+#include <mutex>
 
 #include "obs/health.hpp"
 #include "obs/trace.hpp"
@@ -122,48 +123,6 @@ void StallMonitor::escalate(StallDiagnostic diag) {
   escalations_.fetch_add(1, std::memory_order_relaxed);
   obs::health::escalations().add();
   record_stall(diag);
-}
-
-void OverflowRetireList::push(void (*deleter)(void*), void* obj,
-                              std::size_t bytes, std::uint64_t epoch) {
-  auto* e = new Entry{nullptr,          deleter, obj, bytes,
-                      static_cast<std::size_t>(epoch % 2), epoch,
-                      {false, false}};
-  {
-    std::lock_guard<plat::Spinlock> guard(lock_);
-    e->next = head_;
-    head_ = e;
-  }
-  pending_objects_.fetch_add(1, std::memory_order_relaxed);
-  pending_bytes_.fetch_add(bytes, std::memory_order_relaxed);
-}
-
-OverflowRetireList::FlushResult OverflowRetireList::free_all() {
-  Entry* chain;
-  {
-    std::lock_guard<plat::Spinlock> guard(lock_);
-    chain = head_;
-    head_ = nullptr;
-  }
-  return reclaim_chain(chain);
-}
-
-OverflowRetireList::FlushResult OverflowRetireList::reclaim_chain(
-    Entry* chain) {
-  FlushResult result;
-  while (chain != nullptr) {
-    Entry* next = chain->next;
-    chain->deleter(chain->obj);
-    result.objects += 1;
-    result.bytes += chain->bytes;
-    delete chain;
-    chain = next;
-  }
-  if (result.objects != 0) {
-    pending_objects_.fetch_sub(result.objects, std::memory_order_relaxed);
-    pending_bytes_.fetch_sub(result.bytes, std::memory_order_relaxed);
-  }
-  return result;
 }
 
 }  // namespace rcua::reclaim

@@ -3,24 +3,12 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <vector>
 
 #include "platform/spinlock.hpp"
-#include "testing/sched_point.hpp"
 
 namespace rcua::reclaim {
-
-/// Deadline for the stall-bounded grace-period wait — the knob that
-/// turns "block forever on a stalled reader" (classic EBR fragility, the
-/// DEBRA+ critique) into "give up after a bounded wait and let the
-/// caller defer". A `deadline_ns` of 0 keeps the paper's blocking
-/// behaviour. The wait itself is plat::wait_until.
-struct StallPolicy {
-  /// Wall-clock budget for a grace-period wait; 0 = block forever.
-  std::uint64_t deadline_ns = 0;
-};
 
 /// Structured description of one detected stall: who is stuck, where,
 /// for how long, at what epoch. Emitted to the owning StallMonitor's sink
@@ -102,24 +90,35 @@ class CaptureStallSink final : public StallSink {
   std::vector<StallDiagnostic> records_;
 };
 
-/// Watchdog over grace-period stalls and overflow memory. Reclaimers
-/// report stalls through `record_stall`; structures that defer retired
-/// memory past a stalled grace period account the bytes here, and the
-/// monitor enforces a hard bound: once the pending bytes would exceed
-/// `budget_bytes` (0 = unlimited) the caller records an escalation and
-/// refuses the overflow, falling back to the blocking wait (memory stays
-/// bounded, latency degrades).
+/// Watchdog over grace-period stalls and overflow memory, and the two
+/// settings that bound them. `deadline_ns` bounds a stall-tolerant
+/// grace-period wait — it turns "block forever on a stalled reader"
+/// (classic EBR fragility, the DEBRA+ critique) into "give up after a
+/// bounded wait and let the caller defer"; 0 keeps the paper's blocking
+/// behaviour. Reclaimers report stalls through `record_stall`;
+/// structures that defer retired memory past a stalled grace period
+/// account the bytes here, and the monitor enforces a hard bound: once
+/// the pending bytes would exceed `budget_bytes` (0 = unlimited) the
+/// caller records an escalation and refuses the overflow, falling back
+/// to the blocking wait (memory stays bounded, latency degrades).
 ///
 /// Thread-safe; one instance may be shared across locales and domains.
 class StallMonitor {
  public:
-  explicit StallMonitor(std::size_t budget_bytes = 0) noexcept
-      : budget_bytes_(budget_bytes) {}
+  explicit StallMonitor(std::size_t budget_bytes = 0,
+                        std::uint64_t deadline_ns = 0) noexcept
+      : budget_bytes_(budget_bytes), deadline_ns_(deadline_ns) {}
   StallMonitor(const StallMonitor&) = delete;
   StallMonitor& operator=(const StallMonitor&) = delete;
 
-  /// Process-wide monitor, with a 64 MiB overflow budget.
+  /// Process-wide monitor, with a 64 MiB overflow budget and no
+  /// deadline (grace-period waits block).
   static StallMonitor& global();
+
+  /// Wall-clock budget for a grace-period wait; 0 = block forever.
+  [[nodiscard]] std::uint64_t deadline_ns() const noexcept {
+    return deadline_ns_;
+  }
 
   /// Replaces the diagnostic sink (default: a process-wide
   /// StderrStallSink). Pass nullptr to silence. The monitor does not own
@@ -174,6 +173,7 @@ class StallMonitor {
 
  private:
   std::size_t budget_bytes_;
+  std::uint64_t deadline_ns_;
   StallSink* sink_ = default_sink();
   std::atomic<std::size_t> overflow_bytes_{0};
   std::atomic<std::size_t> peak_overflow_bytes_{0};
@@ -186,102 +186,6 @@ class StallMonitor {
 
   /// Immortal process-wide StderrStallSink shared by every monitor.
   static StallSink* default_sink();
-};
-
-/// Epoch-tagged overflow list for retired EBR memory whose grace period
-/// timed out. An entry may be freed once BOTH reader columns have each
-/// been observed empty at some time after the push. The entry's own
-/// parity alone is NOT sufficient: a timed-out grace period means the
-/// writer ran ahead of a stalled reader, and that reader — announced on
-/// the *other* parity — may have loaded this very object before it was
-/// unpublished (see DESIGN.md §8; the schedule harness finds this bug
-/// when the single-parity shortcut is mutated back in). Bytes are
-/// tracked so callers can feed locale accounting and the StallMonitor
-/// budget.
-class OverflowRetireList {
- public:
-  OverflowRetireList() = default;
-  OverflowRetireList(const OverflowRetireList&) = delete;
-  OverflowRetireList& operator=(const OverflowRetireList&) = delete;
-  ~OverflowRetireList() { free_all(); }
-
-  struct FlushResult {
-    std::size_t objects = 0;
-    std::size_t bytes = 0;
-  };
-
-  /// Defers `(deleter, obj)` retired under epoch `epoch` (parity =
-  /// epoch % 2), accounting `bytes` against the list.
-  void push(void (*deleter)(void*), void* obj, std::size_t bytes,
-            std::uint64_t epoch);
-
-  /// Observes both reader columns via `drained(parity)` and frees every
-  /// entry that has now seen each column empty at least once since its
-  /// push. Observations are sticky per entry, so a stalled reader on one
-  /// parity delays reclamation but never loses the other column's
-  /// already-banked observation. The `watchdog_skip_recheck` mutation
-  /// (sched builds only) regresses to gating on the entry's own retire
-  /// parity — the plausible-but-unsound shortcut the harness must catch.
-  template <typename DrainedPred>
-  FlushResult flush_ready(DrainedPred&& drained) {
-    Entry* ready = nullptr;
-    {
-      // Observe under the lock: every entry present was pushed before
-      // these reads, so the observations count for all of them.
-      std::lock_guard<plat::Spinlock> guard(lock_);
-      const bool empty0 = drained(std::size_t{0});
-      const bool empty1 = drained(std::size_t{1});
-      Entry** link = &head_;
-      while (*link != nullptr) {
-        Entry* e = *link;
-        e->seen_empty[0] = e->seen_empty[0] || empty0;
-        e->seen_empty[1] = e->seen_empty[1] || empty1;
-        bool ok = e->seen_empty[0] && e->seen_empty[1];
-        if (RCUA_SCHED_MUT(watchdog_skip_recheck)) {
-          ok = e->seen_empty[e->parity];
-        }
-        if (ok) {
-          *link = e->next;
-          e->next = ready;
-          ready = e;
-        } else {
-          link = &e->next;
-        }
-      }
-    }
-    return reclaim_chain(ready);
-  }
-
-  /// Frees everything unconditionally. ONLY safe when no reader can hold
-  /// a reference: teardown under external quiescence, or after two full
-  /// grace periods (EbrDomain's budget-breach fallback).
-  FlushResult free_all();
-
-  [[nodiscard]] std::size_t pending_objects() const noexcept {
-    return pending_objects_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::size_t pending_bytes() const noexcept {
-    return pending_bytes_.load(std::memory_order_relaxed);
-  }
-
- private:
-  struct Entry {
-    Entry* next;
-    void (*deleter)(void*);
-    void* obj;
-    std::size_t bytes;
-    std::size_t parity;
-    std::uint64_t epoch;
-    /// Which reader columns have been observed empty since the push.
-    bool seen_empty[2];
-  };
-
-  FlushResult reclaim_chain(Entry* chain);
-
-  plat::Spinlock lock_;
-  Entry* head_ = nullptr;
-  std::atomic<std::size_t> pending_objects_{0};
-  std::atomic<std::size_t> pending_bytes_{0};
 };
 
 }  // namespace rcua::reclaim

@@ -60,7 +60,7 @@ class BlockCache {
   };
 
   /// `capacity_bytes == 0` disables the cache. Counters mirror into
-  /// `comm`'s per-locale CommStats (cache_hits/misses/fills/evictions).
+  /// `comm`'s cache counters (total_cache_hits/misses/fills/evictions).
   BlockCache(CommLayer& comm, std::uint32_t locale,
              std::size_t capacity_bytes);
 

@@ -114,22 +114,6 @@ void CommLayer::note_cache_evictions(std::uint32_t locale,
   obs::trace_instant("cache.evict", "cache", n);
 }
 
-CommStats CommLayer::stats_at(std::uint32_t locale) const noexcept {
-  CommStats s;
-  s.gets = gets(locale);
-  s.puts = puts(locale);
-  s.executes = executes(locale);
-  s.async_issued = async_issued(locale);
-  s.async_completed = async_completed(locale);
-  s.async_cancelled = async_cancelled(locale);
-  s.async_max_inflight = async_max_inflight(locale);
-  s.cache_hits = cache_hits(locale);
-  s.cache_misses = cache_misses(locale);
-  s.cache_fills = cache_fills(locale);
-  s.cache_evictions = cache_evictions(locale);
-  return s;
-}
-
 AsyncComm::AsyncComm(CommLayer& comm, std::uint32_t here, Options options)
     : comm_(comm),
       here_(here),

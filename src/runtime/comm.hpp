@@ -21,51 +21,21 @@ namespace rcua::rt {
 
 class FaultPlan;
 
-/// Snapshot of one locale's communication counters. In Chapel these
-/// PUT/GET operations happen behind the scenes; the counters make the
-/// "behind the scenes" observable — tests assert on locality properties
-/// (e.g. RCUArray metadata privatization keeps reads node-local) and
-/// benches report communication volume next to throughput.
-///
-/// The live counters are obs::Counter cells in the CommLayer's metrics
-/// registry (one stripe per locale); this struct is the thin plain-value
-/// view read back through CommLayer::stats_at.
-struct CommStats {
-  std::uint64_t gets = 0;
-  std::uint64_t puts = 0;
-  std::uint64_t executes = 0;
-  // Async comm layer (rt::AsyncComm) counters. `async_issued` /
-  // `async_completed` / `async_cancelled` are lifetime totals;
-  // `async_max_inflight` is the high-water mark of ops outstanding to a
-  // single destination from this locale. The exactly-once invariant is
-  //   async_issued == async_completed + async_cancelled
-  // once every session on the locale has drained or been destroyed.
-  std::uint64_t async_issued = 0;
-  std::uint64_t async_completed = 0;
-  std::uint64_t async_cancelled = 0;
-  std::uint64_t async_max_inflight = 0;
-  // Per-locale block cache (rt::BlockCache) counters. Deterministic for
-  // a fixed workload with one consumer task per locale (the bench-gate
-  // configs); a hit replaces a would-be remote GET/execute, a fill is
-  // the one remote execute that fetched the whole block, an eviction is
-  // a capacity- or staleness-driven entry drop.
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
-  std::uint64_t cache_fills = 0;
-  std::uint64_t cache_evictions = 0;
-};
-
 /// The cluster's communication layer: counts one-sided operations by
 /// *initiating* locale and charges virtual time for explicit remote
 /// executions (element-access charging lives at the data-structure touch
 /// sites via sim::touch_block, which sees cache behaviour the comm layer
 /// cannot).
 ///
+/// PUT/GET operations happen behind the scenes in Chapel; the counters
+/// make them observable — tests assert on locality properties (e.g.
+/// RCUArray metadata privatization keeps reads node-local) and benches
+/// report communication volume next to throughput.
+///
 /// Every counter lives in a per-cluster obs::Registry (`registry()`)
-/// with one cache-line-padded cell per locale, so the hot path is the
-/// same single relaxed fetch_add the old ad-hoc atomics paid, while
-/// snapshot(), the per-locale accessors, and the totals are all views
-/// over the same cells — one aggregation path instead of three.
+/// with one cache-line-padded cell per locale, so the hot path is one
+/// relaxed fetch_add, while the per-locale accessors and the totals are
+/// two views over the same cells.
 class CommLayer {
  public:
   explicit CommLayer(std::uint32_t num_locales);
@@ -134,6 +104,11 @@ class CommLayer {
   [[nodiscard]] std::uint64_t executes(std::uint32_t locale) const noexcept {
     return executes_.at(locale);
   }
+  // Async lifetime totals. The exactly-once invariant is
+  //   async_issued == async_completed + async_cancelled
+  // once every session on the locale has drained or been destroyed;
+  // async_max_inflight is the high-water mark of ops outstanding to a
+  // single destination from this locale.
   [[nodiscard]] std::uint64_t async_issued(
       std::uint32_t locale) const noexcept {
     return async_issued_.at(locale);
@@ -150,23 +125,6 @@ class CommLayer {
       std::uint32_t locale) const noexcept {
     return async_max_inflight_.at(locale);
   }
-  [[nodiscard]] std::uint64_t cache_hits(std::uint32_t locale) const noexcept {
-    return cache_hits_.at(locale);
-  }
-  [[nodiscard]] std::uint64_t cache_misses(
-      std::uint32_t locale) const noexcept {
-    return cache_misses_.at(locale);
-  }
-  [[nodiscard]] std::uint64_t cache_fills(std::uint32_t locale) const noexcept {
-    return cache_fills_.at(locale);
-  }
-  [[nodiscard]] std::uint64_t cache_evictions(
-      std::uint32_t locale) const noexcept {
-    return cache_evictions_.at(locale);
-  }
-
-  /// All of one locale's counters as a plain snapshot struct.
-  [[nodiscard]] CommStats stats_at(std::uint32_t locale) const noexcept;
 
   // Totals: the registry counters' fold (sum; max for the high-water).
   [[nodiscard]] std::uint64_t total_gets() const noexcept {
@@ -191,6 +149,9 @@ class CommLayer {
   [[nodiscard]] std::uint64_t max_async_inflight() const noexcept {
     return async_max_inflight_.value();
   }
+  // Block cache (rt::BlockCache): a hit replaces a would-be remote
+  // GET/execute, a fill is the one remote execute that fetched the whole
+  // block, an eviction a capacity- or staleness-driven entry drop.
   [[nodiscard]] std::uint64_t total_cache_hits() const noexcept {
     return cache_hits_.value();
   }
@@ -334,7 +295,7 @@ class AsyncComm {
  public:
   using Options = AsyncCommOptions;
 
-  /// Per-session counters (the per-locale aggregates live in CommStats).
+  /// Per-session counters (the per-locale aggregates are CommLayer's).
   struct Stats {
     std::uint64_t issued = 0;
     std::uint64_t completed = 0;

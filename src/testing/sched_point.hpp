@@ -87,7 +87,7 @@ struct Mutations {
   /// minimum observed epoch over all participants (Algorithm 2 lines
   /// 6-8).
   bool qsbr_ignore_min = false;
-  /// Watchdog: OverflowRetireList::flush_ready gates each deferred entry
+  /// Watchdog: sweep_overflow (reclaim/ebr.hpp) gates each deferred entry
   /// on its own retire parity alone instead of requiring both reader
   /// columns observed empty since the push. Plausible (it mirrors the
   /// blocking drain) but unsound: a timed-out grace period means a

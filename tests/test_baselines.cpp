@@ -171,6 +171,19 @@ TEST(HazardArray, BasicOps) {
   dom.flush_unsafe();
 }
 
+TEST(HazardArray, OutOfRangeThrowsInsteadOfReadingPastTheSpine) {
+  rt::Cluster cluster({.num_locales = 2, .workers_per_locale = 1});
+  rcua::reclaim::HazardDomain dom;
+  HazardArray<std::uint64_t> arr(cluster, 32, 16, &dom);
+  const std::size_t cap = arr.capacity();
+  EXPECT_THROW((void)arr.read(cap), std::out_of_range);
+  EXPECT_THROW(arr.write(cap, 1), std::out_of_range);
+  EXPECT_THROW((void)arr.read(1000), std::out_of_range);
+  arr.write(cap - 1, 5);
+  EXPECT_EQ(arr.read(cap - 1), 5u);
+  dom.flush_unsafe();
+}
+
 TEST(HazardArray, ConcurrentReadsWithResizes) {
   rt::Cluster cluster({.num_locales = 2, .workers_per_locale = 2});
   rcua::reclaim::HazardDomain dom;

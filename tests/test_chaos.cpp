@@ -53,13 +53,13 @@ TEST(Chaos, StalledReaderAndKilledWorkerDoNotHangResize) {
   // tasks, so it must outlive them (the cluster's destructor joins).
   rt::FaultPlan plan(/*seed=*/42);
   rt::Cluster cluster({.num_locales = 2, .workers_per_locale = 2});
-  reclaim::StallMonitor monitor(/*budget_bytes=*/1 << 20);
+  reclaim::StallMonitor monitor(/*budget_bytes=*/1 << 20,
+                                /*deadline_ns=*/2 * 1000 * 1000);  // 2 ms
   reclaim::CaptureStallSink captured;
   monitor.set_sink(&captured);
 
   rcua::RCUArray<int, rcua::EbrPolicy>::Options opts;
   opts.block_size = 64;
-  opts.stall_policy.deadline_ns = 2 * 1000 * 1000;  // 2 ms
   opts.stall_monitor = &monitor;
   rcua::RCUArray<int, rcua::EbrPolicy> arr(cluster, 4 * 64, opts);
   for (std::size_t i = 0; i < arr.capacity(); ++i) {
@@ -296,13 +296,13 @@ TEST(Chaos, BudgetBreachFallsBackToBlockingDrain) {
   // hard memory bound.
   rt::FaultPlan plan(/*seed=*/2);  // outlives the cluster's workers
   rt::Cluster cluster({.num_locales = 1, .workers_per_locale = 1});
-  reclaim::StallMonitor monitor(/*budget_bytes=*/1);
+  reclaim::StallMonitor monitor(/*budget_bytes=*/1,
+                                /*deadline_ns=*/1 * 1000 * 1000);  // 1 ms
   reclaim::CaptureStallSink captured;
   monitor.set_sink(&captured);
 
   rcua::RCUArray<int, rcua::EbrPolicy>::Options opts;
   opts.block_size = 32;
-  opts.stall_policy.deadline_ns = 1 * 1000 * 1000;  // 1 ms
   opts.stall_monitor = &monitor;
   rcua::RCUArray<int, rcua::EbrPolicy> arr(cluster, 32, opts);
 

@@ -7,6 +7,7 @@
 #include <numeric>
 #include <thread>
 
+#include "algorithms/histogram.hpp"
 #include "core/dsi.hpp"
 
 namespace rt = rcua::rt;
@@ -149,6 +150,41 @@ TYPED_TEST(DsiTyped, ReduceAgreesWithTheArrayReduce) {
             arr.backing().reduce(std::uint64_t{0}, fold, add));
   EXPECT_EQ(arr.reduce(std::uint64_t{1}, fold, add),
             arr.backing().reduce(std::uint64_t{1}, fold, add));
+  drain_qsbr();
+}
+
+TEST(Dsi, WriteInvalidatesCachedCopiesOnOtherLocales) {
+  // Block 1 (indices 16..31) lives on locale 1, so the histogram on
+  // locale 0 caches a copy of it. write() must bump the block's write
+  // generation like RCUArray::write, or the next pass serves the copy
+  // cached before the store.
+  rt::Cluster cluster({.num_locales = 2, .workers_per_locale = 1});
+  DsiArray<std::uint64_t> arr(
+      cluster, 64, {.block_size = 16, .cache_capacity_bytes = 1 << 20});
+  ASSERT_EQ(arr.owner_of(16), 1u);
+  // Bucket 0 counts the zeros, bucket 1 everything else.
+  const auto bucket = [](std::uint64_t v) -> std::size_t { return v != 0; };
+  const auto zeros_and_others = [&] {
+    return rcua::alg::histogram(arr, 2, bucket);
+  };
+  EXPECT_EQ(zeros_and_others(), (std::vector<std::uint64_t>{64, 0}));
+  arr.write(16, 42);
+  EXPECT_EQ(zeros_and_others(), (std::vector<std::uint64_t>{63, 1}));
+  EXPECT_EQ(arr.read(16), 42u);
+  const std::vector<std::uint64_t> all = arr.backing().bulk_read(0, 64);
+  EXPECT_EQ(std::accumulate(all.begin(), all.end(), std::uint64_t{0}), 42u);
+  drain_qsbr();
+}
+
+TEST(Dsi, ValueOpsOnAtomicElements) {
+  // An atomic element is read and written as its value type, as in
+  // RCUArray's value ops.
+  rt::Cluster cluster({.num_locales = 2, .workers_per_locale = 1});
+  DsiArray<std::atomic<std::uint64_t>> arr(cluster, 40, {.block_size = 16});
+  arr.write(33, 7);
+  EXPECT_EQ(arr.read(33), 7u);
+  EXPECT_THROW(arr.write(40, 1), std::out_of_range);
+  EXPECT_THROW((void)arr.read(40), std::out_of_range);
   drain_qsbr();
 }
 

@@ -328,13 +328,12 @@ TYPED_TEST(RcuArrayAllPolicies, OutOfRangeElementOpsThrowAndLeaveNoSection) {
   // era reservation would hold the spine retired below pending forever.
   for (const std::size_t cache : {std::size_t{0}, std::size_t{1} << 20}) {
     rt::Cluster cluster({.num_locales = 2, .workers_per_locale = 1});
-    rcua::reclaim::StallMonitor monitor;
+    rcua::reclaim::StallMonitor monitor(/*budget_bytes=*/0, /*deadline_ns=*/1);
     monitor.set_sink(nullptr);
     typename TestFixture::Array::Options opts;
     opts.block_size = 64;
     opts.cache_capacity_bytes = cache;
     opts.stall_monitor = &monitor;
-    opts.stall_policy.deadline_ns = 1;
     typename TestFixture::Array arr(cluster, 128, opts);
     const std::size_t cap = arr.capacity();
     EXPECT_THROW((void)arr.index(cap), std::out_of_range) << cache;

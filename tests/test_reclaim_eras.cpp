@@ -38,7 +38,10 @@ void flag_free(void* p) {
 /// A silent monitor for tests that assert on its counters (the global
 /// one would also print to stderr and mix state across tests).
 struct SilentMonitor {
-  SilentMonitor() { monitor.set_sink(&sink); }
+  explicit SilentMonitor(std::uint64_t deadline_ns = 0)
+      : monitor(/*budget_bytes=*/0, deadline_ns) {
+    monitor.set_sink(&sink);
+  }
   reclaim::CaptureStallSink sink;
   reclaim::StallMonitor monitor;
 };
@@ -434,13 +437,12 @@ TYPED_TEST(EraArrayTest, ChaosStalledReaderKeepsResizeLiveAndBounded) {
 
 TEST(EraContrast, EbrOverflowGrowsLinearlyUnderParkedReader) {
   rt::Cluster cluster({.num_locales = 1, .workers_per_locale = 1});
-  SilentMonitor sm;
+  // Non-blocking drain, so the parked view defers instead of hanging
+  // the resize train (the §9 watchdog path).
+  SilentMonitor sm(/*deadline_ns=*/1);
   rcua::RCUArray<int, rcua::EbrPolicy>::Options opts;
   opts.block_size = 64;
   opts.stall_monitor = &sm.monitor;
-  // Non-blocking drain, so the parked view defers instead of hanging
-  // the resize train (the §9 watchdog path).
-  opts.stall_policy.deadline_ns = 1;
   rcua::RCUArray<int, rcua::EbrPolicy> arr(cluster, 64, opts);
 
   constexpr int kResizes = 24;

@@ -144,11 +144,9 @@ TEST(SchedRcuArray, BudgetBreachFallbackYieldsToTheScheduler) {
       rcua::testing::explore(opts, [&cluster](Scheduler& sched) {
         struct State {
           explicit State(rcua::rt::Cluster& c)
-              : arr(c, 0,
-                    {.block_size = kBlock,
-                     .stall_policy = {.deadline_ns = 1},
-                     .stall_monitor = &monitor}) {}
-          rcua::reclaim::StallMonitor monitor{/*budget_bytes=*/1};
+              : arr(c, 0, {.block_size = kBlock, .stall_monitor = &monitor}) {}
+          rcua::reclaim::StallMonitor monitor{/*budget_bytes=*/1,
+                                              /*deadline_ns=*/1};
           RCUArray<int, EbrPolicy> arr;
           std::atomic<bool> ready{false};
           std::atomic<bool> pinned{false};

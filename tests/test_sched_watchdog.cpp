@@ -1,7 +1,8 @@
 // Schedule-exploration tests for the watchdog's overflow retire path:
 // a writer whose deadline-bounded drain times out defers the retired
-// snapshot onto an OverflowRetireList and later flushes entries once
-// BOTH reader columns have been observed empty since the push.
+// snapshot onto an overflow RetireList and later sweeps it
+// (sweep_overflow), freeing entries once BOTH reader columns have been
+// observed empty since the push.
 //
 // The `watchdog_skip_recheck` mutation regresses the flush to gating
 // each entry on its own retire parity — plausible (it mirrors the
@@ -18,7 +19,7 @@
 #include <memory>
 
 #include "reclaim/ebr.hpp"
-#include "reclaim/stall_monitor.hpp"
+#include "reclaim/retire_list.hpp"
 #include "testing/scheduler.hpp"
 
 namespace {
@@ -33,7 +34,7 @@ using rcua::testing::Scheduler;
 /// as a flag read, not a real use-after-free.
 struct Arena {
   rcua::reclaim::BasicEbr<std::uint64_t> ebr;
-  rcua::reclaim::OverflowRetireList overflow;
+  rcua::reclaim::RetireList<rcua::reclaim::OverflowTag> overflow;
   std::atomic<std::size_t> current{0};
   std::atomic<bool> freed[8] = {};
 };
@@ -74,10 +75,10 @@ void writer_rounds(Arena& a, std::size_t rounds) {
       a.freed[old].store(true, std::memory_order_seq_cst);
     } else {
       a.overflow.push(&flag_free, &a.freed[old], /*bytes=*/1,
-                      static_cast<std::uint64_t>(e));
+                      {static_cast<std::size_t>(e % 2)});
     }
     rcua::testing::sched_point("test.writer.flush");
-    a.overflow.flush_ready(drained);
+    rcua::reclaim::sweep_overflow(a.overflow, drained);
   }
 }
 
@@ -89,8 +90,9 @@ void two_round_scenario(Scheduler& sched) {
     // Liveness half of the watchdog contract: with every reader gone the
     // parity columns are empty, so one more flush must reclaim every
     // deferred snapshot.
-    a->overflow.flush_ready(
-        [&](std::size_t parity) { return a->ebr.readers_at(parity) == 0; });
+    rcua::reclaim::sweep_overflow(a->overflow, [&](std::size_t parity) {
+      return a->ebr.readers_at(parity) == 0;
+    });
     if (!a->freed[0].load() || !a->freed[1].load()) {
       s.violation("a deferred snapshot was never reclaimed");
     }

@@ -1,5 +1,6 @@
-// Unit tests for the grace-period watchdog layer: StallPolicy,
-// plat::wait_until, StallMonitor, and the epoch-tagged OverflowRetireList.
+// Unit tests for the grace-period watchdog layer: plat::wait_until,
+// StallMonitor, the RetireList every tag-gated reclaimer retires through,
+// and EBR's overflow sweep over it (OverflowTag, sweep_overflow).
 
 #include <gtest/gtest.h>
 
@@ -12,6 +13,7 @@
 #include "platform/backoff.hpp"
 #include "platform/topology.hpp"
 #include "reclaim/ebr.hpp"
+#include "reclaim/retire_list.hpp"
 #include "reclaim/stall_monitor.hpp"
 
 namespace plat = rcua::plat;
@@ -23,11 +25,32 @@ void flag_deleter(void* p) {
   static_cast<std::atomic<bool>*>(p)->store(true, std::memory_order_seq_cst);
 }
 
+// A plain tag for the RetireList mechanics: `ready` frees an entry once
+// its key is at most the sweep's observed bound.
+struct KeyTag {
+  int key;
+};
+
+// A deleter that retires onto the list it is being swept from.
+struct Reentrant {
+  reclaim::RetireList<KeyTag>* list;
+  std::atomic<bool>* freed;
+};
+
+void reentrant_deleter(void* p) {
+  auto* r = static_cast<Reentrant*>(p);
+  r->list->push(&flag_deleter, r->freed, 4, {0});
+  delete r;
+}
+
 }  // namespace
 
-TEST(StallPolicy, DefaultIsBlocking) {
-  const reclaim::StallPolicy policy;
-  EXPECT_EQ(policy.deadline_ns, 0u);
+TEST(StallMonitor, DefaultDeadlineIsBlocking) {
+  const reclaim::StallMonitor monitor;
+  EXPECT_EQ(monitor.deadline_ns(), 0u);
+  EXPECT_EQ(reclaim::StallMonitor::global().deadline_ns(), 0u);
+  const reclaim::StallMonitor timed(/*budget_bytes=*/0, /*deadline_ns=*/7);
+  EXPECT_EQ(timed.deadline_ns(), 7u);
 }
 
 TEST(WaitUntil, ImmediateSuccess) {
@@ -171,10 +194,85 @@ TEST(StallMonitor, EscalateRecordsAndContinues) {
   EXPECT_EQ(records[0].budget_bytes, 1u);
 }
 
-TEST(OverflowRetireList, PushAccountsBytesAndObjects) {
-  reclaim::OverflowRetireList list;
+TEST(RetireList, PendingCountsFollowPushSweepAndFreeAll) {
+  reclaim::RetireList<KeyTag> list;
+  std::atomic<bool> freed[3] = {};
+  EXPECT_EQ(list.push(&flag_deleter, &freed[0], 10, {1}), 10u);
+  EXPECT_EQ(list.push(&flag_deleter, &freed[1], 20, {2}), 30u);
+  EXPECT_EQ(list.push(&flag_deleter, &freed[2], 40, {3}), 70u);
+  EXPECT_EQ(list.pending_objects(), 3u);
+  EXPECT_EQ(list.pending_bytes(), 70u);
+
+  int bound = 0;
+  const auto r = list.sweep([&] { bound = 2; },
+                            [&](KeyTag& t) { return t.key <= bound; });
+  EXPECT_EQ(r.objects, 2u);
+  EXPECT_EQ(r.bytes, 30u);
+  EXPECT_TRUE(freed[0].load());
+  EXPECT_TRUE(freed[1].load());
+  EXPECT_FALSE(freed[2].load());
+  EXPECT_EQ(list.pending_objects(), 1u);
+  EXPECT_EQ(list.pending_bytes(), 40u);
+
+  const auto all = list.free_all();
+  EXPECT_EQ(all.objects, 1u);
+  EXPECT_EQ(all.bytes, 40u);
+  EXPECT_TRUE(freed[2].load());
+  EXPECT_EQ(list.pending_objects(), 0u);
+  EXPECT_EQ(list.pending_bytes(), 0u);
+  EXPECT_EQ(list.free_all().objects, 0u);
+}
+
+TEST(RetireList, TagBanksAnObservationAcrossSweeps) {
+  // Each sweep observes one of two conditions; the tag remembers the
+  // first, so the entry goes on the sweep that observes the second.
+  struct Seen {
+    bool a = false;
+    bool b = false;
+  };
+  reclaim::RetireList<Seen> list;
   std::atomic<bool> freed{false};
-  list.push(&flag_deleter, &freed, 128, /*epoch=*/4);
+  list.push(&flag_deleter, &freed, 8, {});
+  bool now_a = false;
+  bool now_b = false;
+  auto ready = [&](Seen& t) {
+    t.a = t.a || now_a;
+    t.b = t.b || now_b;
+    return t.a && t.b;
+  };
+  EXPECT_EQ(list.sweep([&] { now_a = true; }, ready).objects, 0u);
+  EXPECT_FALSE(freed.load());
+  const auto second = list.sweep(
+      [&] {
+        now_a = false;
+        now_b = true;
+      },
+      ready);
+  EXPECT_EQ(second.objects, 1u);
+  EXPECT_TRUE(freed.load());
+  EXPECT_EQ(list.pending_objects(), 0u);
+}
+
+TEST(RetireList, DeleterMayPushOntoTheSweptList) {
+  // The deleters run after the lock is released; one run under it would
+  // spin forever on its own push.
+  reclaim::RetireList<KeyTag> list;
+  std::atomic<bool> freed{false};
+  list.push(&reentrant_deleter, new Reentrant{&list, &freed}, 16, {0});
+  const auto r = list.sweep([] {}, [](KeyTag& t) { return t.key == 0; });
+  EXPECT_EQ(r.objects, 1u);
+  EXPECT_EQ(r.bytes, 16u);
+  EXPECT_FALSE(freed.load());
+  EXPECT_EQ(list.pending_objects(), 1u);
+  EXPECT_EQ(list.pending_bytes(), 4u);
+  EXPECT_EQ(list.free_all().objects, 1u);
+  EXPECT_TRUE(freed.load());
+}
+
+TEST(EbrOverflow, PushAccountsBytesAndObjects) {
+  reclaim::RetireList<reclaim::OverflowTag> list;
+  std::atomic<bool> freed{false};
+  list.push(&flag_deleter, &freed, 128, {/*parity=*/0});
   EXPECT_EQ(list.pending_objects(), 1u);
   EXPECT_EQ(list.pending_bytes(), 128u);
   EXPECT_FALSE(freed.load());
@@ -185,16 +283,16 @@ TEST(OverflowRetireList, PushAccountsBytesAndObjects) {
   EXPECT_EQ(list.pending_objects(), 0u);
 }
 
-TEST(OverflowRetireList, FlushRequiresBothColumnsObservedEmpty) {
-  reclaim::OverflowRetireList list;
+TEST(EbrOverflow, FlushRequiresBothColumnsObservedEmpty) {
+  reclaim::RetireList<reclaim::OverflowTag> list;
   std::atomic<bool> freed_even{false};
   std::atomic<bool> freed_odd{false};
-  list.push(&flag_deleter, &freed_even, 10, /*epoch=*/2);  // parity 0
-  list.push(&flag_deleter, &freed_odd, 20, /*epoch=*/3);   // parity 1
+  list.push(&flag_deleter, &freed_even, 10, {/*parity=*/0});
+  list.push(&flag_deleter, &freed_odd, 20, {/*parity=*/1});
   // Only parity 0 observed empty: an entry's own parity draining is NOT
   // enough — a stalled reader on the other column may still hold it.
-  const auto r =
-      list.flush_ready([](std::size_t parity) { return parity == 0; });
+  const auto only_even = [](std::size_t parity) { return parity == 0; };
+  const auto r = reclaim::sweep_overflow(list, only_even);
   EXPECT_EQ(r.objects, 0u);
   EXPECT_FALSE(freed_even.load());
   EXPECT_FALSE(freed_odd.load());
@@ -202,8 +300,8 @@ TEST(OverflowRetireList, FlushRequiresBothColumnsObservedEmpty) {
   EXPECT_EQ(list.pending_bytes(), 30u);
   // Parity 1 observed empty on a later flush: combined with the banked
   // parity-0 observation, both entries are now reclaimable.
-  const auto r2 =
-      list.flush_ready([](std::size_t parity) { return parity == 1; });
+  const auto only_odd = [](std::size_t parity) { return parity == 1; };
+  const auto r2 = reclaim::sweep_overflow(list, only_odd);
   EXPECT_EQ(r2.objects, 2u);
   EXPECT_EQ(r2.bytes, 30u);
   EXPECT_TRUE(freed_even.load());
@@ -211,36 +309,37 @@ TEST(OverflowRetireList, FlushRequiresBothColumnsObservedEmpty) {
   EXPECT_EQ(list.pending_bytes(), 0u);
 }
 
-TEST(OverflowRetireList, FlushFreesInOneCallWhenBothColumnsAreEmpty) {
-  reclaim::OverflowRetireList list;
+TEST(EbrOverflow, FlushFreesInOneCallWhenBothColumnsAreEmpty) {
+  reclaim::RetireList<reclaim::OverflowTag> list;
   std::atomic<bool> freed{false};
-  list.push(&flag_deleter, &freed, 8, /*epoch=*/5);
-  const auto r = list.flush_ready([](std::size_t) { return true; });
+  list.push(&flag_deleter, &freed, 8, {/*parity=*/1});
+  const auto both = [](std::size_t) { return true; };
+  const auto r = reclaim::sweep_overflow(list, both);
   EXPECT_EQ(r.objects, 1u);
   EXPECT_TRUE(freed.load());
   EXPECT_EQ(list.pending_objects(), 0u);
 }
 
-TEST(OverflowRetireList, FlushAgainstLiveEbrColumn) {
+TEST(EbrOverflow, FlushAgainstLiveEbrColumn) {
   // End-to-end with a real reclaimer: while a reader occupies either
   // column, deferred entries survive flushes; once it leaves, both
   // columns are observed empty and the entry is reclaimed.
   reclaim::Ebr ebr;
-  reclaim::OverflowRetireList list;
+  reclaim::RetireList<reclaim::OverflowTag> list;
   std::atomic<bool> freed{false};
 
   auto guard = std::make_unique<reclaim::Ebr::ReadGuard>(ebr);  // parity 0
   const auto old_epoch = ebr.advance_epoch();                   // drain 0
   list.push(&flag_deleter, &freed, 64,
-            static_cast<std::uint64_t>(old_epoch));
+            {static_cast<std::size_t>(old_epoch % 2)});
   auto drained = [&](std::size_t parity) {
     return ebr.readers_at(parity) == 0;
   };
-  EXPECT_EQ(list.flush_ready(drained).objects, 0u);
+  EXPECT_EQ(reclaim::sweep_overflow(list, drained).objects, 0u);
   EXPECT_FALSE(freed.load());
 
   guard.reset();  // reader evacuates
-  EXPECT_EQ(list.flush_ready(drained).objects, 1u);
+  EXPECT_EQ(reclaim::sweep_overflow(list, drained).objects, 1u);
   EXPECT_TRUE(freed.load());
 }
 
